@@ -20,14 +20,13 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
 import click
 import numpy as np
 
-from .config import TOL, thread_count
+from .config import TOL
 from .frequency import build_profile, residual_report, solve_traces
 from .indices import embedding_catalog, exponent_thresholds
 from .params import Freq, PlateParams, Sector
@@ -286,15 +285,15 @@ def _linear_rows(
     corrupt_p0: bool,
     n: int,
 ) -> list[dict]:
-    def solve_one(point: tuple[complex, float]) -> dict:
-        lam, z = point
+    rows = []
+    for lam, z in points:
         freq = Freq(lam=lam, z=z)
         traces = solve_traces(params, freq, 1.0 + 0.0j, n=n)
         if corrupt_p0:
             traces = dataclasses.replace(traces, p0_hat=traces.p0_hat * 1.01)
         profile = build_profile(params, freq, traces)
         report = residual_report(params, freq, profile, 1.0 + 0.0j)
-        return {
+        rows.append({
             "re_lambda": lam.real,
             "im_lambda": lam.imag,
             "z": z,
@@ -302,13 +301,8 @@ def _linear_rows(
             "p0_abs": abs(traces.p0_hat),
             "residual_max": report.max_normalized,
             "pass": report.passed,
-        }
-
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(solve_one, points))
-    return [solve_one(pt) for pt in points]
+        })
+    return rows
 
 
 def _default_points(grid_spec: str) -> list[tuple[complex, float]]:

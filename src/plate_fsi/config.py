@@ -1,4 +1,4 @@
-"""Global tolerances and runtime knobs.
+"""Global tolerances.
 
 A single module-level :data:`TOL` instance is consulted throughout; tests or
 callers that need different tolerances can replace individual attributes or
@@ -7,19 +7,11 @@ swap the instance.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 
 @dataclass
 class Tolerances:
-    # Relative tolerance for closed-form identities (root residuals, trace
-    # identities).
-    identity_rel: float = 1e-12
-    # Relative agreement demanded between closed-form profiles and adaptive
-    # quadrature of the kernel integrals.
-    quadrature_rel: float = 1e-8
-    quadrature_abs: float = 1e-10
     # Residual pass level for the frequency-domain solution operator.
     residual_rel: float = 1e-8
     # Guard for near-vanishing response denominators.
@@ -40,12 +32,3 @@ class Tolerances:
 
 TOL = Tolerances()
 
-
-def thread_count() -> int:
-    """Parallelism cap from the PLATE_FSI_THREADS environment variable."""
-    raw = os.environ.get("PLATE_FSI_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)

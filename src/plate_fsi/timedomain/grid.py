@@ -76,8 +76,8 @@ class VerticalMesh:
     spacing asymptotically.  Cell midpoints carry the pressure in the
     staggered solver; the dual weights ``w_j = (h_(j-1) + h_j) / 2`` (halved
     at the ends) make the node-to-cell divergence and the cell-to-node
-    gradient exact negative adjoints of each other, and double as the
-    vertical quadrature rule.
+    gradient of :meth:`staggered_pair` exact negative adjoints of each
+    other, and double as the vertical quadrature rule.
     """
 
     X: float
@@ -137,6 +137,25 @@ class VerticalMesh:
         )
         self._diff_cache[key] = mat
         return mat
+
+    def staggered_pair(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """Node-to-cell average ``A`` and difference ``D``, shape ``(M, M + 1)``.
+
+        ``(A f)_j = (f_j + f_(j+1)) / 2`` and ``(D f)_j = f_(j+1) - f_j``.
+        The staggered divergence of a mode with covector ``xi`` is
+        ``i xi . A v' + H^-1 D v_n`` (``H`` the cell spacings); under the
+        dual weights ``W`` its negative adjoint, the pressure gradient, is
+        ``i xi W^-1 A^T H p`` tangentially and ``-W^-1 D^T p`` normally.
+        """
+        key = "staggered"
+        cached = self._diff_cache.get(key)
+        if cached is not None:
+            return cached
+        left = sp.eye(self.M, self.M + 1, format="csr")
+        right = sp.eye(self.M, self.M + 1, k=1, format="csr")
+        pair = (0.5 * (left + right), right - left)
+        self._diff_cache[key] = pair
+        return pair
 
     def sbp_derivative_matrix(self) -> sp.csr_matrix:
         """Second-order first derivative satisfying exact summation by parts.

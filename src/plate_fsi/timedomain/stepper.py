@@ -4,11 +4,16 @@ The tangential torus diagonalizes the linear system into independent
 tangential modes, so one step solves, per mode, a small sparse saddle
 system on the vertical mesh: staggered velocity/pressure unknowns
 (velocity on nodes, pressure on cell midpoints) plus the plate
-displacement and velocity of the mode.  The staggering makes the
-discrete pressure gradient the exact negative adjoint of the discrete
-divergence under the dual mesh weights, so the pressure does no work on
-discretely divergence-free fields and the implicit step inherits the
-energy decay of the continuous system.
+displacement and velocity of the mode.
+
+Every discrete divergence here comes from the mesh's staggered pair
+(:meth:`VerticalMesh.staggered_pair`, the node-to-cell average ``A`` and
+difference ``D``): the divergence rows ``i xi . A v' + H^-1 D v_n`` of the
+mode matrix, the cell average ``A g`` of the divergence datum, and
+:func:`staggered_divergence`.  The pressure columns of the momentum rows
+are its exact negative adjoint under the dual mesh weights, so the
+pressure does no work on discretely divergence-free fields and the
+implicit step inherits the energy decay of the continuous system.
 
 Boundary rows: no-slip for the tangential velocity at both ends, the
 kinematic coupling ``v_n(0) = eta_t`` at the plate, a rigid lid at
@@ -68,87 +73,7 @@ class ModeStepper:
             raise ValueError("xi needs at least one tangential component")
         self.z2 = float(sum(x * x for x in self.xi))
         self.z = sqrt(self.z2)
-        self._assemble()
-
-    # unknown layout: tangential components, normal component, pressure,
-    # then (eta, psi)
-    def _iv(self, d: int, j: int) -> int:
-        return d * (self.mesh.M + 1) + j
-
-    def _ivn(self, j: int) -> int:
-        return len(self.xi) * (self.mesh.M + 1) + j
-
-    def _ip(self, j: int) -> int:
-        return (len(self.xi) + 1) * (self.mesh.M + 1) + j
-
-    @property
-    def size(self) -> int:
-        return (len(self.xi) + 1) * (self.mesh.M + 1) + self.mesh.M + 2
-
-    def _assemble(self) -> None:
-        mesh, dt, p = self.mesh, self.dt, self.params
-        M = mesh.M
-        h, w = mesh.spacings, mesh.weights
-        c = len(self.xi)
-        i_eta = self._ip(M)
-        i_psi = i_eta + 1
-        lap = mesh.diff_matrix(order=2, accuracy=1)
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[complex] = []
-
-        def add(r: int, cl: int, v: complex) -> None:
-            rows.append(r)
-            cols.append(cl)
-            vals.append(v)
-
-        for d in range(c):
-            add(self._iv(d, 0), self._iv(d, 0), 1.0)
-            add(self._iv(d, M), self._iv(d, M), 1.0)
-        add(self._ivn(0), self._ivn(0), 1.0)
-        add(self._ivn(0), i_psi, -1.0)
-        add(self._ivn(M), self._ivn(M), 1.0)
-
-        for j in range(1, M):
-            sten = lap.getrow(j)
-            for d in range(c):
-                r = self._iv(d, j)
-                add(r, r, 1.0 / dt + self.z2)
-                for k, lv in zip(sten.indices, sten.data):
-                    add(r, self._iv(d, int(k)), -lv)
-                # adjoint of the cell-average divergence: tangential
-                # derivative of the dual-weighted midpoint mean
-                add(r, self._ip(j - 1), 1j * self.xi[d] * h[j - 1] / (2.0 * w[j]))
-                add(r, self._ip(j), 1j * self.xi[d] * h[j] / (2.0 * w[j]))
-            r = self._ivn(j)
-            add(r, r, 1.0 / dt + self.z2)
-            for k, lv in zip(sten.indices, sten.data):
-                add(r, self._ivn(int(k)), -lv)
-            add(r, self._ip(j), 1.0 / w[j])
-            add(r, self._ip(j - 1), -1.0 / w[j])
-
-        for j in range(M):
-            r = self._ip(j)
-            for d in range(c):
-                add(r, self._iv(d, j), 0.5j * self.xi[d])
-                add(r, self._iv(d, j + 1), 0.5j * self.xi[d])
-            add(r, self._ivn(j + 1), 1.0 / h[j])
-            add(r, self._ivn(j), -1.0 / h[j])
-
-        add(i_eta, i_eta, 1.0)
-        add(i_eta, i_psi, -dt)
-
-        add(i_psi, i_psi, 1.0 / dt + p.gamma * self.z2)
-        add(i_psi, i_eta, p.alpha * self.z2**2 + p.beta * self.z2)
-        for s, t_s in enumerate(mesh.trace_stencil()):
-            add(i_psi, self._ivn(s), -2.0 * t_s)
-        c0, c1 = mesh.pressure_trace_stencil()
-        add(i_psi, self._ip(0), c0)
-        add(i_psi, self._ip(1), c1)
-
-        matrix = sp.coo_matrix(
-            (vals, (rows, cols)), shape=(self.size, self.size), dtype=complex
-        ).tocsc()
+        matrix = self.matrix()
         try:
             self._lu = splu(matrix)
         except RuntimeError as exc:
@@ -156,6 +81,68 @@ class ModeStepper:
                 f"mode xi={self.xi}: factorization failed ({exc}); "
                 f"matrix 1-norm ~ {onenormest(matrix):.3e}"
             ) from exc
+
+    @property
+    def size(self) -> int:
+        return (len(self.xi) + 1) * (self.mesh.M + 1) + self.mesh.M + 2
+
+    def matrix(self) -> sp.csc_matrix:
+        """The saddle matrix of one step, assembled from the mesh's staggered pair."""
+        mesh, dt, p = self.mesh, self.dt, self.params
+        M = mesh.M
+        h, w = mesh.spacings, mesh.weights
+        xi = np.array(self.xi)[:, np.newaxis]
+        c = len(self.xi)
+        # unknown layout: the n velocity components on the nodes (tangential
+        # first), the pressure on the cells, then (eta, psi)
+        comp = np.arange(c + 1)[:, np.newaxis] * (M + 1)
+        i_n, i_p = c * (M + 1), (c + 1) * (M + 1)
+        i_eta, i_psi = i_p + M, i_p + M + 1
+        interior = np.arange(1, M)
+        lap = mesh.diff_matrix(order=2, accuracy=1)[1:M].tocoo()
+        avg, dif = (op.tocoo() for op in mesh.staggered_pair())
+        # the gradient (negative adjoint of the divergence) acts on the
+        # interior momentum rows only
+        a_in = (avg.col > 0) & (avg.col < M)
+        a_node, a_cell = avg.col[a_in], avg.row[a_in]
+        d_in = (dif.col > 0) & (dif.col < M)
+        d_node, d_cell = dif.col[d_in], dif.row[d_in]
+        ts = mesh.trace_stencil()
+        c0, c1 = mesh.pressure_trace_stencil()
+
+        # (rows, cols, values) per block.  Values are formed entry by entry
+        # rather than as sparse products, which would re-round them: the
+        # late Picard contraction ratios react to single-ulp changes.
+        blocks = [
+            # no-slip for v' at both ends, rigid lid for v_n, kinematic
+            # coupling v_n(0) = psi
+            (comp + np.array([0, M]), comp + np.array([0, M]), 1.0),
+            (i_n, i_psi, -1.0),
+            # interior momentum rows: 1/dt + |xi|^2 - d_n^2
+            (comp + interior, comp + interior, 1.0 / dt + self.z2),
+            (comp + 1 + lap.row, comp + lap.col, -lap.data),
+            # pressure gradient: i xi W^-1 A^T H p and -W^-1 D^T p
+            (comp[:c] + a_node, i_p + a_cell,
+             1j * (xi * (avg.data[a_in] * h[a_cell]) / w[a_node])),
+            (i_n + d_node, i_p + d_cell, -dif.data[d_in] / w[d_node]),
+            # divergence: i xi . A v' + H^-1 D v_n
+            (i_p + avg.row, comp[:c] + avg.col, 1j * (xi * avg.data)),
+            (i_p + dif.row, i_n + dif.col, dif.data / h[dif.row]),
+            # plate: eta - dt psi = eta_old, and the balance driven by the
+            # shear trace 2 d_n v_n(0) minus the pressure trace
+            (i_eta, [i_eta, i_psi], [1.0, -dt]),
+            (i_psi, [i_psi, i_eta],
+             [1.0 / dt + p.gamma * self.z2, p.alpha * self.z2**2 + p.beta * self.z2]),
+            (i_psi, i_n + np.arange(ts.size), -2.0 * ts),
+            (i_psi, [i_p, i_p + 1], [c0, c1]),
+        ]
+        rows, cols, vals = (
+            np.concatenate(part)
+            for part in zip(*(map(np.ravel, np.broadcast_arrays(*b)) for b in blocks))
+        )
+        return sp.coo_matrix(
+            (vals, (rows, cols)), shape=(self.size, self.size), dtype=complex
+        ).tocsc()
 
     def step(
         self,
@@ -174,26 +161,23 @@ class ModeStepper:
         ``(v_hat, p_mid_hat, eta_hat, psi_hat)`` with the pressure on the
         ``M`` cell midpoints.
         """
-        mesh, dt = self.mesh, self.dt
-        M = mesh.M
-        c = len(self.xi)
+        M, dt = self.mesh.M, self.dt
+        shape = (len(self.xi) + 1, M + 1)
         v_hat = np.asarray(v_hat)
-        if v_hat.shape != (c + 1, M + 1):
-            raise ValueError(f"v_hat has shape {v_hat.shape}, expected {(c + 1, M + 1)}")
+        if v_hat.shape != shape:
+            raise ValueError(f"v_hat has shape {v_hat.shape}, expected {shape}")
+        i_p = shape[0] * shape[1]
         b = np.zeros(self.size, dtype=complex)
-        for d in range(c + 1):
-            comp = slice(self._iv(d, 1), self._iv(d, M))
-            b[comp] = v_hat[d, 1:M] / dt
-            if f_v_hat is not None:
-                b[comp] += f_v_hat[d, 1:M]
+        b_v = b[:i_p].reshape(shape)
+        b_v[:, 1:M] = v_hat[:, 1:M] / dt
+        if f_v_hat is not None:
+            b_v[:, 1:M] += f_v_hat[:, 1:M]
         if g_hat is not None:
-            b[self._ip(0): self._ip(M)] = 0.5 * (g_hat[:-1] + g_hat[1:])
-        b[self._ip(M)] = eta_hat
-        b[self._ip(M) + 1] = psi_hat / dt - f_eta_hat
+            b[i_p: i_p + M] = self.mesh.staggered_pair()[0] @ g_hat
+        b[i_p + M] = eta_hat
+        b[i_p + M + 1] = psi_hat / dt - f_eta_hat
         sol = self._lu.solve(b)
-        v_new = sol[: (c + 1) * (M + 1)].reshape(c + 1, M + 1)
-        p_mid = sol[self._ip(0): self._ip(M)]
-        return v_new, p_mid, complex(sol[self._ip(M)]), complex(sol[self._ip(M) + 1])
+        return sol[:i_p].reshape(shape), sol[i_p: i_p + M], complex(sol[-2]), complex(sol[-1])
 
 
 def _bulk_spectrum(field: np.ndarray, grid: Grid) -> np.ndarray:
@@ -220,28 +204,13 @@ class LinearStepper:
         self.grid = grid
         self._cache: dict[tuple[int, ...], ModeStepper] = {}
         self._mask = grid.nyquist_mask()
-        if grid.n == 2:
-            (kx,) = grid.wavenumbers()
-            self._xi_table = {(i,): (float(kx[i]),) for i in range(kx.size)}
-        else:
-            full, half = grid.wavenumbers()
-            self._xi_table = {
-                (i, j): (float(full[i, 0]), float(half[0, j]))
-                for i in range(grid.N)
-                for j in range(grid.N // 2 + 1)
-            }
-
-    @property
-    def spectral_shape(self) -> tuple[int, ...]:
-        if self.grid.n == 2:
-            return (self.grid.N // 2 + 1,)
-        return (self.grid.N, self.grid.N // 2 + 1)
+        self._xi = np.broadcast_arrays(*grid.wavenumbers())
 
     def _stepper(self, idx: tuple[int, ...]) -> ModeStepper:
         st = self._cache.get(idx)
         if st is None:
             st = ModeStepper(
-                self.params, self._xi_table[idx], self.grid.mesh, self.grid.dt
+                self.params, [x[idx] for x in self._xi], self.grid.mesh, self.grid.dt
             )
             self._cache[idx] = st
         return st
@@ -263,7 +232,7 @@ class LinearStepper:
         g_spec = None if g is None else _bulk_spectrum(np.asarray(g, float), grid)
         fe_spec = None if f_eta is None else _plate_spectrum(np.asarray(f_eta, float), grid)
 
-        shape = self.spectral_shape
+        shape = self._mask.shape
         v_out = np.zeros((grid.n,) + shape + (M + 1,), dtype=complex)
         p_out = np.zeros(shape + (M,), dtype=complex)
         eta_out = np.zeros(shape, dtype=complex)
@@ -312,17 +281,20 @@ def staggered_divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
     """Cell divergence as the mode solver sees it, shape ``tan + (M,)``.
 
     Tangential derivatives act spectrally on the node-pair averages and
-    the vertical part is the exact cell difference; the result is the
-    residual field the pressure multiplier annihilates.
+    the vertical part is the exact cell difference, both from the mesh's
+    staggered pair; the result is the residual field the pressure
+    multiplier annihilates.
     """
     spec = _bulk_spectrum(np.asarray(v, dtype=float), grid)
-    avg = 0.5 * (spec[..., :-1] + spec[..., 1:])
-    ws = grid.wavenumbers()
+    avg, dif = grid.mesh.staggered_pair()
+    nodes = spec.reshape(-1, grid.M + 1).T
+    cells = spec.shape[:-1] + (grid.M,)
+    mean, jump = ((op @ nodes).T.reshape(cells) for op in (avg, dif))
     mask = grid.nyquist_mask()
-    out = np.zeros(spec.shape[1:-1] + (grid.M,), dtype=complex)
-    for d in range(grid.n - 1):
-        out += (1j * ws[d] * np.ones(mask.shape))[..., np.newaxis] * avg[d]
-    out += np.diff(spec[grid.n - 1], axis=-1) / grid.mesh.spacings
+    out = np.zeros(mask.shape + (grid.M,), dtype=complex)
+    for d, xi in enumerate(grid.wavenumbers()):
+        out += (1j * xi)[..., np.newaxis] * mean[d]
+    out += jump[-1] / grid.mesh.spacings
     out = np.where(mask[..., np.newaxis], 0.0, out)
     axes = tuple(range(grid.n - 1))
     return np.fft.irfftn(out, s=grid.tan_shape, axes=axes)

@@ -156,15 +156,6 @@ class TestSolveLinear:
         assert lines[0] == "# schema=1"
         assert len(lines) == 2 + 4
 
-    def test_threaded_sweep_matches_serial(self, runner: CliRunner) -> None:
-        serial = runner.invoke(main, ["solve-linear", "--grid", "3x3"])
-        threaded = runner.invoke(
-            main, ["solve-linear", "--grid", "3x3"],
-            env={"PLATE_FSI_THREADS": "4"},
-        )
-        assert threaded.exit_code == 0
-        assert threaded.stdout == serial.stdout
-
     def test_check_mode(self, runner: CliRunner) -> None:
         res = runner.invoke(main, ["solve-linear", "--check"])
         assert res.exit_code == 0

@@ -84,6 +84,33 @@ class TestModeStepper:
     def test_singular_error_is_runtime_error(self) -> None:
         assert issubclass(SolverSingular, RuntimeError)
 
+    def test_gradient_is_negative_adjoint_of_divergence(
+        self, grid2: Grid, rng: np.random.Generator
+    ) -> None:
+        # <p, div v>_H = -<grad p, v>_W for node velocities with zero end
+        # values, with div taken from the mesh's staggered pair and grad read
+        # off the pressure columns of the assembled momentum rows.
+        mesh = grid2.mesh
+        M, h, w = mesh.M, mesh.spacings, mesh.weights
+        xi = rng.normal(size=2)
+        mode = ModeStepper(UNIT, xi, mesh, grid2.dt)
+        n_vel = 3 * (M + 1)
+        v = rng.normal(size=(3, M + 1)) + 1j * rng.normal(size=(3, M + 1))
+        v[:, [0, M]] = 0.0
+        p = rng.normal(size=M) + 1j * rng.normal(size=M)
+        avg, dif = mesh.staggered_pair()
+        div = 1j * xi @ (avg @ v[:2].T).T + (dif @ v[2]) / h
+        matrix = mode.matrix()
+        grad = (matrix[:n_vel, n_vel: n_vel + M] @ p).reshape(3, M + 1)
+        lhs = np.sum(h * np.conj(p) * div)
+        rhs = -np.sum(w * np.conj(grad) * v)
+        assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
+        # the divergence rows of the matrix are that same divergence
+        np.testing.assert_allclose(
+            matrix[n_vel: n_vel + M, :n_vel] @ v.ravel(), div,
+            rtol=0, atol=1e-13 * np.abs(div).max(),
+        )
+
 
 class TestLinearStepperConstraints:
     def test_zero_state_zero_data_maps_to_zero(
@@ -179,6 +206,41 @@ class TestLinearStepperRun:
         np.testing.assert_allclose(out.v[2][..., 0], out.eta_t, atol=1e-12 * scale)
         div = staggered_divergence(out.v, grid)
         assert np.abs(div).max() < 1e-10 * max(scale, 1e-30)
+
+
+    def test_three_dimensional_step_reduces_to_two_dimensional(
+        self, rng: np.random.Generator
+    ) -> None:
+        # Data depending on x_1 alone excite only the modes xi = (xi_1, 0),
+        # which must reproduce the 2D modes with v_2 = 0; a swapped
+        # (xi_1, xi_2) would pair those data with the wrong wavenumbers.
+        grid2 = Grid(n=2, N=8, M=16, T=0.25, dt=0.25)
+        grid3 = Grid(n=3, N=8, M=16, T=0.25, dt=0.25)
+        state2 = _smooth_state(grid2, rng)
+        (x,) = grid2.tangential_coordinates()
+        f_eta = np.cos(x) + 0.5 * np.sin(2.0 * x)
+        g = np.sin(x)[..., np.newaxis] * np.exp(-grid2.mesh.nodes / grid2.L)
+
+        def lift(field: np.ndarray, axis: int) -> np.ndarray:
+            return np.repeat(np.expand_dims(field, axis), grid3.N, axis=axis)
+
+        v3 = np.zeros((3,) + grid3.tan_shape + (grid3.M + 1,))
+        v3[0], v3[2] = lift(state2.v[0], 1), lift(state2.v[1], 1)
+        state3 = State(
+            v=v3, p=lift(state2.p, 1), eta=lift(state2.eta, 1), eta_t=lift(state2.eta_t, 1)
+        )
+        out2 = LinearStepper(UNIT, grid2).step(state2, g=g, f_eta=f_eta)
+        out3 = LinearStepper(UNIT, grid3).step(state3, g=lift(g, 1), f_eta=lift(f_eta, 1))
+
+        v_want = np.zeros_like(out3.v)
+        v_want[0], v_want[2] = lift(out2.v[0], 1), lift(out2.v[1], 1)
+        for got, want in (
+            (out3.v, v_want),
+            (out3.p, lift(out2.p, 1)),
+            (out3.eta, lift(out2.eta, 1)),
+            (out3.eta_t, lift(out2.eta_t, 1)),
+        ):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 class TestTotalEnergy:
