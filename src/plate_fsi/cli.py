@@ -22,6 +22,7 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 import numpy as np
@@ -37,17 +38,11 @@ from .polygon import (
     relevant_weights,
 )
 from .symbols import root_sector_angle
-from .timedomain import (
-    Grid,
-    NoContraction,
-    ProblemData,
-    State,
-    check_compatibility,
-    fixed_point_solve,
-)
-from .timedomain.compat import discrete_divergence
-from .timedomain.grid import tangential_derivative
-from .timedomain.stepper import LinearStepper, staggered_divergence
+
+# The time-domain layer (and with it scipy) is imported inside the commands
+# that use it, so the other subcommands start without loading it.
+if TYPE_CHECKING:
+    from .timedomain import Grid, ProblemData, State
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -151,6 +146,8 @@ def _params(cfg: dict[str, object]) -> PlateParams:
 
 
 def _grid(cfg: dict[str, object]) -> Grid:
+    from .timedomain import Grid
+
     return Grid(
         n=int(cfg["n"]),
         L=float(cfg["L"]),
@@ -279,33 +276,53 @@ def polygon_cmd(config_path, sets, as_json, check_only):
 # ------------------------------------------------------------- solve-linear
 
 
+# Points per call into the frequency layer: large enough that the
+# per-call overhead vanishes, small enough that the (point, component, x)
+# residual arrays stay a few megabytes.
+_BLOCK = 256
+
+
 def _linear_rows(
     params: PlateParams,
-    points: list[tuple[complex, float]],
+    lam: np.ndarray,
+    z: np.ndarray,
     corrupt_p0: bool,
     n: int,
-) -> list[dict]:
-    rows = []
-    for lam, z in points:
-        freq = Freq(lam=lam, z=z)
+) -> dict[str, np.ndarray]:
+    """Solve and verify the points ``(lam[i], z[i])``.
+
+    Returns the sweep table as one array per output column, entry ``i``
+    belonging to point ``i``.  The frequency layer is called once per
+    block of :data:`_BLOCK` points.
+    """
+    blocks = []
+    for start in range(0, lam.size, _BLOCK):
+        freq = Freq(lam=lam[start:start + _BLOCK], z=z[start:start + _BLOCK])
         traces = solve_traces(params, freq, 1.0 + 0.0j, n=n)
         if corrupt_p0:
             traces = dataclasses.replace(traces, p0_hat=traces.p0_hat * 1.01)
         profile = build_profile(params, freq, traces)
         report = residual_report(params, freq, profile, 1.0 + 0.0j)
-        rows.append({
-            "re_lambda": lam.real,
-            "im_lambda": lam.imag,
-            "z": z,
-            "eta_abs": abs(traces.eta_hat),
-            "p0_abs": abs(traces.p0_hat),
-            "residual_max": report.max_normalized,
-            "pass": report.passed,
-        })
-    return rows
+        blocks.append((
+            np.abs(traces.eta_hat),
+            np.abs(traces.p0_hat),
+            report.max_normalized,
+            report.passed,
+        ))
+    eta_abs, p0_abs, residual_max, passed = (np.concatenate(c) for c in zip(*blocks))
+    return {
+        "re_lambda": lam.real,
+        "im_lambda": lam.imag,
+        "z": z,
+        "eta_abs": eta_abs,
+        "p0_abs": p0_abs,
+        "residual_max": residual_max,
+        "pass": passed,
+    }
 
 
-def _default_points(grid_spec: str) -> list[tuple[complex, float]]:
+def _default_points(grid_spec: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(lam, z)`` of the sweep grid, lambda-major."""
     try:
         lam_count, z_count = (int(part) for part in grid_spec.lower().split("x"))
         if lam_count < 1 or z_count < 1:
@@ -314,9 +331,9 @@ def _default_points(grid_spec: str) -> list[tuple[complex, float]]:
         raise ConfigError("grid", f"expected CxC like 8x8, got {grid_spec!r}") from None
     mods = np.geomspace(0.1, 10.0, lam_count)
     args = np.linspace(-0.55 * math.pi, 0.55 * math.pi, lam_count)
-    lams = [complex(m * np.exp(1j * a)) for m, a in zip(mods, args)]
+    lams = mods * np.exp(1j * args)
     zs = np.geomspace(0.1, 10.0, z_count)
-    return [(lam, float(z)) for lam in lams for z in zs]
+    return np.repeat(lams, z_count), np.tile(zs, lam_count)
 
 
 @main.command("solve-linear")
@@ -335,30 +352,30 @@ def solve_linear(config_path, sets, as_json, check_only, lam_text, z_value, grid
         if (lam_text is None) != (z_value is None):
             raise ConfigError("lambda", "--lambda and --z must be given together")
         if lam_text is not None:
-            points = [(_parse_complex(lam_text), float(z_value))]
+            points = (np.array([_parse_complex(lam_text)]), np.array([float(z_value)]))
         else:
             points = _default_points(grid_spec)
     except ValueError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
     if check_only:
-        rows = _linear_rows(params, _default_points("3x3"), False, n)
-        ok = all(row["pass"] for row in rows)
+        ok = bool(_linear_rows(params, *_default_points("3x3"), False, n)["pass"].all())
         click.echo("check: " + ("ok" if ok else "FAILED"))
         sys.exit(EXIT_OK if ok else EXIT_RESIDUAL)
-    rows = _linear_rows(params, points, corrupt_p0, n)
-    all_pass = all(row["pass"] for row in rows)
+    table = _linear_rows(params, *points, corrupt_p0, n)
+    all_pass = bool(table["pass"].all())
+    # Plain Python floats and bools, one tuple per point.
+    rows = list(zip(*(column.tolist() for column in table.values())))
     if as_json:
+        rows = [dict(zip(table, row)) for row in rows]
         _emit({"rows": rows, "pass": all_pass}, as_json=True)
     else:
-        header = "re_lambda,im_lambda,z,eta_abs,p0_abs,residual_max,pass"
-        lines = ["# schema=1", header]
-        for row in rows:
-            lines.append(
-                f"{row['re_lambda']:.12g},{row['im_lambda']:.12g},{row['z']:.12g},"
-                f"{row['eta_abs']:.12g},{row['p0_abs']:.12g},"
-                f"{row['residual_max']:.6e},{int(row['pass'])}"
-            )
+        lines = ["# schema=1", ",".join(table)]
+        lines += [
+            f"{re_lam:.12g},{im_lam:.12g},{z:.12g},{eta_abs:.12g},{p0_abs:.12g},"
+            f"{residual_max:.6e},{int(passed)}"
+            for re_lam, im_lam, z, eta_abs, p0_abs, residual_max, passed in rows
+        ]
         text = "\n".join(lines)
         if out_path is not None:
             Path(out_path).write_text(text + "\n")
@@ -377,6 +394,8 @@ def default_forcing(grid: Grid, amplitude: float) -> ProblemData:
     enough that the quadratic terms dominate the Picard iteration once
     the amplitude is of order ten.
     """
+    from .timedomain import ProblemData
+
     k = 2.0 * math.pi / grid.L
     prof = np.exp(-grid.mesh.nodes)
     coords = grid.tangential_coordinates()
@@ -434,6 +453,15 @@ def _write_fields_csv(path: Path, grid: Grid, state: State) -> None:
 @click.option("--out", "out_dir", type=str, default="simulate-out", help="output directory")
 def simulate(config_path, sets, as_json, check_only, out_dir):
     """Nonlinear fixed-point run; writes step CSV, field dump and summary."""
+    from .timedomain import (
+        LinearStepper,
+        NoContraction,
+        ProblemData,
+        State,
+        fixed_point_solve,
+    )
+    from .timedomain.stepper import staggered_divergence
+
     try:
         cfg = load_config(config_path, sets)
         params = _params(cfg)
@@ -494,6 +522,10 @@ def simulate(config_path, sets, as_json, check_only, out_dir):
 
 def compatible_example(grid: Grid, amplitude: float) -> ProblemData:
     """Deterministic discretely compatible initial data (stream function)."""
+    from .timedomain import ProblemData
+    from .timedomain.compat import discrete_divergence
+    from .timedomain.grid import tangential_derivative
+
     k = 2.0 * math.pi / grid.L
     xn = grid.mesh.nodes
     q = np.sin(math.pi * xn / grid.X) ** 2
@@ -519,6 +551,8 @@ def compatible_example(grid: Grid, amplitude: float) -> ProblemData:
 @_common
 def check_compat(config_path, sets, as_json, check_only):
     """Discrete compatibility report for the built-in data family."""
+    from .timedomain import check_compatibility
+
     try:
         cfg = load_config(config_path, sets)
         grid = _grid(cfg)

@@ -14,6 +14,11 @@ single scalar equation for the plate displacement transform.  This module
 * verifies the complete resolvent system as residuals on a log grid
   (:func:`residual_report`).
 
+Each of these works on a batch of points at once: ``Freq.lam`` and
+``Freq.z`` may be arrays, every result carries their broadcast shape, and
+each point keeps its own branch choice and residual verdict.  A single
+point is the zero-dimensional batch of the same code.
+
 Every profile is a linear combination of ``exp(-z x)``, ``exp(-omega x)``
 and, in the confluent case ``omega = z``, ``x exp(-omega x)``; the module
 never evaluates the underlying kernel integrals by quadrature.  The closed
@@ -82,44 +87,61 @@ def response_denominator(params: PlateParams, lam, z):
     return out[()] if out.ndim == 0 else out
 
 
+def _points(freq: Freq) -> tuple[np.ndarray, np.ndarray]:
+    """``(lam, z)`` as complex and real arrays of the batch shape."""
+    lam = np.asarray(freq.lam, dtype=complex)
+    z = np.asarray(freq.z, dtype=float)
+    return tuple(np.broadcast_arrays(lam, z))
+
+
+def _first(mask: np.ndarray, *arrays) -> tuple:
+    """Entries of ``arrays`` at the first true entry of ``mask`` (C order)."""
+    i = np.flatnonzero(mask)[0]
+    return tuple(np.broadcast_to(a, np.shape(mask)).flat[i] for a in arrays)
+
+
 def _reduced_denominator(
-    params: PlateParams, lam: complex, z: float
-) -> tuple[complex, complex, complex, float]:
+    params: PlateParams, lam: np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One factor of z cancelled: ``z m + lam omega (omega + z)``.
 
     Returns ``(d1, omega, m, scale)`` where ``scale`` is the term-magnitude
     sum used by the near-resonance guard.  The cancelled form stays finite
     and nonzero down to z = 0 (where it equals ``lam^2``), so the z = 0
-    traces never pass through a numerical 0/0.
+    traces never pass through a numerical 0/0.  Raises
+    :class:`NearResonance` naming the first offending point.
     """
-    w = complex(decay_root(lam, z))
-    m = complex(plate_symbol(params, lam, z))
+    w = decay_root(lam, z)
+    m = plate_symbol(params, lam, z)
     plate_term = z * m
     fluid_term = lam * w * (w + z)
     d1 = plate_term + fluid_term
-    scale = abs(plate_term) + abs(fluid_term)
-    if abs(d1) <= TOL.resonance_eps * scale or scale == 0.0:
+    scale = np.abs(plate_term) + np.abs(fluid_term)
+    bad = (np.abs(d1) <= TOL.resonance_eps * scale) | (scale == 0.0)
+    if np.any(bad):
+        d1_i, scale_i, lam_i, z_i = _first(bad, d1, scale, lam, z)
         raise NearResonance(
-            f"response denominator {d1} is below {TOL.resonance_eps} times "
-            f"its term scale {scale} at lam={lam}, z={z}"
+            f"response denominator {d1_i} is below {TOL.resonance_eps} times "
+            f"its term scale {scale_i} at lam={lam_i}, z={z_i}"
         )
     return d1, w, m, scale
 
 
-def solve_displacement(params: PlateParams, freq: Freq, f_eta_hat: complex) -> complex:
+def solve_displacement(params: PlateParams, freq: Freq, f_eta_hat):
     """Displacement transform ``-z^2 f / response_denominator``.
 
     Computed with one factor of ``z`` cancelled against the denominator, so
     the z = 0 limit (zero displacement) is exact rather than a 0/0.
+    Broadcasts over the points of ``freq`` and ``f_eta_hat``.
     """
-    lam, z = complex(freq.lam), float(freq.z)
+    lam, z = _points(freq)
     d1, _, _, _ = _reduced_denominator(params, lam, z)
-    return -z * complex(f_eta_hat) / d1
+    return (-z * np.asarray(f_eta_hat, dtype=complex) / d1)[()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceSolution:
-    """Interface traces of one frequency mode.
+    """Interface traces of a batch of frequency modes.
 
     ``eta_hat`` is the plate displacement and ``p0_hat`` the pressure trace.
     ``phi_prime_hat`` is the tangential ``exp(-omega x)`` coefficient vector
@@ -128,30 +150,39 @@ class TraceSolution:
     ``v'(0) = 0``.  ``phi_n_hat`` is the normal velocity trace ``v_n(0)``.
     These satisfy ``i xi' . phi' = -z phi_n``; the divergence pairing
     ``i xi' . a' = omega a_n`` holds on the profile's ``coef_w`` instead.
+
+    The scalar traces have the batch shape of the points (scalars for a
+    single point); ``phi_prime_hat`` carries the ``n - 1`` tangential
+    components along its first axis.
     """
 
-    eta_hat: complex
-    p0_hat: complex
-    phi_prime_hat: tuple[complex, ...]
-    phi_n_hat: complex
+    eta_hat: complex | np.ndarray
+    p0_hat: complex | np.ndarray
+    phi_prime_hat: np.ndarray
+    phi_n_hat: complex | np.ndarray
+
+    def __post_init__(self) -> None:
+        phi = np.asarray(self.phi_prime_hat, dtype=complex)
+        object.__setattr__(self, "phi_prime_hat", phi)
 
     @property
-    def is_zero(self) -> bool:
+    def is_zero(self):
+        """Per point: every trace vanishes."""
         return (
-            self.eta_hat == 0
-            and self.p0_hat == 0
-            and self.phi_n_hat == 0
-            and all(c == 0 for c in self.phi_prime_hat)
-        )
+            (np.asarray(self.eta_hat) == 0)
+            & (np.asarray(self.p0_hat) == 0)
+            & (np.asarray(self.phi_n_hat) == 0)
+            & np.all(self.phi_prime_hat == 0, axis=0)
+        )[()]
 
 
 def solve_traces(
     params: PlateParams,
     freq: Freq,
-    f_eta_hat: complex,
+    f_eta_hat,
     n: int | None = None,
 ) -> TraceSolution:
-    """Solve for all interface traces of one frequency mode.
+    """Solve for all interface traces of a batch of frequency modes.
 
     The pressure trace is ``lam omega (omega + z) eta / z`` with the ``z``
     cancelled symbolically against the displacement formula, the tangential
@@ -160,17 +191,18 @@ def solve_traces(
     ``exp(-omega x)`` part of ``v'`` before :func:`build_profile` adds the
     pressure-kernel term ``-i xi' p0 kernel_integral(omega, z, x, +1)``;
     with that term, ``v'(0) = 0``.  At z = 0 the displacement and velocity
-    traces vanish while the pressure trace tends to ``-f_eta_hat``; a
-    :class:`DegenerateTangentialFrequency` warning is issued there.
+    traces vanish while the pressure trace tends to ``-f_eta_hat``; one
+    :class:`DegenerateTangentialFrequency` warning is issued per call when
+    any point has z = 0.
 
     ``n`` is the spatial dimension (the tangential covector has ``n - 1``
     components); it defaults to the dimension implied by ``freq.xi_prime``,
-    or to 2.
+    or to 2.  Broadcasts over the points of ``freq`` and ``f_eta_hat``.
     """
-    lam, z = complex(freq.lam), float(freq.z)
-    f_eta_hat = complex(f_eta_hat)
+    lam, z = _points(freq)
+    f_eta_hat = np.asarray(f_eta_hat, dtype=complex)
     if freq.xi_prime is not None:
-        implied = len(freq.xi_prime) + 1
+        implied = np.shape(freq.xi_prime)[0] + 1
         if n is not None and n != implied:
             raise ValueError(f"n={n} contradicts xi_prime of length {implied - 1}")
         n = implied
@@ -181,21 +213,20 @@ def solve_traces(
     d1, w, _, _ = _reduced_denominator(params, lam, z)
     eta = -z * f_eta_hat / d1
     p0 = -lam * w * (w + z) * f_eta_hat / d1
-    if z == 0.0:
+    degenerate = z == 0.0
+    if np.any(degenerate):
         warnings.warn(
             "z = 0: tangential frequency degenerates, displacement and "
             "velocity traces vanish and only the pressure trace survives",
             DegenerateTangentialFrequency,
             stacklevel=2,
         )
-        phi_prime = (0j,) * (n - 1)
-    else:
-        phi_prime = tuple(1j * xi_j * p0 / (w * (w + z)) for xi_j in xi)
+    phi_prime = np.where(degenerate, 0j, 1j * xi * p0 / (w * (w + z)))
     return TraceSolution(
-        eta_hat=eta,
-        p0_hat=p0,
+        eta_hat=eta[()],
+        p0_hat=p0[()],
         phi_prime_hat=phi_prime,
-        phi_n_hat=lam * eta,
+        phi_n_hat=(lam * eta)[()],
     )
 
 
@@ -247,11 +278,12 @@ def kernel_integral(omega: complex, z: float, x, sign: int):
 
 @dataclass(frozen=True, eq=False)
 class FieldProfile:
-    """Closed-form vertical profiles of one frequency mode.
+    """Closed-form vertical profiles of a batch of frequency modes.
 
     Rows ``0..n-2`` of the coefficient arrays are the tangential velocity
     components, row ``n-1`` is the normal velocity and row ``n`` is the
-    pressure.  Each component is
+    pressure; the remaining axes are the batch shape of ``z``, ``omega``
+    and ``confluent``.  Each component is
 
         ``coef_z * exp(-z x) + (coef_w + coef_xw * x) * exp(-omega x)``.
 
@@ -259,9 +291,9 @@ class FieldProfile:
     at z = 0, stays bounded) as ``x -> inf``.
     """
 
-    z: float
-    omega: complex
-    confluent: bool
+    z: float | np.ndarray
+    omega: complex | np.ndarray
+    confluent: bool | np.ndarray
     coef_z: np.ndarray
     coef_w: np.ndarray
     coef_xw: np.ndarray
@@ -272,9 +304,9 @@ class FieldProfile:
             object.__setattr__(self, name, arr)
         if not self.coef_z.shape == self.coef_w.shape == self.coef_xw.shape:
             raise ValueError("coefficient arrays must share a shape")
-        if self.z < 0:
-            raise ValueError(f"z must be nonnegative, got {self.z}")
-        if self.omega.real < 0:
+        if np.any(np.asarray(self.z) < 0):
+            raise ValueError(f"z must be nonnegative, got {np.min(self.z)}")
+        if np.any(np.real(self.omega) < 0):
             raise ValueError(f"Re omega must be nonnegative, got {self.omega}")
 
     @property
@@ -282,15 +314,15 @@ class FieldProfile:
         return self.coef_z.shape[0] - 2
 
     def components(self, x) -> np.ndarray:
-        """Evaluate all components; shape ``(n+1,) + shape(x)``."""
+        """Evaluate all components; shape ``(n+1,) + batch shape + shape(x)``."""
         x = np.asarray(x, dtype=float)
-        decay_z = np.exp(-self.z * x)
-        decay_w = np.exp(-self.omega * x)
+        grid = (Ellipsis,) + (np.newaxis,) * x.ndim
+        decay_z = np.exp(-np.asarray(self.z)[grid] * x)
+        decay_w = np.exp(-np.asarray(self.omega)[grid] * x)
         return (
-            self.coef_z[..., np.newaxis] * decay_z
-            + (self.coef_w[..., np.newaxis] + self.coef_xw[..., np.newaxis] * x)
-            * decay_w
-        ).reshape(self.coef_z.shape + x.shape)
+            self.coef_z[grid] * decay_z
+            + (self.coef_w[grid] + self.coef_xw[grid] * x) * decay_w
+        )
 
     def velocity(self, x) -> np.ndarray:
         return self.components(x)[:-1]
@@ -310,12 +342,13 @@ class FieldProfile:
         )
 
     @property
-    def is_zero(self) -> bool:
+    def is_zero(self):
+        """Per point: every coefficient vanishes."""
         return (
-            not self.coef_z.any()
-            and not self.coef_w.any()
-            and not self.coef_xw.any()
-        )
+            ~self.coef_z.any(axis=0)
+            & ~self.coef_w.any(axis=0)
+            & ~self.coef_xw.any(axis=0)
+        )[()]
 
 
 def build_profile(
@@ -326,92 +359,104 @@ def build_profile(
     The tangential components ride on the even-reflection kernel integral,
     the normal component on the odd one; both are expanded into the
     ``exp(-z x)`` / ``exp(-omega x)`` basis here, with the dedicated
-    ``x exp(-omega x)`` branch when the exponents are confluent (a
-    :class:`ConfluentExponents` warning is issued in that case).
+    ``x exp(-omega x)`` branch at points whose exponents are confluent
+    (one :class:`ConfluentExponents` warning is issued per call when any
+    point is).  Points with zero traces get the zero profile.
 
     The resulting evaluation satisfies ``v'(0) = 0`` and
-    ``v_n(0) = phi_n_hat`` by construction.
+    ``v_n(0) = phi_n_hat`` by construction.  Broadcasts over the points.
     """
-    lam, z = complex(freq.lam), float(freq.z)
-    n = len(traces.phi_prime_hat) + 1
+    lam, z = _points(freq)
+    n = traces.phi_prime_hat.shape[0] + 1
     xi = freq.direction(n)
-    w = complex(decay_root(lam, z))
-
-    coef_z = np.zeros(n + 1, dtype=complex)
-    coef_w = np.zeros(n + 1, dtype=complex)
-    coef_xw = np.zeros(n + 1, dtype=complex)
-    coef_z[n] = traces.p0_hat
-
-    if traces.is_zero:
-        return FieldProfile(
-            z=z, omega=w, confluent=False,
-            coef_z=coef_z, coef_w=coef_w, coef_xw=coef_xw,
-        )
-    if w == 0:
+    w = decay_root(lam, z)
+    zero = traces.is_zero
+    if np.any((w == 0) & ~zero):
+        lam_i, z_i = _first((w == 0) & ~zero, lam, z)
         raise NearResonance(
-            "omega = 0: no decaying profile exists for nonzero traces"
+            "omega = 0: no decaying profile exists for nonzero traces "
+            f"(lam={lam_i}, z={z_i})"
         )
 
-    confluent = abs(w - z) < TOL.confluent_rel * abs(w)
-    p0 = traces.p0_hat
-    if confluent:
+    confluent = (np.abs(w - z) < TOL.confluent_rel * np.abs(w)) & ~zero
+    if np.any(confluent):
+        w_i, z_i = _first(confluent, w, z)
         warnings.warn(
-            f"omega = {w} and z = {z} are confluent to tolerance; using the "
-            "x exp(-omega x) profile branch",
+            f"omega = {w_i} and z = {z_i} are confluent to tolerance; using "
+            f"the x exp(-omega x) profile branch at {np.count_nonzero(confluent)} "
+            "point(s)",
             ConfluentExponents,
             stacklevel=2,
         )
-        for j in range(n - 1):
-            forcing = -1j * xi[j] * p0
-            coef_w[j] = traces.phi_prime_hat[j] + forcing / (2.0 * w * w)
-            coef_xw[j] = forcing / (2.0 * w)
-        coef_w[n - 1] = traces.phi_n_hat
-        coef_xw[n - 1] = z * p0 / (2.0 * w)
-    else:
+    p0 = traces.p0_hat
+    forcing = -1j * xi * p0
+    # Each point takes one branch; the other, evaluated alongside, may
+    # divide by zero there and is discarded.
+    with np.errstate(divide="ignore", invalid="ignore"):
         # Generic case: lam = (w - z)(w + z) is safely away from zero.
-        for j in range(n - 1):
-            forcing = -1j * xi[j] * p0
-            coef_z[j] = forcing / lam
-            coef_w[j] = traces.phi_prime_hat[j] - forcing * z / (w * lam)
-        coef_z[n - 1] = z * p0 / lam
-        coef_w[n - 1] = traces.phi_n_hat - z * p0 / lam
+        generic_z = np.concatenate([forcing / lam, [z * p0 / lam]])
+        generic_w = np.concatenate([
+            traces.phi_prime_hat - forcing * z / (w * lam),
+            [traces.phi_n_hat - z * p0 / lam],
+        ])
+        confluent_w = np.concatenate([
+            traces.phi_prime_hat + forcing / (2.0 * w * w),
+            [np.broadcast_to(traces.phi_n_hat, lam.shape)],
+        ])
+        confluent_xw = np.concatenate([forcing / (2.0 * w), [z * p0 / (2.0 * w)]])
+    no_pressure = np.zeros((1,) + lam.shape, dtype=complex)
     return FieldProfile(
-        z=z, omega=w, confluent=confluent,
-        coef_z=coef_z, coef_w=coef_w, coef_xw=coef_xw,
+        z=z[()],
+        omega=w,
+        confluent=confluent[()],
+        coef_z=np.concatenate([
+            np.where(confluent | zero, 0j, generic_z),
+            [np.broadcast_to(p0, lam.shape)],
+        ]),
+        coef_w=np.concatenate([
+            np.where(zero, 0j, np.where(confluent, confluent_w, generic_w)),
+            no_pressure,
+        ]),
+        coef_xw=np.concatenate([np.where(confluent, confluent_xw, 0j), no_pressure]),
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualRow:
-    """One verified equation: sup-norm residual and its term-magnitude scale."""
+    """One verified equation: sup-norm residual and its term-magnitude scale.
+
+    ``value`` and ``scale`` have the batch shape of the checked points.
+    """
 
     name: str
-    value: float
-    scale: float
+    value: float | np.ndarray
+    scale: float | np.ndarray
 
-    def passed(self, rel_tol: float) -> bool:
+    def passed(self, rel_tol: float):
         return self.value <= rel_tol * self.scale
 
-    def normalized(self) -> float:
-        if self.scale == 0.0:
-            return 0.0 if self.value == 0.0 else np.inf
-        return self.value / self.scale
+    def normalized(self):
+        value = np.asarray(self.value, dtype=float)
+        scale = np.asarray(self.scale, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = value / scale
+        return np.where(scale == 0.0, np.where(value == 0.0, 0.0, np.inf), ratio)[()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualReport:
-    """Residuals of the full resolvent system for one frequency mode."""
+    """Residuals of the full resolvent system, per point of a batch."""
 
     rows: tuple[ResidualRow, ...]
     rel_tol: float
 
     @property
-    def passed(self) -> bool:
-        return all(row.passed(self.rel_tol) for row in self.rows)
+    def passed(self):
+        return np.logical_and.reduce([row.passed(self.rel_tol) for row in self.rows])
 
     @property
-    def max_normalized(self) -> float:
-        return max(row.normalized() for row in self.rows)
+    def max_normalized(self):
+        return np.maximum.reduce([row.normalized() for row in self.rows])
 
     def __getitem__(self, name: str) -> ResidualRow:
         for row in self.rows:
@@ -420,21 +465,22 @@ class ResidualReport:
         raise KeyError(name)
 
 
-def _log_grid() -> np.ndarray:
-    return np.geomspace(1e-3, 2e1, 64)
+# Residual sample points in x: 64 points log-spaced over [1e-3, 20].
+_LOG_GRID = np.geomspace(1e-3, 2e1, 64)
+_LOG_GRID.flags.writeable = False
 
 
 def residual_report(
     params: PlateParams,
     freq: Freq,
     profile: FieldProfile,
-    f_eta_hat: complex,
+    f_eta_hat,
 ) -> ResidualReport:
     """Verify every equation of the resolvent system as a residual.
 
-    Six residuals are reported, each with the sup over a 64-point log grid
-    in ``x`` (interior equations) or the boundary value (interface
-    equations), together with a term-magnitude scale:
+    Six residuals are reported for every point, each with the sup over a
+    64-point log grid in ``x`` (interior equations) or the boundary value
+    (interface equations), together with a term-magnitude scale:
 
     * ``momentum``:   ``omega^2 v - v'' + (i xi', d_n) p``
     * ``divergence``: ``i xi' . v' + d_n v_n``
@@ -447,79 +493,90 @@ def residual_report(
     ``f_eta_hat`` via :func:`solve_displacement`, so the report checks the
     whole solution chain, not the profile in isolation.
     """
-    lam, z = complex(freq.lam), float(freq.z)
+    lam, z = _points(freq)
+    f_eta_hat = np.asarray(f_eta_hat, dtype=complex)
     n = profile.tangential_dim + 1
     xi = freq.direction(n)
     w2 = lam + z * z
 
-    x = _log_grid()
-    vals = profile.components(x)
+    # Interior rows: arrays of shape (component,) + batch + (x,), reduced
+    # over the component and x axes.  The profile and its first two
+    # derivatives share their exponentials, so they are evaluated as one
+    # profile with a derivative-order axis after the component axis.
+    on_grid = (Ellipsis, np.newaxis)
     d1 = profile.derivative()
-    vals1 = d1.components(x)
-    vals2 = d1.derivative().components(x)
+    d2 = d1.derivative()
+    stacked = FieldProfile(
+        z=profile.z,
+        omega=profile.omega,
+        confluent=profile.confluent,
+        **{
+            name: np.stack([getattr(p, name) for p in (profile, d1, d2)], axis=1)
+            for name in ("coef_z", "coef_w", "coef_xw")
+        },
+    )
+    all_vals = stacked.components(_LOG_GRID)
+    vals, vals1, vals2 = all_vals[:, 0], all_vals[:, 1], all_vals[:, 2]
 
     # Interior momentum equation, all velocity components.
-    grad_p = np.empty((n, x.size), dtype=complex)
-    grad_p[: n - 1] = 1j * xi[:, np.newaxis] * vals[n]
-    grad_p[n - 1] = vals1[n]
-    momentum = w2 * vals[:n] - vals2[:n] + grad_p
-    momentum_scale = (
-        np.abs(w2 * vals[:n]) + np.abs(vals2[:n]) + np.abs(grad_p)
-    ).max()
+    grad_p = np.concatenate([1j * xi[on_grid] * vals[n], vals1[n:]])
+    w2_v = w2[on_grid] * vals[:n]
+    momentum = w2_v - vals2[:n] + grad_p
+    momentum_scale = (np.abs(w2_v) + np.abs(vals2[:n]) + np.abs(grad_p)).max(axis=(0, -1))
 
     # Interior divergence.
-    div = 1j * xi @ vals[: n - 1] + vals1[n - 1]
-    div_scale = (np.abs(xi[:, np.newaxis] * vals[: n - 1]).sum(axis=0)
-                 + np.abs(vals1[n - 1])).max()
+    div = (1j * xi[on_grid] * vals[: n - 1]).sum(axis=0) + vals1[n - 1]
+    div_scale = (
+        np.abs(xi[on_grid] * vals[: n - 1]).sum(axis=0) + np.abs(vals1[n - 1])
+    ).max(axis=-1)
 
     # Boundary rows at x = 0 use the coefficient bundles directly.
     at0 = profile.coef_z + profile.coef_w
     d_at0 = d1.coef_z + d1.coef_w
     eta = solve_displacement(params, freq, f_eta_hat)
-    m_val = complex(plate_symbol(params, lam, z))
+    m_val = plate_symbol(params, lam, z)
 
-    no_slip = float(np.abs(at0[: n - 1]).max()) if n > 1 else 0.0
+    no_slip = np.abs(at0[: n - 1]).max(axis=0, initial=0.0)
     # Term-magnitude scale via the two competing boundary contributions:
     # the trace coefficient and the pressure-driven kernel part.  Summing
     # the final coefficients instead would collapse to the residual itself
     # in the confluent branch, where coef_z vanishes.
-    if n > 1:
-        denom = profile.omega * (profile.omega + z)
-        if denom != 0:
-            fluid_part = -1j * xi * profile.coef_z[n] / denom
-        else:
-            fluid_part = np.zeros(n - 1, dtype=complex)
-        no_slip_scale = float(
-            (np.abs(at0[: n - 1] - fluid_part) + np.abs(fluid_part)).max()
-        )
-    else:
-        no_slip_scale = 0.0
+    denom = profile.omega * (profile.omega + z)
+    fluid_part = np.where(
+        denom == 0, 0j, -1j * xi * profile.coef_z[n] / np.where(denom == 0, 1.0, denom)
+    )
+    no_slip_scale = (
+        np.abs(at0[: n - 1] - fluid_part) + np.abs(fluid_part)
+    ).max(axis=0, initial=0.0)
 
-    kinematic = abs(lam * eta - at0[n - 1])
-    kinematic_scale = abs(lam * eta) + abs(profile.coef_z[n - 1]) + abs(
+    kinematic = np.abs(lam * eta - at0[n - 1])
+    kinematic_scale = np.abs(lam * eta) + np.abs(profile.coef_z[n - 1]) + np.abs(
         profile.coef_w[n - 1]
     )
 
-    normal_gradient = abs(d_at0[n - 1])
+    normal_gradient = np.abs(d_at0[n - 1])
     # Scale from the underlying term magnitudes, not the already-cancelled
     # derivative coefficients (in the confluent branch those collapse to the
     # residual itself and would make the row unpassable).
     normal_gradient_scale = (
-        abs(z * profile.coef_z[n - 1])
-        + abs(profile.omega * profile.coef_w[n - 1])
-        + abs(profile.coef_xw[n - 1])
+        np.abs(z * profile.coef_z[n - 1])
+        + np.abs(profile.omega * profile.coef_w[n - 1])
+        + np.abs(profile.coef_xw[n - 1])
     )
 
-    balance = abs(at0[n] + m_val * eta + complex(f_eta_hat))
-    balance_scale = abs(at0[n]) + abs(m_val * eta) + abs(complex(f_eta_hat))
+    balance = np.abs(at0[n] + m_val * eta + f_eta_hat)
+    balance_scale = np.abs(at0[n]) + np.abs(m_val * eta) + np.abs(f_eta_hat)
 
-    rows = (
-        ResidualRow("momentum", float(np.abs(momentum).max()), float(momentum_scale)),
-        ResidualRow("divergence", float(np.abs(div).max()), float(div_scale)),
-        ResidualRow("no-slip", no_slip, no_slip_scale),
-        ResidualRow("kinematic", float(kinematic), float(kinematic_scale)),
-        ResidualRow("normal-gradient", float(normal_gradient), float(normal_gradient_scale)),
-        ResidualRow("plate-balance", float(balance), float(balance_scale)),
+    rows = tuple(
+        ResidualRow(name, np.asarray(value)[()], np.asarray(scale)[()])
+        for name, value, scale in (
+            ("momentum", np.abs(momentum).max(axis=(0, -1)), momentum_scale),
+            ("divergence", np.abs(div).max(axis=-1), div_scale),
+            ("no-slip", no_slip, no_slip_scale),
+            ("kinematic", kinematic, kinematic_scale),
+            ("normal-gradient", normal_gradient, normal_gradient_scale),
+            ("plate-balance", balance, balance_scale),
+        )
     )
     return ResidualReport(rows=rows, rel_tol=TOL.residual_rel)
 
@@ -530,4 +587,4 @@ def uniqueness_probe(params: PlateParams, freq: Freq) -> bool:
         warnings.simplefilter("ignore", DegenerateTangentialFrequency)
         traces = solve_traces(params, freq, 0j)
     profile = build_profile(params, freq, traces)
-    return traces.is_zero and profile.is_zero
+    return bool(np.all(traces.is_zero & profile.is_zero))

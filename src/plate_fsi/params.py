@@ -35,35 +35,46 @@ class PlateParams:
             raise ValueError("plate coefficients must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Freq:
-    """A single point in the Laplace/Fourier covariable plane.
+    """Points in the Laplace/Fourier covariable plane.
 
     ``lam`` is the time covariable (complex), ``z`` the tangential frequency
-    modulus ``|xi'|`` (nonnegative real).  ``xi_prime`` optionally carries the
-    full tangential covector; when present its modulus must equal ``z``.
-    When absent, operations that need a direction use ``z * e_1``.
+    modulus ``|xi'|`` (nonnegative real).  Both may be arrays; they broadcast
+    to the batch :attr:`shape`, and a pair of scalars is a single point of
+    shape ``()``.  ``xi_prime`` optionally carries the full tangential
+    covector, components along the first axis (shape ``(n - 1,) + shape``,
+    or an ``(n - 1)``-tuple for a single point); its modulus must equal
+    ``z``.  When absent, operations that need a direction use ``z * e_1``.
     """
 
-    lam: complex
-    z: float
-    xi_prime: tuple[float, ...] | None = None
+    lam: complex | np.ndarray
+    z: float | np.ndarray
+    xi_prime: tuple[float, ...] | np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.z < 0:
-            raise ValueError(f"z must be nonnegative, got {self.z}")
+        z = np.asarray(self.z, dtype=float)
+        if np.any(z < 0):
+            raise ValueError(f"z must be nonnegative, got {z.min()}")
         if self.xi_prime is not None:
-            mod = float(np.hypot.reduce(np.asarray(self.xi_prime)))
-            if abs(mod - self.z) > 1e-12 * max(1.0, self.z):
+            mod = np.hypot.reduce(np.asarray(self.xi_prime, dtype=float), axis=0)
+            bad = np.abs(mod - z) > 1e-12 * np.maximum(1.0, z)
+            if np.any(bad):
+                i = np.flatnonzero(bad)[0]
                 raise ValueError(
-                    f"|xi_prime| = {mod} does not match z = {self.z}"
+                    f"|xi_prime| = {np.broadcast_to(mod, bad.shape).flat[i]} "
+                    f"does not match z = {np.broadcast_to(z, bad.shape).flat[i]}"
                 )
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return np.broadcast_shapes(np.shape(self.lam), np.shape(self.z))
+
     def direction(self, n: int = 2) -> np.ndarray:
-        """Tangential covector as an (n-1)-vector, defaulting to z * e_1."""
+        """Tangential covector, shape ``(n - 1,) + shape``; defaults to z * e_1."""
         if self.xi_prime is not None:
             return np.asarray(self.xi_prime, dtype=float)
-        xi = np.zeros(n - 1)
+        xi = np.zeros((n - 1,) + self.shape)
         if n - 1 > 0:
             xi[0] = self.z
         return xi

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from ..config import TOL
 from .grid import Grid, ProblemData, State, tangential_derivative
@@ -83,6 +82,8 @@ def _vertical_family(grid: Grid, count: int) -> np.ndarray:
     The clamped end makes the first function equal to one at the interface,
     so the family exercises boundary terms.
     """
+    from scipy.interpolate import BSpline
+
     breaks = np.linspace(0.0, grid.X, count - 2)
     knots = np.concatenate([[0.0] * 3, breaks, [grid.X] * 3])
     design = BSpline.design_matrix(grid.mesh.nodes, knots, 3).toarray()
@@ -96,6 +97,8 @@ def _tangential_family(grid: Grid, count: int, axis: int) -> np.ndarray:
     grid keeps the tensor products in :func:`test_function_family` plain
     elementwise multiplications.
     """
+    from scipy.interpolate import BSpline
+
     x = grid.tangential_coordinates()[axis]
     width = grid.L / 8.0
     bump = BSpline.basis_element(np.arange(-2.0, 3.0) * width, extrapolate=False)

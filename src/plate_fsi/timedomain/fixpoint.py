@@ -194,12 +194,13 @@ def fixed_point_solve(
                         )
                 else:
                     stall = 0
-            scale = max(_trajectory_norm(trajectory, grid), 1e-300)
-            if diff <= rel_tol * scale:
+            norm = _trajectory_norm(trajectory, grid)
+            if diff <= rel_tol * max(norm, 1e-300):
                 converged = True
                 break
         else:
-            if _trajectory_norm(trajectory, grid) == 0.0:
+            norm = _trajectory_norm(trajectory, grid)
+            if norm == 0.0:
                 # zero data: the linear sweep is already the fixed point
                 return FixedPointResult(
                     trajectory=trajectory,
@@ -216,13 +217,12 @@ def fixed_point_solve(
         state_surrogate_norm(_difference(sp, st), grid)
         for sp, st in zip(probe, trajectory)
     ]
-    scale = max(_trajectory_norm(trajectory, grid), 1e-300)
     return FixedPointResult(
         trajectory=trajectory,
         iterations=iterations,
         contraction_ratios=ratios,
         residual=max(step_residuals),
-        scale=scale,
+        scale=max(norm, 1e-300),
         converged=converged,
         step_residuals=step_residuals,
     )

@@ -3,12 +3,27 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from plate_fsi.cli import ConfigError, load_config, main
+from plate_fsi.cli import (
+    _BLOCK,
+    ConfigError,
+    _default_points,
+    _linear_rows,
+    load_config,
+    main,
+)
+from plate_fsi.config import TOL
+from plate_fsi.frequency import build_profile, residual_report, solve_traces
+from plate_fsi.params import Freq, PlateParams
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Reduced resolution so every invocation stays fast; the acceptance suite
 # exercises the default configuration.
@@ -161,6 +176,44 @@ class TestSolveLinear:
         assert res.exit_code == 0
         assert "check: ok" in res.stdout
 
+    def test_corrupted_pressure_trace_fails_every_point(self, runner: CliRunner) -> None:
+        res = runner.invoke(
+            main, ["solve-linear", "--corrupt-p0", "--grid", "3x3", "--json"]
+        )
+        assert res.exit_code == 3
+        payload = json.loads(res.stdout)
+        assert len(payload["rows"]) == 9
+        assert [row["pass"] for row in payload["rows"]] == [False] * 9
+        assert payload["pass"] is False
+
+    def test_json_values_are_plain(self, runner: CliRunner) -> None:
+        res = runner.invoke(main, ["solve-linear", "--json", "--grid", "2x3"])
+        assert res.exit_code == 0
+        assert '"pass": true' in res.stdout
+        for row in json.loads(res.stdout)["rows"]:
+            assert row["pass"] is True
+            for key, value in row.items():
+                if key != "pass":
+                    assert type(value) is float, key
+
+    def test_blocked_sweep_matches_single_points(self) -> None:
+        # 17 x 17 = 289 points: more than one block of the frequency layer.
+        params = PlateParams(alpha=1.0, beta=0.0, gamma=1.0)
+        lam, z = _default_points("17x17")
+        assert lam.size > _BLOCK
+        table = _linear_rows(params, lam, z, False, 2)
+        assert table["pass"].all()
+        for i in (0, _BLOCK - 1, _BLOCK, lam.size - 1):
+            freq = Freq(lam=complex(lam[i]), z=float(z[i]))
+            traces = solve_traces(params, freq, 1.0)
+            report = residual_report(
+                params, freq, build_profile(params, freq, traces), 1.0
+            )
+            assert table["eta_abs"][i] == pytest.approx(abs(traces.eta_hat), rel=1e-14)
+            assert table["p0_abs"][i] == pytest.approx(abs(traces.p0_hat), rel=1e-14)
+            assert table["residual_max"][i] <= TOL.residual_rel
+            assert report.passed
+
 
 class TestSimulate:
     def test_zero_forcing_is_immediate_fixed_point(
@@ -289,3 +342,42 @@ class TestIndex:
         res = runner.invoke(main, ["index", "--check"])
         assert res.exit_code == 0
         assert "check: ok" in res.stdout
+
+
+@pytest.mark.parametrize(
+    ("argv", "absent"),
+    [
+        (["index", "--json"], "scipy"),
+        (["solve-linear", "--grid", "2x2", "--json"], "scipy"),
+        # The time-domain layer needs scipy.sparse, but only check-compat
+        # needs scipy.interpolate.
+        (["simulate", "--json", "--set", "N=8", "--set", "M=16", "--set", "T=0.0625"],
+         "scipy.interpolate"),
+    ],
+    ids=["index", "solve-linear", "simulate"],
+)
+def test_command_leaves_module_unloaded(
+    argv: list[str], absent: str, tmp_path: Path
+) -> None:
+    # A fresh interpreter, so modules imported by other tests do not count.
+    if argv[0] == "simulate":
+        argv = argv + ["--out", str(tmp_path / "run")]
+    script = (
+        "import sys\n"
+        "from plate_fsi.cli import main\n"
+        "try:\n"
+        f"    main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        f"loaded = [m for m in sys.modules if (m + '.').startswith({absent + '.'!r})]\n"
+        "print(code, sorted(loaded))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"

@@ -78,6 +78,31 @@ class TestSmallData:
         assert result.residual > 0.0
 
 
+class TestNormCalls:
+    def test_each_trajectory_norm_is_computed_once(
+        self, grid: Grid, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        # Per iteration: the trajectory norm, plus the distance to the
+        # previous iterate from the second on; then the final step
+        # residuals.  The returned scale reuses the last iteration's norm.
+        from plate_fsi.timedomain import fixpoint
+
+        calls = []
+
+        def counting(state: State, grid: Grid) -> float:
+            calls.append(None)
+            return state_surrogate_norm(state, grid)
+
+        monkeypatch.setattr(fixpoint, "state_surrogate_norm", counting)
+        result = fixpoint.fixed_point_solve(UNIT, grid, default_forcing(grid, 1e-3))
+        assert result.iterations >= 2
+        assert len(calls) == 2 * (grid.steps + 1) * result.iterations
+        monkeypatch.undo()
+        assert result.scale == max(
+            state_surrogate_norm(s, grid) for s in result.trajectory
+        )
+
+
 class TestLargeData:
     def test_large_amplitude_raises_no_contraction(self, grid: Grid) -> None:
         # On this short horizon the divergence needs a bigger push than on

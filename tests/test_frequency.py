@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import warnings
 from math import sqrt
 
@@ -326,3 +327,114 @@ class TestFreqValidation:
         with pytest.raises(ValueError, match="xi_prime"):
             Freq(lam=1.0, z=1.0, xi_prime=(3.0, 4.0))
         Freq(lam=1.0, z=5.0, xi_prime=(3.0, 4.0))
+
+
+def _batch_points(rng, n: int, count: int = 12) -> tuple[Freq, np.ndarray]:
+    """Random admissible points with covectors, plus z = 0 and a confluent point."""
+    modulus = 10.0 ** rng.uniform(-2.0, 2.0, count)
+    arg = rng.uniform(-0.45 * np.pi, 0.45 * np.pi, count)
+    lam = modulus * np.exp(1j * arg)
+    z = 10.0 ** rng.uniform(-2.0, 2.0, count)
+    lam[0], z[0] = 1.0 + 0.5j, 0.0
+    lam[1], z[1] = 1e-9, 1.0
+    direction = rng.normal(size=(n - 1, count))
+    xi = z * direction / np.hypot.reduce(direction, axis=0)
+    f_hat = rng.normal(size=count) + 1j * rng.normal(size=count)
+    return Freq(lam=lam, z=z, xi_prime=xi), f_hat
+
+
+def _assert_close(batch, single, rel: float = 1e-14) -> None:
+    """Normwise relative agreement of one point's values.
+
+    Array and scalar complex products may round differently in the last
+    bit, so a coefficient that cancels can lose a few digits of its own
+    size; it is compared on the size of its point's vector instead.
+    """
+    batch, single = np.asarray(batch), np.asarray(single)
+    assert batch.shape == single.shape
+    assert np.abs(batch - single).max() <= rel * np.abs(single).max(), (batch, single)
+
+
+class TestBatchedPoints:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_batch_matches_single_points(self, rng, n: int) -> None:
+        params = PlateParams(alpha=1.3, beta=0.4, gamma=0.8)
+        freq, f_hat = _batch_points(rng, n)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            traces = solve_traces(params, freq, f_hat)
+            profile = build_profile(params, freq, traces)
+        # One warning per call, however many points trigger it.
+        kinds = [w.category for w in caught]
+        assert kinds.count(DegenerateTangentialFrequency) == 1
+        assert kinds.count(ConfluentExponents) == 1
+        report = residual_report(params, freq, profile, f_hat)
+        assert traces.phi_prime_hat.shape == (n - 1,) + freq.shape
+        assert profile.coef_w.shape == (n + 1,) + freq.shape
+        assert profile.confluent.tolist() == [False, True] + [False] * (freq.shape[0] - 2)
+
+        for i in range(freq.shape[0]):
+            point = Freq(
+                lam=complex(freq.lam[i]),
+                z=float(freq.z[i]),
+                xi_prime=tuple(freq.xi_prime[:, i]),
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                one = solve_traces(params, point, f_hat[i])
+                one_profile = build_profile(params, point, one)
+            one_report = residual_report(params, point, one_profile, f_hat[i])
+            for name in ("eta_hat", "p0_hat", "phi_n_hat"):
+                _assert_close(getattr(traces, name)[i], getattr(one, name))
+            _assert_close(traces.phi_prime_hat[:, i], one.phi_prime_hat)
+            for name in ("coef_z", "coef_w", "coef_xw"):
+                _assert_close(getattr(profile, name)[:, i], getattr(one_profile, name))
+            assert profile.confluent[i] == one_profile.confluent
+            # Residual rows are sups of grid values that cancel, so last-bit
+            # differences of the coefficients reach them amplified: by up to
+            # ~1e2 on these draws, and by |omega| / |omega - z| from the
+            # generic exp(-z x) / exp(-omega x) split near confluence.
+            w, z = one_profile.omega, point.z
+            split = 1.0 if one_profile.confluent else max(1.0, abs(w) / abs(w - z))
+            for row, one_row in zip(report.rows, one_report.rows):
+                assert row.name == one_row.name
+                # Residuals are rounding noise; compare them on their scale.
+                tol = 1e-12 * split * one_row.scale
+                assert abs(row.scale[i] - one_row.scale) <= tol
+                assert abs(row.value[i] - one_row.value) <= tol
+                assert row.passed(report.rel_tol)[i] == one_row.passed(report.rel_tol)
+            assert report.passed[i] == one_report.passed
+        assert report.passed.all()
+
+    def test_scalar_call_is_the_zero_dimensional_batch(self) -> None:
+        freq = Freq(lam=1.0 + 0.5j, z=1.3)
+        traces = solve_traces(UNIT, freq, 1.0)
+        profile = build_profile(UNIT, freq, traces)
+        report = residual_report(UNIT, freq, profile, 1.0)
+        assert np.ndim(traces.eta_hat) == 0
+        assert traces.phi_prime_hat.shape == (1,)
+        assert profile.coef_z.shape == (3,)
+        assert profile.components(np.zeros(5)).shape == (3, 5)
+        assert np.ndim(report.max_normalized) == 0
+        assert np.ndim(report.passed) == 0
+
+    def test_resonant_point_in_batch_raises(self) -> None:
+        # The two principal-branch resonances at z = 1 (see
+        # TestSolveTraces.test_near_resonance_raises_at_denominator_root),
+        # between ordinary points; the first one is named.
+        roots = [w for w in np.roots([2.0, 1.0, -2.0, -1.0, 1.0]) if w.real > 0]
+        resonant = [w * w - 1.0 for w in roots]
+        lam = np.array([1.0, resonant[0], 2.0 + 1.0j, resonant[1]])
+        with pytest.raises(NearResonance, match=re.escape(f"lam={lam[1]}, z=1.0")):
+            solve_traces(UNIT, Freq(lam=lam, z=np.ones(4)), 1.0)
+        with pytest.raises(NearResonance):
+            solve_displacement(UNIT, Freq(lam=lam, z=1.0), 1.0)
+
+    def test_zero_forcing_in_batch_gives_zero_profiles(self) -> None:
+        freq = Freq(lam=np.array([2.0 + 1.0j, 1.0, 1e-9]), z=np.array([0.5, 0.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateTangentialFrequency)
+            traces = solve_traces(UNIT, freq, 0j)
+        profile = build_profile(UNIT, freq, traces)
+        assert traces.is_zero.all() and profile.is_zero.all()
+        assert not profile.confluent.any()
