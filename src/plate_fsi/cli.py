@@ -28,7 +28,7 @@ import click
 import numpy as np
 
 from .config import TOL
-from .frequency import build_profile, residual_report, solve_traces
+from .frequency import NearResonance, build_profile, residual_report, solve_traces
 from .indices import embedding_catalog, exponent_thresholds
 from .params import Freq, PlateParams, Sector
 from .polygon import (
@@ -353,6 +353,7 @@ def solve_linear(config_path, sets, as_json, check_only, lam_text, z_value, grid
             raise ConfigError("lambda", "--lambda and --z must be given together")
         if lam_text is not None:
             points = (np.array([_parse_complex(lam_text)]), np.array([float(z_value)]))
+            Freq(*points)  # rejects a negative z while it is still a config error
         else:
             points = _default_points(grid_spec)
     except ValueError as exc:
@@ -362,7 +363,11 @@ def solve_linear(config_path, sets, as_json, check_only, lam_text, z_value, grid
         ok = bool(_linear_rows(params, *_default_points("3x3"), False, n)["pass"].all())
         click.echo("check: " + ("ok" if ok else "FAILED"))
         sys.exit(EXIT_OK if ok else EXIT_RESIDUAL)
-    table = _linear_rows(params, *points, corrupt_p0, n)
+    try:
+        table = _linear_rows(params, *points, corrupt_p0, n)
+    except NearResonance as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
     all_pass = bool(table["pass"].all())
     # Plain Python floats and bools, one tuple per point.
     rows = list(zip(*(column.tolist() for column in table.values())))
@@ -426,25 +431,21 @@ def _write_steps_csv(path: Path, grid: Grid, result) -> None:
 
 
 def _write_fields_csv(path: Path, grid: Grid, state: State) -> None:
-    coords = grid.tangential_coordinates()
     tan_names = ["x1"] if grid.n == 2 else ["x1", "x2"]
     v_names = [f"v{i + 1}" for i in range(grid.n)]
-    header = ",".join(tan_names + ["xn"] + v_names + ["p", "eta", "eta_t"])
-    lines = ["# schema=1", header]
-    for idx in np.ndindex(grid.tan_shape):
-        tan_vals = [coords[d][idx] for d in range(grid.n - 1)]
-        for j, xn in enumerate(grid.mesh.nodes):
-            vals = (
-                [f"{v:.12g}" for v in tan_vals]
-                + [f"{xn:.12g}"]
-                + [f"{state.v[(c,) + idx + (j,)]:.12g}" for c in range(grid.n)]
-                + [
-                    f"{state.p[idx + (j,)]:.12g}",
-                    f"{state.eta[idx]:.12g}",
-                    f"{state.eta_t[idx]:.12g}",
-                ]
-            )
-            lines.append(",".join(vals))
+    names = tan_names + ["xn"] + v_names + ["p", "eta", "eta_t"]
+    # one row per (tangential point, node), nodes fastest
+    bulk = grid.tan_shape + (grid.M + 1,)
+    columns = (
+        [np.broadcast_to(x[..., np.newaxis], bulk) for x in grid.tangential_coordinates()]
+        + [np.broadcast_to(grid.mesh.nodes, bulk)]
+        + list(state.v)
+        + [state.p]
+        + [np.broadcast_to(f[..., np.newaxis], bulk) for f in (state.eta, state.eta_t)]
+    )
+    row = ",".join(["%.12g"] * len(names))
+    lines = ["# schema=1", ",".join(names)]
+    lines += [row % values for values in zip(*(c.ravel().tolist() for c in columns))]
     path.write_text("\n".join(lines) + "\n")
 
 

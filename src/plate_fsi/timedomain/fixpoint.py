@@ -24,7 +24,7 @@ import numpy as np
 
 from ..indices import exponent_thresholds
 from ..params import PlateParams
-from .grid import Grid, ProblemData, State, tangential_derivative, vertical_derivative
+from .grid import Grid, ProblemData, State, tangential_derivatives, vertical_derivative
 from .nonlin import nonlinear_divergence, nonlinear_momentum, nonlinear_plate_load
 from .stepper import LinearStepper
 
@@ -68,20 +68,14 @@ class FixedPointResult:
 def state_surrogate_norm(state: State, grid: Grid) -> float:
     """Discrete stand-in for the solution norm of one state."""
     total = float(np.abs(state.v).max()) + float(np.abs(state.p).max())
-    for d in range(grid.n - 1):
-        total += float(np.abs(tangential_derivative(state.v, grid, direction=d)).max())
+    for deriv in tangential_derivatives(state.v, grid, orders=(1,)):
+        total += float(np.abs(deriv).max())
     total += float(np.abs(vertical_derivative(state.v, grid.mesh)).max())
     total += float(np.abs(state.eta).max()) + float(np.abs(state.eta_t).max())
-    for order in range(1, 5):
-        for d in range(grid.n - 1):
-            total += float(
-                np.abs(tangential_derivative(state.eta, grid, d, order=order)).max()
-            )
-    for order in range(1, 3):
-        for d in range(grid.n - 1):
-            total += float(
-                np.abs(tangential_derivative(state.eta_t, grid, d, order=order)).max()
-            )
+    for deriv in tangential_derivatives(state.eta, grid, orders=range(1, 5)):
+        total += float(np.abs(deriv).max())
+    for deriv in tangential_derivatives(state.eta_t, grid, orders=range(1, 3)):
+        total += float(np.abs(deriv).max())
     return total
 
 

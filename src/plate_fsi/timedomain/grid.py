@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import expm1, pi
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,6 +28,7 @@ __all__ = [
     "VerticalMesh",
     "fornberg_weights",
     "tangential_derivative",
+    "tangential_derivatives",
     "tangential_gradient",
     "tangential_laplacian",
     "vertical_derivative",
@@ -327,21 +329,31 @@ def _tan_axes(field: np.ndarray, grid: Grid) -> tuple[int, ...]:
     )
 
 
-def _apply_multiplier(field: np.ndarray, grid: Grid, factor: np.ndarray) -> np.ndarray:
-    """Multiply the tangential spectrum of a real field by ``factor``.
+def _apply_multipliers(
+    field: np.ndarray, grid: Grid, factors: Iterable[np.ndarray]
+) -> Iterator[np.ndarray]:
+    """Multiply the tangential spectrum of a real field by each of ``factors``.
 
-    ``factor`` must broadcast against the spectral tangential shape; a
-    trailing vertical axis and leading component axes are handled by
-    broadcasting.
+    The spectrum is taken once.  Each factor must broadcast against the
+    spectral tangential shape; a trailing vertical axis and leading
+    component axes are handled by broadcasting.
     """
     field = np.asarray(field, dtype=float)
     axes = _tan_axes(field, grid)
     spec = np.fft.rfftn(field, axes=axes)
-    if axes[-1] != field.ndim - 1:
-        factor = np.asarray(factor)[..., np.newaxis]
-    spec = spec * factor
     sizes = [field.shape[a] for a in axes]
-    return np.fft.irfftn(spec, s=sizes, axes=axes)
+    for factor in factors:
+        if axes[-1] != field.ndim - 1:
+            factor = np.asarray(factor)[..., np.newaxis]
+        yield np.fft.irfftn(spec * factor, s=sizes, axes=axes)
+
+
+def _derivative_factor(grid: Grid, direction: int, order: int) -> np.ndarray:
+    xi = grid.wavenumbers()[direction]
+    factor = (1j * xi) ** order
+    if order % 2:
+        factor = np.where(grid.nyquist_mask(), 0.0, factor)
+    return factor
 
 
 def tangential_derivative(
@@ -352,11 +364,24 @@ def tangential_derivative(
     Odd orders zero the Nyquist modes, so real fields stay exactly real and
     derivatives see the same truncation as the mode solver.
     """
-    xi = grid.wavenumbers()[direction]
-    factor = (1j * xi) ** order
-    if order % 2:
-        factor = np.where(grid.nyquist_mask(), 0.0, factor)
-    return _apply_multiplier(field, grid, factor)
+    (out,) = _apply_multipliers(field, grid, [_derivative_factor(grid, direction, order)])
+    return out
+
+
+def tangential_derivatives(
+    field: np.ndarray, grid: Grid, orders: Iterable[int]
+) -> Iterator[np.ndarray]:
+    """:func:`tangential_derivative` for each order, then each direction.
+
+    The tangential spectrum of ``field`` is taken once and every
+    derivative multiplier applied to it; each result equals the single
+    derivative bit for bit.
+    """
+    return _apply_multipliers(
+        field,
+        grid,
+        (_derivative_factor(grid, d, order) for order in orders for d in range(grid.n - 1)),
+    )
 
 
 def tangential_gradient(field: np.ndarray, grid: Grid) -> np.ndarray:
@@ -372,7 +397,8 @@ def tangential_laplacian(field: np.ndarray, grid: Grid) -> np.ndarray:
     # sum() broadcasts the per-direction arrays pairwise; np.add.reduce
     # would choke on their deliberately different broadcast shapes.
     factor = -sum(w * w for w in ws)
-    return _apply_multiplier(field, grid, factor)
+    (out,) = _apply_multipliers(field, grid, [factor])
+    return out
 
 
 @dataclass(eq=False)

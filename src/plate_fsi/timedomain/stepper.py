@@ -4,7 +4,8 @@ The tangential torus diagonalizes the linear system into independent
 tangential modes, so one step solves, per mode, a small sparse saddle
 system on the vertical mesh: staggered velocity/pressure unknowns
 (velocity on nodes, pressure on cell midpoints) plus the plate
-displacement and velocity of the mode.
+displacement and velocity of the mode.  The modes' systems are stacked
+into one block-diagonal matrix, factorized once and solved together.
 
 Every discrete divergence here comes from the mesh's staggered pair
 (:meth:`VerticalMesh.staggered_pair`, the node-to-cell average ``A`` and
@@ -23,11 +24,9 @@ kinematic coupling ``v_n(0) = eta_t`` at the plate, a rigid lid at
 
 from __future__ import annotations
 
-from math import sqrt
-from typing import Sequence
-
 import numpy as np
 import scipy.sparse as sp
+from numpy.typing import ArrayLike
 from scipy.sparse.linalg import onenormest, splu
 
 from ..params import PlateParams
@@ -43,23 +42,25 @@ __all__ = [
 
 
 class SolverSingular(RuntimeError):
-    """The saddle matrix of one tangential mode could not be factorized."""
+    """The saddle matrix of the tangential modes could not be factorized."""
 
 
 class ModeStepper:
-    """One implicit Euler step operator for a single tangential mode.
+    """Implicit Euler step operator for a batch of tangential modes.
 
-    ``xi`` is the tangential wavenumber covector (length ``n - 1``); the
-    unknowns of the mode are the complex amplitudes of the ``n`` velocity
-    components on the nodes, the pressure on the cell midpoints, and the
-    plate displacement/velocity pair.  The sparse factorization is
-    computed once and reused for every step.
+    ``xi`` holds the tangential wavenumber covectors, shape
+    ``(n - 1,) + batch``; a single mode is the 0-d batch, ``xi`` of length
+    ``n - 1``.  The unknowns of each mode are the complex amplitudes of the
+    ``n`` velocity components on the nodes, the pressure on the cell
+    midpoints, and the plate displacement/velocity pair.  The saddle
+    matrices of all modes form one block-diagonal matrix whose sparse
+    factorization is computed once and reused for every step.
     """
 
     def __init__(
         self,
         params: PlateParams,
-        xi: Sequence[float],
+        xi: ArrayLike,
         mesh: VerticalMesh,
         dt: float,
     ) -> None:
@@ -68,31 +69,39 @@ class ModeStepper:
         self.params = params
         self.mesh = mesh
         self.dt = float(dt)
-        self.xi = tuple(float(x) for x in xi)
-        if not self.xi:
+        self.xi = np.asarray(xi, dtype=float)
+        if self.xi.ndim == 0 or self.xi.shape[0] == 0:
             raise ValueError("xi needs at least one tangential component")
-        self.z2 = float(sum(x * x for x in self.xi))
-        self.z = sqrt(self.z2)
+        self.batch = self.xi.shape[1:]
+        # summed in component order, as a Python sum over one covector
+        self.z2 = sum(x * x for x in self.xi)
         matrix = self.matrix()
         try:
             self._lu = splu(matrix)
         except RuntimeError as exc:
             raise SolverSingular(
-                f"mode xi={self.xi}: factorization failed ({exc}); "
+                f"{self.xi[0].size} modes: factorization failed ({exc}); "
                 f"matrix 1-norm ~ {onenormest(matrix):.3e}"
             ) from exc
 
     @property
     def size(self) -> int:
+        """Unknowns of one mode."""
         return (len(self.xi) + 1) * (self.mesh.M + 1) + self.mesh.M + 2
 
     def matrix(self) -> sp.csc_matrix:
-        """The saddle matrix of one step, assembled from the mesh's staggered pair."""
+        """Block-diagonal saddle matrix of one step, one block per mode in C order.
+
+        Each block is assembled from the mesh's staggered pair.
+        """
         mesh, dt, p = self.mesh, self.dt, self.params
         M = mesh.M
         h, w = mesh.spacings, mesh.weights
-        xi = np.array(self.xi)[:, np.newaxis]
         c = len(self.xi)
+        # (mode, component, entry) for the covector, (mode, entry) for |xi|^2
+        xi = self.xi.reshape(c, -1).T[:, :, np.newaxis]
+        z2 = np.reshape(self.z2, (-1, 1))
+        modes = xi.shape[0]
         # unknown layout: the n velocity components on the nodes (tangential
         # first), the pressure on the cells, then (eta, psi)
         comp = np.arange(c + 1)[:, np.newaxis] * (M + 1)
@@ -110,16 +119,19 @@ class ModeStepper:
         ts = mesh.trace_stencil()
         c0, c1 = mesh.pressure_trace_stencil()
 
-        # (rows, cols, values) per block.  Values are formed entry by entry
-        # rather than as sparse products, which would re-round them: the
-        # late Picard contraction ratios react to single-ulp changes.
+        # (rows, cols, values) per block, the values with a leading mode
+        # axis.  Values are formed entry by entry rather than as sparse
+        # products, which would re-round them: the late Picard contraction
+        # ratios react to single-ulp changes.  For the same reason z2^2 is
+        # np.float_power (libm's pow, as a Python float's ** uses), not
+        # z2 * z2.
         blocks = [
             # no-slip for v' at both ends, rigid lid for v_n, kinematic
             # coupling v_n(0) = psi
             (comp + np.array([0, M]), comp + np.array([0, M]), 1.0),
             (i_n, i_psi, -1.0),
             # interior momentum rows: 1/dt + |xi|^2 - d_n^2
-            (comp + interior, comp + interior, 1.0 / dt + self.z2),
+            (comp + interior, comp + interior, (1.0 / dt + z2)[:, :, np.newaxis]),
             (comp + 1 + lap.row, comp + lap.col, -lap.data),
             # pressure gradient: i xi W^-1 A^T H p and -W^-1 D^T p
             (comp[:c] + a_node, i_p + a_cell,
@@ -132,52 +144,75 @@ class ModeStepper:
             # shear trace 2 d_n v_n(0) minus the pressure trace
             (i_eta, [i_eta, i_psi], [1.0, -dt]),
             (i_psi, [i_psi, i_eta],
-             [1.0 / dt + p.gamma * self.z2, p.alpha * self.z2**2 + p.beta * self.z2]),
+             np.hstack([1.0 / dt + p.gamma * z2,
+                        p.alpha * np.float_power(z2, 2) + p.beta * z2])),
             (i_psi, i_n + np.arange(ts.size), -2.0 * ts),
             (i_psi, [i_p, i_p + 1], [c0, c1]),
         ]
-        rows, cols, vals = (
-            np.concatenate(part)
-            for part in zip(*(map(np.ravel, np.broadcast_arrays(*b)) for b in blocks))
-        )
+        offset = (np.arange(modes) * self.size)[:, np.newaxis]
+        parts = []
+        for rows, cols, vals in blocks:
+            rows, cols = np.broadcast_arrays(rows, cols)
+            parts.append((
+                (offset + rows.ravel()).ravel(),
+                (offset + cols.ravel()).ravel(),
+                np.broadcast_to(vals, (modes,) + rows.shape).ravel(),
+            ))
+        rows, cols, vals = (np.concatenate(part) for part in zip(*parts))
+        total = modes * self.size
         return sp.coo_matrix(
-            (vals, (rows, cols)), shape=(self.size, self.size), dtype=complex
+            (vals, (rows, cols)), shape=(total, total), dtype=complex
         ).tocsc()
 
     def step(
         self,
-        v_hat: np.ndarray,
-        eta_hat: complex,
-        psi_hat: complex,
-        f_v_hat: np.ndarray | None = None,
-        g_hat: np.ndarray | None = None,
-        f_eta_hat: complex = 0.0,
-    ) -> tuple[np.ndarray, np.ndarray, complex, complex]:
-        """Advance the mode by one step.
+        v_hat: ArrayLike,
+        eta_hat: ArrayLike,
+        psi_hat: ArrayLike,
+        f_v_hat: ArrayLike | None = None,
+        g_hat: ArrayLike | None = None,
+        f_eta_hat: ArrayLike = 0.0,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Advance every mode of the batch by one step.
 
         ``v_hat`` holds the ``n`` velocity component amplitudes on the
-        nodes, shape ``(n, M + 1)``; ``g_hat`` is the divergence datum on
-        the nodes (averaged onto cells internally).  Returns the new
-        ``(v_hat, p_mid_hat, eta_hat, psi_hat)`` with the pressure on the
-        ``M`` cell midpoints.
+        nodes, shape ``batch + (n, M + 1)``; ``g_hat`` is the divergence
+        datum on the nodes, ``batch + (M + 1,)`` (averaged onto cells
+        internally); ``eta_hat``, ``psi_hat`` and ``f_eta_hat`` broadcast
+        to ``batch``.  Returns the new ``(v_hat, p_mid_hat, eta_hat,
+        psi_hat)`` with the pressure on the ``M`` cell midpoints, shape
+        ``batch + (M,)``.
         """
         M, dt = self.mesh.M, self.dt
-        shape = (len(self.xi) + 1, M + 1)
+        c = len(self.xi)
+        shape = self.batch + (c + 1, M + 1)
         v_hat = np.asarray(v_hat)
         if v_hat.shape != shape:
             raise ValueError(f"v_hat has shape {v_hat.shape}, expected {shape}")
-        i_p = shape[0] * shape[1]
-        b = np.zeros(self.size, dtype=complex)
-        b_v = b[:i_p].reshape(shape)
-        b_v[:, 1:M] = v_hat[:, 1:M] / dt
+        i_p = (c + 1) * (M + 1)
+        b = np.zeros(self.batch + (self.size,), dtype=complex)
+        b_v = b[..., :i_p].reshape(shape)
+        b_v[..., 1:M] = v_hat[..., 1:M] / dt
         if f_v_hat is not None:
-            b_v[:, 1:M] += f_v_hat[:, 1:M]
+            b_v[..., 1:M] += np.asarray(f_v_hat)[..., 1:M]
         if g_hat is not None:
-            b[i_p: i_p + M] = self.mesh.staggered_pair()[0] @ g_hat
-        b[i_p + M] = eta_hat
-        b[i_p + M + 1] = psi_hat / dt - f_eta_hat
-        sol = self._lu.solve(b)
-        return sol[:i_p].reshape(shape), sol[i_p: i_p + M], complex(sol[-2]), complex(sol[-1])
+            avg = self.mesh.staggered_pair()[0]
+            nodes = np.asarray(g_hat, dtype=complex).reshape(-1, M + 1)
+            b[..., i_p: i_p + M] = (avg @ nodes.T).T.reshape(self.batch + (M,))
+        b[..., i_p + M] = eta_hat
+        # psi / dt as complex division by a real number rounds it (Smith's
+        # formula with a zero ratio), which also fixes the signs of zeros
+        psi = np.asarray(psi_hat, dtype=complex)
+        b[..., -1].real = (psi.real + psi.imag * 0.0) / dt
+        b[..., -1].imag = (psi.imag - psi.real * 0.0) / dt
+        b[..., -1] -= f_eta_hat
+        sol = self._lu.solve(b.ravel()).reshape(b.shape)
+        return (
+            sol[..., :i_p].reshape(shape),
+            sol[..., i_p: i_p + M],
+            sol[..., -2],
+            sol[..., -1],
+        )
 
 
 def _bulk_spectrum(field: np.ndarray, grid: Grid) -> np.ndarray:
@@ -193,8 +228,8 @@ def _plate_spectrum(field: np.ndarray, grid: Grid) -> np.ndarray:
 class LinearStepper:
     """Implicit Euler stepper for the full linear system on a :class:`Grid`.
 
-    Transforms the state to tangential modes, advances each mode with a
-    cached :class:`ModeStepper` (Nyquist modes are projected out), and
+    Transforms the state to tangential modes, advances all of them with
+    one :class:`ModeStepper` (Nyquist modes are projected out), and
     transforms back.  The returned state carries the pressure interpolated
     from the staggered midpoints to the nodes.
     """
@@ -202,18 +237,14 @@ class LinearStepper:
     def __init__(self, params: PlateParams, grid: Grid) -> None:
         self.params = params
         self.grid = grid
-        self._cache: dict[tuple[int, ...], ModeStepper] = {}
-        self._mask = grid.nyquist_mask()
-        self._xi = np.broadcast_arrays(*grid.wavenumbers())
-
-    def _stepper(self, idx: tuple[int, ...]) -> ModeStepper:
-        st = self._cache.get(idx)
-        if st is None:
-            st = ModeStepper(
-                self.params, [x[idx] for x in self._xi], self.grid.mesh, self.grid.dt
-            )
-            self._cache[idx] = st
-        return st
+        mask = grid.nyquist_mask()
+        self._shape, self._mask_size = mask.shape, mask.size
+        # flat C-order index of every non-Nyquist entry of the spectrum
+        self._modes = np.flatnonzero(~mask)
+        xi = np.stack([np.broadcast_to(x, mask.shape) for x in grid.wavenumbers()])
+        self._mode = ModeStepper(
+            params, xi.reshape(grid.n - 1, -1)[:, self._modes], grid.mesh, grid.dt
+        )
 
     def step(
         self,
@@ -223,44 +254,42 @@ class LinearStepper:
         f_eta: np.ndarray | None = None,
     ) -> State:
         """One implicit Euler step under the given (already-evaluated) data."""
-        grid = self.grid
-        M = grid.M
-        v_spec = _bulk_spectrum(state.v, grid)
-        eta_spec = _plate_spectrum(state.eta, grid)
-        psi_spec = _plate_spectrum(state.eta_t, grid)
-        fv_spec = None if f_v is None else _bulk_spectrum(np.asarray(f_v, float), grid)
-        g_spec = None if g is None else _bulk_spectrum(np.asarray(g, float), grid)
-        fe_spec = None if f_eta is None else _plate_spectrum(np.asarray(f_eta, float), grid)
+        grid, modes, shape = self.grid, self._modes, self._shape
+        n, M = grid.n, grid.M
 
-        shape = self._mask.shape
-        v_out = np.zeros((grid.n,) + shape + (M + 1,), dtype=complex)
-        p_out = np.zeros(shape + (M,), dtype=complex)
-        eta_out = np.zeros(shape, dtype=complex)
-        psi_out = np.zeros(shape, dtype=complex)
+        def gather(spec: np.ndarray, tail: tuple[int, ...] = ()) -> np.ndarray:
+            # spectrum + tail -> (mode,) + tail
+            return spec.reshape((-1,) + tail)[modes]
 
-        for idx in np.ndindex(shape):
-            if self._mask[idx]:
-                continue
-            bulk = (slice(None),) + idx + (slice(None),)
-            v_new, p_mid, eta_new, psi_new = self._stepper(idx).step(
-                v_spec[bulk],
-                complex(eta_spec[idx]),
-                complex(psi_spec[idx]),
-                None if fv_spec is None else fv_spec[bulk],
-                None if g_spec is None else g_spec[idx + (slice(None),)],
-                0.0 if fe_spec is None else complex(fe_spec[idx]),
-            )
-            v_out[bulk] = v_new
-            p_out[idx + (slice(None),)] = p_mid
-            eta_out[idx] = eta_new
-            psi_out[idx] = psi_new
+        def scatter(values: np.ndarray) -> np.ndarray:
+            # (mode,) + tail -> spectrum + tail, zero on the Nyquist entries
+            out = np.zeros((self._mask_size,) + values.shape[1:], dtype=complex)
+            out[modes] = values
+            return out.reshape(shape + values.shape[1:])
+
+        def velocity(field: np.ndarray) -> np.ndarray:
+            spec = _bulk_spectrum(np.asarray(field, float), grid)
+            return gather(np.moveaxis(spec, 0, -2), (n, M + 1))
+
+        def plate(field: np.ndarray) -> np.ndarray:
+            return gather(_plate_spectrum(np.asarray(field, float), grid))
+
+        v_new, p_mid, eta_new, psi_new = self._mode.step(
+            velocity(state.v),
+            plate(state.eta),
+            plate(state.eta_t),
+            None if f_v is None else velocity(f_v),
+            None if g is None else gather(_bulk_spectrum(np.asarray(g, float), grid), (M + 1,)),
+            0.0 if f_eta is None else plate(f_eta),
+        )
 
         tan = grid.tan_shape
-        bulk_axes = tuple(range(1, grid.n))
-        v = np.fft.irfftn(v_out, s=tan, axes=bulk_axes)
-        p_mid_phys = np.fft.irfftn(p_out, s=tan, axes=tuple(range(grid.n - 1)))
-        eta = np.fft.irfftn(eta_out, s=tan, axes=tuple(range(grid.n - 1)))
-        psi = np.fft.irfftn(psi_out, s=tan, axes=tuple(range(grid.n - 1)))
+        plate_axes = tuple(range(n - 1))
+        v_spec = np.moveaxis(scatter(v_new), -2, 0)
+        v = np.fft.irfftn(v_spec, s=tan, axes=tuple(range(1, n)))
+        p_mid_phys = np.fft.irfftn(scatter(p_mid), s=tan, axes=plate_axes)
+        eta = np.fft.irfftn(scatter(eta_new), s=tan, axes=plate_axes)
+        psi = np.fft.irfftn(scatter(psi_new), s=tan, axes=plate_axes)
         return State(v=v, p=grid.mesh.midpoints_to_nodes(p_mid_phys), eta=eta, eta_t=psi)
 
     def run(self, state: State, data: ProblemData) -> list[State]:

@@ -157,6 +157,22 @@ class TestSolveLinear:
         assert res.exit_code == 1
         assert "grid" in res.output
 
+    def test_negative_z_is_config_error(self, runner: CliRunner) -> None:
+        res = runner.invoke(main, ["solve-linear", "--lambda", "1+0i", "--z", "-1"])
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 1
+        assert "config error: z must be nonnegative" in res.output
+
+    def test_resonant_point_is_config_error(self, runner: CliRunner) -> None:
+        # a root of the response denominator at z = 1
+        res = runner.invoke(
+            main,
+            ["solve-linear", "--lambda=-0.5652671817007391+0.2139361209093594j", "--z", "1"],
+        )
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 1
+        assert "config error: response denominator" in res.output
+
     def test_corrupted_pressure_trace_exits_3(self, runner: CliRunner) -> None:
         res = runner.invoke(main, ["solve-linear", "--corrupt-p0", "--grid", "2x2"])
         assert res.exit_code == 3

@@ -14,6 +14,7 @@ from plate_fsi.timedomain.grid import (
     VerticalMesh,
     fornberg_weights,
     tangential_derivative,
+    tangential_derivatives,
     tangential_gradient,
     tangential_laplacian,
     vertical_derivative,
@@ -180,6 +181,24 @@ class TestTangentialOperators:
         np.testing.assert_allclose(
             tangential_derivative(field, grid2, order=2), -k * k * field, atol=1e-11
         )
+
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_shared_spectrum_derivatives_match_single(
+        self, bulk: bool, rng: np.random.Generator
+    ) -> None:
+        # order-major, then direction; bit-identical to one call each
+        grid = Grid(n=3, N=8, M=16, T=0.5, dt=0.25)
+        shape = (2,) + grid.tan_shape + ((grid.M + 1,) if bulk else ())
+        field = rng.normal(size=shape)
+        got = list(tangential_derivatives(field, grid, orders=range(1, 4)))
+        want = [
+            tangential_derivative(field, grid, d, order=order)
+            for order in range(1, 4)
+            for d in range(2)
+        ]
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
     def test_odd_orders_zero_nyquist(self, grid2: Grid) -> None:
         (x,) = grid2.tangential_coordinates()

@@ -6,8 +6,10 @@ from math import pi
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from plate_fsi.params import PlateParams
+from plate_fsi.timedomain import stepper as stepper_module
 from plate_fsi.timedomain.grid import Grid, ProblemData, State
 from plate_fsi.timedomain.stepper import (
     LinearStepper,
@@ -110,6 +112,142 @@ class TestModeStepper:
             matrix[n_vel: n_vel + M, :n_vel] @ v.ravel(), div,
             rtol=0, atol=1e-13 * np.abs(div).max(),
         )
+
+    def test_singular_factorization_raises_solver_singular(
+        self, grid2: Grid, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        def singular(matrix):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(stepper_module, "splu", singular)
+        with pytest.raises(SolverSingular, match="exactly singular"):
+            ModeStepper(UNIT, np.ones((1, 3)), grid2.mesh, grid2.dt)
+
+
+# Off-default coefficients, a period that makes |xi|^2 non-integer and a
+# step that is no power of two, so rounding differences cannot hide.
+SKEW = PlateParams(alpha=1.0734, beta=0.31, gamma=0.917)
+
+
+def _skew_grid(n: int) -> Grid:
+    return Grid(n=n, N=8, M=16, L=7.3, X=40.0, T=0.09, dt=0.03)
+
+
+def _modes(grid: Grid) -> list[tuple[int, ...]]:
+    """Spectral indices of the non-Nyquist modes, in C order."""
+    mask = grid.nyquist_mask()
+    return [idx for idx in np.ndindex(mask.shape) if not mask[idx]]
+
+
+def _mode_xi(grid: Grid, idx: tuple[int, ...]) -> list[float]:
+    return [float(x[idx]) for x in np.broadcast_arrays(*grid.wavenumbers())]
+
+
+class TestBatchedModes:
+    """A batch of modes is the per-mode operator, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matrix_is_block_diagonal_of_single_modes(self, n: int) -> None:
+        grid = _skew_grid(n)
+        xis = np.array([_mode_xi(grid, idx) for idx in _modes(grid)]).T
+        batch = xis.reshape((n - 1, 2, -1))
+        got = ModeStepper(SKEW, batch, grid.mesh, grid.dt).matrix()
+        want = sp.block_diag(
+            [ModeStepper(SKEW, xi, grid.mesh, grid.dt).matrix() for xi in xis.T],
+            format="csc",
+        )
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.data, want.data)
+
+    def test_batched_step_equals_single_mode_steps(
+        self, rng: np.random.Generator
+    ) -> None:
+        grid = _skew_grid(3)
+        M, batch = grid.M, (2, 3)
+        xi = rng.normal(size=(2,) + batch)
+
+        def cplx(*shape: int) -> np.ndarray:
+            return rng.normal(size=batch + shape) + 1j * rng.normal(size=batch + shape)
+
+        v, g, f_v = cplx(3, M + 1), cplx(M + 1), cplx(3, M + 1)
+        eta, psi, f_eta = cplx(), cplx(), cplx()
+        got = ModeStepper(SKEW, xi, grid.mesh, grid.dt).step(v, eta, psi, f_v, g, f_eta)
+        for idx in np.ndindex(batch):
+            mode = ModeStepper(SKEW, xi[(slice(None),) + idx], grid.mesh, grid.dt)
+            want = mode.step(v[idx], eta[idx], psi[idx], f_v[idx], g[idx], f_eta[idx])
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a[idx], b)
+
+    def test_linear_step_equals_stepping_each_mode(
+        self, rng: np.random.Generator
+    ) -> None:
+        grid = _skew_grid(3)
+        M, shape = grid.M, grid.nyquist_mask().shape
+        bulk = grid.tan_shape + (M + 1,)
+        state = State(
+            v=rng.normal(size=(3,) + bulk), p=np.zeros(bulk),
+            eta=rng.normal(size=grid.tan_shape), eta_t=rng.normal(size=grid.tan_shape),
+        )
+        f_v, g = rng.normal(size=(3,) + bulk), rng.normal(size=bulk)
+        f_eta = rng.normal(size=grid.tan_shape)
+        got = LinearStepper(SKEW, grid).step(state, f_v=f_v, g=g, f_eta=f_eta)
+
+        # the per-mode loop: one 0-d ModeStepper for every spectral entry
+        axes = (1, 2)
+        v_spec, fv_spec = (np.fft.rfftn(f, axes=axes) for f in (state.v, f_v))
+        g_spec = np.fft.rfftn(g, axes=(0, 1))
+        eta_spec, psi_spec, fe_spec = (
+            np.fft.rfftn(f) for f in (state.eta, state.eta_t, f_eta)
+        )
+        v_out = np.zeros((3,) + shape + (M + 1,), dtype=complex)
+        p_out = np.zeros(shape + (M,), dtype=complex)
+        eta_out = np.zeros(shape, dtype=complex)
+        psi_out = np.zeros(shape, dtype=complex)
+        for idx in _modes(grid):
+            vec = (slice(None),) + idx
+            mode = ModeStepper(SKEW, _mode_xi(grid, idx), grid.mesh, grid.dt)
+            v_out[vec], p_out[idx], eta_out[idx], psi_out[idx] = mode.step(
+                v_spec[vec], eta_spec[idx], psi_spec[idx],
+                fv_spec[vec], g_spec[idx], fe_spec[idx],
+            )
+        tan = grid.tan_shape
+        np.testing.assert_array_equal(got.v, np.fft.irfftn(v_out, s=tan, axes=axes))
+        p_mid = np.fft.irfftn(p_out, s=tan, axes=(0, 1))
+        np.testing.assert_array_equal(got.p, grid.mesh.midpoints_to_nodes(p_mid))
+        np.testing.assert_array_equal(got.eta, np.fft.irfftn(eta_out, s=tan, axes=(0, 1)))
+        np.testing.assert_array_equal(got.eta_t, np.fft.irfftn(psi_out, s=tan, axes=(0, 1)))
+
+    def test_plate_row_rounds_as_scalar_arithmetic(
+        self, rng: np.random.Generator, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        # The plate row of a mode carries alpha |xi|^4 + beta |xi|^2 and the
+        # right-hand side psi / dt - f_eta, as Python floats and complex
+        # numbers round them.  At these covectors |xi|^4 taken as z2 * z2
+        # changes the entry in the last bit.
+        grid = _skew_grid(3)
+        dt = grid.dt
+        for xi in ([8.46589237086807, 1.4628850311400552],
+                   [2.179182757294557, 0.9397505725844163]):
+            mode = ModeStepper(SKEW, xi, grid.mesh, dt)
+            z2 = sum(x * x for x in xi)
+            plate = mode.matrix()[mode.size - 1, mode.size - 2]
+            assert plate == SKEW.alpha * z2**2 + SKEW.beta * z2
+
+        class Capture:
+            def solve(self, b: np.ndarray) -> np.ndarray:
+                self.b = b.copy()
+                return np.zeros_like(b)
+
+        capture = Capture()
+        monkeypatch.setattr(stepper_module, "splu", lambda matrix: capture)
+        psi = rng.normal(size=64) + 1j * rng.normal(size=64)
+        f_eta = rng.normal(size=64) + 1j * rng.normal(size=64)
+        batch = ModeStepper(SKEW, rng.normal(size=(2, 64)), grid.mesh, dt)
+        batch.step(np.zeros((64, 3, grid.M + 1)), 0.0, psi, f_eta_hat=f_eta)
+        rhs = capture.b.reshape(64, -1)[:, -1]
+        want = [p / dt - f for p, f in zip(psi.tolist(), f_eta.tolist())]
+        np.testing.assert_array_equal(rhs, want)
 
 
 class TestLinearStepperConstraints:
