@@ -7,7 +7,7 @@ mode-wise implicit Euler stepper for the linearized system, an
 inverse-Laplace reference solution, and the small-data fixed-point driver.
 """
 
-from .grid import Grid, ProblemData, State, VerticalMesh
+from .grid import Grid, ProblemData, State, Trajectory, VerticalMesh
 from .transform import ShiftOutOfRange, normal_vector, pullback, pushforward
 from .nonlin import (
     nonlinear_divergence,
@@ -31,6 +31,7 @@ __all__ = [
     "ShiftOutOfRange",
     "SolverSingular",
     "State",
+    "Trajectory",
     "VerticalMesh",
     "check_compatibility",
     "fixed_point_solve",

@@ -147,7 +147,7 @@ def discrete_divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
     """Weak-form divergence: spectral tangential plus summation-by-parts vertical."""
     out = np.zeros(grid.tan_shape + (grid.M + 1,))
     for d in range(grid.n - 1):
-        out += tangential_derivative(v[d], grid, direction=d)
+        out += tangential_derivative(v[d], grid, direction=d, bulk=True)
     sbp = grid.mesh.sbp_derivative_matrix()
     flat = v[grid.n - 1].reshape(-1, grid.M + 1)
     out += (sbp @ flat.T).T.reshape(grid.tan_shape + (grid.M + 1,))
@@ -156,7 +156,8 @@ def discrete_divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
 
 def _gradient_of(phi: np.ndarray, grid: Grid) -> list[np.ndarray]:
     parts = [
-        tangential_derivative(phi, grid, direction=d) for d in range(grid.n - 1)
+        tangential_derivative(phi, grid, direction=d, bulk=True)
+        for d in range(grid.n - 1)
     ]
     sbp = grid.mesh.sbp_derivative_matrix()
     flat = phi.reshape(-1, grid.M + 1)

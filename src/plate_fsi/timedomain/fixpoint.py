@@ -14,18 +14,34 @@ velocity, tangential derivatives of the displacement up to fourth order,
 and of the plate velocity up to second order.  This tracks the strongest
 norms the contraction argument actually uses while staying cheap to
 evaluate on grid functions.
+
+Iterates are :class:`Trajectory` records, arrays with a leading time
+axis.  A sweep runs in chunks of levels (:func:`level_chunks`): the frozen
+quadratic terms of a chunk are evaluated in one call and its forcing
+transformed once, and the surrogate norms of a chunk's levels are taken
+together.  The final probe sweep is compared chunk by chunk and never
+stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from ..indices import exponent_thresholds
 from ..params import PlateParams
-from .grid import Grid, ProblemData, State, tangential_derivatives, vertical_derivative
-from .nonlin import nonlinear_divergence, nonlinear_momentum, nonlinear_plate_load
+from .grid import (
+    Grid,
+    ProblemData,
+    State,
+    Trajectory,
+    level_chunks,
+    tangential_derivatives,
+    vertical_derivative,
+)
+from .nonlin import nonlinear_terms
 from .stepper import LinearStepper
 
 __all__ = [
@@ -33,6 +49,7 @@ __all__ = [
     "NoContraction",
     "fixed_point_solve",
     "state_surrogate_norm",
+    "surrogate_norms",
 ]
 
 _STALL_RATIO = 0.95
@@ -51,12 +68,14 @@ class NoContraction(RuntimeError):
 class FixedPointResult:
     """Outcome of the nonlinear solve.
 
-    ``trajectory`` holds one :class:`State` per time level including the
-    initial one; ``residual`` is the surrogate norm of ``K(w*) - w*`` for
-    the returned trajectory and ``scale`` its own trajectory norm.
+    ``trajectory`` holds every time level including the initial one, as
+    arrays with a leading level axis (indexing it gives one
+    :class:`State`); ``residual`` is the surrogate norm of ``K(w*) - w*``
+    for the returned trajectory, the largest of the per-level
+    ``step_residuals``, and ``scale`` its own trajectory norm.
     """
 
-    trajectory: list[State]
+    trajectory: Trajectory
     iterations: int
     contraction_ratios: list[float] = field(default_factory=list)
     residual: float = 0.0
@@ -65,69 +84,80 @@ class FixedPointResult:
     step_residuals: list[float] = field(default_factory=list)
 
 
-def state_surrogate_norm(state: State, grid: Grid) -> float:
-    """Discrete stand-in for the solution norm of one state."""
-    total = float(np.abs(state.v).max()) + float(np.abs(state.p).max())
-    for deriv in tangential_derivatives(state.v, grid, orders=(1,)):
-        total += float(np.abs(deriv).max())
-    total += float(np.abs(vertical_derivative(state.v, grid.mesh)).max())
-    total += float(np.abs(state.eta).max()) + float(np.abs(state.eta_t).max())
-    for deriv in tangential_derivatives(state.eta, grid, orders=range(1, 5)):
-        total += float(np.abs(deriv).max())
-    for deriv in tangential_derivatives(state.eta_t, grid, orders=range(1, 3)):
-        total += float(np.abs(deriv).max())
+def surrogate_norms(traj: Trajectory, grid: Grid) -> np.ndarray:
+    """Discrete stand-in for the solution norm of each level of ``traj``.
+
+    Every level is summed in the order of :func:`state_surrogate_norm`,
+    so each entry equals the single-state norm bit for bit.
+    """
+
+    def sup(field: np.ndarray) -> np.ndarray:
+        return np.abs(field).max(axis=tuple(range(1, field.ndim)))
+
+    total = sup(traj.v) + sup(traj.p)
+    for deriv in tangential_derivatives(traj.v, grid, orders=(1,), bulk=True):
+        total += sup(deriv)
+    total += sup(vertical_derivative(traj.v, grid.mesh))
+    total += sup(traj.eta) + sup(traj.eta_t)
+    for deriv in tangential_derivatives(traj.eta, grid, orders=range(1, 5)):
+        total += sup(deriv)
+    for deriv in tangential_derivatives(traj.eta_t, grid, orders=range(1, 3)):
+        total += sup(deriv)
     return total
 
 
-def _difference(a: State, b: State) -> State:
-    return State(v=a.v - b.v, p=a.p - b.p, eta=a.eta - b.eta, eta_t=a.eta_t - b.eta_t)
+def state_surrogate_norm(state: State, grid: Grid) -> float:
+    """Discrete stand-in for the solution norm of one state.
+
+    The sup of the fields, of the first derivatives of ``v``, of the
+    tangential derivatives of ``eta`` up to fourth and of ``eta_t`` up to
+    second order: the one-level case of :func:`surrogate_norms`.
+    """
+    return float(surrogate_norms(Trajectory.of(state), grid)[0])
 
 
-def _trajectory_distance(a: list[State], b: list[State], grid: Grid) -> float:
+def _difference(a: Trajectory, b: Trajectory) -> Trajectory:
+    return Trajectory(*(fa - fb for fa, fb in zip(a.fields(), b.fields())))
+
+
+def _trajectory_distance(a: Trajectory, b: Trajectory, grid: Grid) -> float:
     return max(
-        state_surrogate_norm(_difference(sa, sb), grid) for sa, sb in zip(a, b)
+        norm
+        for levels in level_chunks(grid, 0, len(a))
+        for norm in surrogate_norms(_difference(a[levels], b[levels]), grid).tolist()
     )
 
 
-def _trajectory_norm(traj: list[State], grid: Grid) -> float:
-    return max(state_surrogate_norm(s, grid) for s in traj)
+def _trajectory_norm(traj: Trajectory, grid: Grid) -> float:
+    return max(
+        norm
+        for levels in level_chunks(grid, 0, len(traj))
+        for norm in surrogate_norms(traj[levels], grid).tolist()
+    )
 
 
 def _sweep(
     stepper: LinearStepper,
     data: ProblemData,
     grid: Grid,
-    source: list[State] | None,
-) -> list[State]:
-    """One application of the fixed-point map with the source iterate frozen."""
+    source: Trajectory | None,
+) -> Iterator[tuple[slice, Trajectory]]:
+    """One application of the fixed-point map with the source iterate frozen.
+
+    Yields the new iterate chunk by chunk, as :meth:`LinearStepper.march`.
+    """
     state = State(
-        v=data.v0.copy(),
+        v=data.v0,
         p=np.zeros(grid.tan_shape + (grid.M + 1,)),
-        eta=data.eta0.copy(),
-        eta_t=data.eta1.copy(),
+        eta=data.eta0,
+        eta_t=data.eta1,
     )
-    out = [state]
-    for k in range(grid.steps):
-        if source is None:
-            f_v, g, f_eta = data.f_v, data.g, data.f_eta
-        else:
-            frozen = source[k + 1]
-            f_v = data.f_v + nonlinear_momentum(frozen, grid)
-            g = data.g + nonlinear_divergence(frozen, grid)
-            f_eta = data.f_eta + nonlinear_plate_load(frozen, grid)
-        state = stepper.step(state, f_v=f_v, g=g, f_eta=f_eta)
-        out.append(state)
-    return out
+    extra = None if source is None else (lambda levels: nonlinear_terms(source[levels], grid))
+    return stepper.march(state, data, extra)
 
 
-def _finite(traj: list[State]) -> bool:
-    return all(
-        np.isfinite(s.v).all()
-        and np.isfinite(s.p).all()
-        and np.isfinite(s.eta).all()
-        and np.isfinite(s.eta_t).all()
-        for s in traj
-    )
+def _finite(traj: Trajectory) -> bool:
+    return all(np.isfinite(f).all() for f in traj.fields())
 
 
 def fixed_point_solve(
@@ -156,15 +186,15 @@ def fixed_point_solve(
             f"threshold {threshold} for n = {grid.n}"
         )
     stepper = LinearStepper(params, grid)
+    levels = grid.steps + 1
     previous = None
-    trajectory: list[State] = []
     ratios: list[float] = []
     diffs: list[float] = []
     stall = 0
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        trajectory = _sweep(stepper, data, grid, previous)
+        trajectory = Trajectory.collect(_sweep(stepper, data, grid, previous), levels)
         if not _finite(trajectory):
             raise NoContraction(
                 f"iterate {iterations} left the finite range", ratios
@@ -203,14 +233,14 @@ def fixed_point_solve(
                     residual=0.0,
                     scale=1.0,
                     converged=True,
-                    step_residuals=[0.0] * (grid.steps + 1),
+                    step_residuals=[0.0] * levels,
                 )
         previous = trajectory
-    probe = _sweep(stepper, data, grid, trajectory)
-    step_residuals = [
-        state_surrogate_norm(_difference(sp, st), grid)
-        for sp, st in zip(probe, trajectory)
-    ]
+    # the probe sweep is compared chunk by chunk and never stored
+    step_residuals: list[float] = []
+    for where, chunk in _sweep(stepper, data, grid, trajectory):
+        gap = _difference(chunk, trajectory[where])
+        step_residuals += surrogate_norms(gap, grid).tolist()
     return FixedPointResult(
         trajectory=trajectory,
         iterations=iterations,

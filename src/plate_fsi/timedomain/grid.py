@@ -9,7 +9,10 @@ derivatives are finite differences with Fornberg weights.
 
 Array layout: tangential axes first, vertical axis last.  Plate fields have
 shape ``(N,) * (n-1)``, bulk scalars ``(N,) * (n-1) + (M+1,)`` and velocity
-fields carry a leading component axis of length ``n``.
+fields carry a leading component axis of length ``n``.  A :class:`Trajectory`
+puts a time-level axis in front of each field.  The tangential operators
+take the layout (plate or bulk) from their caller and treat every leading
+axis as a batch axis.
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ __all__ = [
     "Grid",
     "ProblemData",
     "State",
+    "Trajectory",
     "VerticalMesh",
     "fornberg_weights",
+    "level_chunks",
     "tangential_derivative",
     "tangential_derivatives",
     "tangential_gradient",
@@ -307,45 +312,31 @@ class Grid:
         return mask
 
 
-def _tan_axes(field: np.ndarray, grid: Grid) -> tuple[int, ...]:
-    """Positions of the tangential axes inside ``field``.
-
-    Plate fields end with the tangential axes; bulk fields carry one more
-    trailing vertical axis.  Leading axes (vector components) are allowed.
-    """
-    k = grid.n - 1
-    vert = grid.M + 1
-    if (
-        field.ndim >= k + 1
-        and field.shape[-1] == vert
-        and field.shape[-k - 1:-1] == grid.tan_shape
-    ):
-        return tuple(range(field.ndim - k - 1, field.ndim - 1))
-    if field.ndim >= k and field.shape[-k:] == grid.tan_shape:
-        return tuple(range(field.ndim - k, field.ndim))
-    raise ValueError(
-        f"field shape {field.shape} does not contain the tangential grid "
-        f"{grid.tan_shape} in the expected axes"
-    )
-
-
 def _apply_multipliers(
-    field: np.ndarray, grid: Grid, factors: Iterable[np.ndarray]
+    field: np.ndarray, grid: Grid, factors: Iterable[np.ndarray], bulk: bool = False
 ) -> Iterator[np.ndarray]:
     """Multiply the tangential spectrum of a real field by each of ``factors``.
 
-    The spectrum is taken once.  Each factor must broadcast against the
-    spectral tangential shape; a trailing vertical axis and leading
-    component axes are handled by broadcasting.
+    The caller states the layout: a plate field ends with the tangential
+    axes, a bulk field with the tangential axes and then the vertical one.
+    Any leading axes (vector components, time levels) are batch axes.  The
+    spectrum is taken once; each factor must broadcast against the spectral
+    tangential shape.
     """
     field = np.asarray(field, dtype=float)
-    axes = _tan_axes(field, grid)
+    stop = field.ndim - int(bulk)
+    axes = tuple(range(stop - (grid.n - 1), stop))
+    if axes[0] < 0 or field.shape[axes[0]: stop] != grid.tan_shape:
+        layout = "bulk" if bulk else "plate"
+        raise ValueError(
+            f"{layout} field shape {field.shape} does not contain the tangential "
+            f"grid {grid.tan_shape} in the expected axes"
+        )
     spec = np.fft.rfftn(field, axes=axes)
-    sizes = [field.shape[a] for a in axes]
     for factor in factors:
-        if axes[-1] != field.ndim - 1:
+        if bulk:
             factor = np.asarray(factor)[..., np.newaxis]
-        yield np.fft.irfftn(spec * factor, s=sizes, axes=axes)
+        yield np.fft.irfftn(spec * factor, s=grid.tan_shape, axes=axes)
 
 
 def _derivative_factor(grid: Grid, direction: int, order: int) -> np.ndarray:
@@ -356,20 +347,30 @@ def _derivative_factor(grid: Grid, direction: int, order: int) -> np.ndarray:
     return factor
 
 
+def _laplacian_factor(grid: Grid) -> np.ndarray:
+    # sum() broadcasts the per-direction arrays pairwise; np.add.reduce
+    # would choke on their deliberately different broadcast shapes.
+    return -sum(w * w for w in grid.wavenumbers())
+
+
 def tangential_derivative(
-    field: np.ndarray, grid: Grid, direction: int = 0, order: int = 1
+    field: np.ndarray, grid: Grid, direction: int = 0, order: int = 1, bulk: bool = False
 ) -> np.ndarray:
     """Spectral tangential derivative ``(d/dx_direction)^order``.
 
-    Odd orders zero the Nyquist modes, so real fields stay exactly real and
-    derivatives see the same truncation as the mode solver.
+    ``bulk`` says whether ``field`` ends with the vertical axis; leading
+    axes are batch axes.  Odd orders zero the Nyquist modes, so real
+    fields stay exactly real and derivatives see the same truncation as the
+    mode solver.
     """
-    (out,) = _apply_multipliers(field, grid, [_derivative_factor(grid, direction, order)])
+    (out,) = _apply_multipliers(
+        field, grid, [_derivative_factor(grid, direction, order)], bulk
+    )
     return out
 
 
 def tangential_derivatives(
-    field: np.ndarray, grid: Grid, orders: Iterable[int]
+    field: np.ndarray, grid: Grid, orders: Iterable[int], bulk: bool = False
 ) -> Iterator[np.ndarray]:
     """:func:`tangential_derivative` for each order, then each direction.
 
@@ -381,23 +382,18 @@ def tangential_derivatives(
         field,
         grid,
         (_derivative_factor(grid, d, order) for order in orders for d in range(grid.n - 1)),
+        bulk,
     )
 
 
-def tangential_gradient(field: np.ndarray, grid: Grid) -> np.ndarray:
+def tangential_gradient(field: np.ndarray, grid: Grid, bulk: bool = False) -> np.ndarray:
     """Stack of all tangential derivatives; leading axis of length n - 1."""
-    return np.stack(
-        [tangential_derivative(field, grid, d) for d in range(grid.n - 1)]
-    )
+    return np.stack(list(tangential_derivatives(field, grid, (1,), bulk)))
 
 
-def tangential_laplacian(field: np.ndarray, grid: Grid) -> np.ndarray:
+def tangential_laplacian(field: np.ndarray, grid: Grid, bulk: bool = False) -> np.ndarray:
     """Spectral tangential Laplacian (sum of second derivatives)."""
-    ws = grid.wavenumbers()
-    # sum() broadcasts the per-direction arrays pairwise; np.add.reduce
-    # would choke on their deliberately different broadcast shapes.
-    factor = -sum(w * w for w in ws)
-    (out,) = _apply_multipliers(field, grid, [factor])
+    (out,) = _apply_multipliers(field, grid, [_laplacian_factor(grid)], bulk)
     return out
 
 
@@ -442,10 +438,70 @@ class State:
         )
 
     def copy(self) -> "State":
-        return State(
-            v=self.v.copy(), p=self.p.copy(),
-            eta=self.eta.copy(), eta_t=self.eta_t.copy(),
-        )
+        return State(*(f.copy() for f in self.fields()))
+
+    def fields(self) -> tuple[np.ndarray, ...]:
+        return self.v, self.p, self.eta, self.eta_t
+
+
+@dataclass(eq=False)
+class Trajectory:
+    """States of consecutive time levels, each field with a leading level axis.
+
+    ``v`` has shape ``(levels, n) + tan_shape + (M + 1,)``, ``p``
+    ``(levels,) + tan_shape + (M + 1,)``, ``eta`` and ``eta_t``
+    ``(levels,) + tan_shape``.  An integer index gives the :class:`State` of
+    one level (viewing the arrays), a slice the sub-trajectory.
+    """
+
+    v: np.ndarray
+    p: np.ndarray
+    eta: np.ndarray
+    eta_t: np.ndarray
+
+    @classmethod
+    def of(cls, state: State) -> "Trajectory":
+        """The one-level trajectory viewing ``state``."""
+        return cls(*(f[np.newaxis] for f in state.fields()))
+
+    @classmethod
+    def collect(
+        cls, chunks: Iterable[tuple[slice, "Trajectory"]], levels: int
+    ) -> "Trajectory":
+        """Assemble ``levels`` levels from ``(slice, chunk)`` pairs that cover them."""
+        out = None
+        for where, chunk in chunks:
+            if out is None:
+                out = cls(*(np.empty((levels,) + f.shape[1:]) for f in chunk.fields()))
+            for dst, src in zip(out.fields(), chunk.fields()):
+                dst[where] = src
+        return out
+
+    def fields(self) -> tuple[np.ndarray, ...]:
+        return self.v, self.p, self.eta, self.eta_t
+
+    def __len__(self) -> int:
+        return len(self.eta)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Trajectory(*(f[index] for f in self.fields()))
+        return State(*(f[index] for f in self.fields()))
+
+    def __iter__(self) -> Iterator[State]:
+        return (self[k] for k in range(len(self)))
+
+
+# Levels per batched chunk: about this many velocity entries, at least one
+# level.  Larger batches of FFTs and array operations stop paying off.
+_CHUNK_ENTRIES = 2**15
+
+
+def level_chunks(grid: Grid, start: int, stop: int) -> Iterator[slice]:
+    """Consecutive slices covering the levels ``start .. stop - 1``."""
+    size = max(1, _CHUNK_ENTRIES // (grid.n * grid.N ** (grid.n - 1) * (grid.M + 1)))
+    for k in range(start, stop, size):
+        yield slice(k, min(k + size, stop))
 
 
 @dataclass(eq=False)

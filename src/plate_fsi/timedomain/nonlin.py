@@ -15,9 +15,11 @@ import numpy as np
 from .grid import (
     Grid,
     State,
-    tangential_derivative,
-    tangential_gradient,
-    tangential_laplacian,
+    Trajectory,
+    _apply_multipliers,
+    _derivative_factor,
+    _laplacian_factor,
+    tangential_derivatives,
     vertical_derivative,
 )
 
@@ -25,6 +27,7 @@ __all__ = [
     "nonlinear_divergence",
     "nonlinear_momentum",
     "nonlinear_plate_load",
+    "nonlinear_terms",
 ]
 
 _ACC = 4
@@ -32,6 +35,69 @@ _ACC = 4
 
 def _d_n(field: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray:
     return vertical_derivative(field, grid.mesh, order=order, accuracy=_ACC)
+
+
+def nonlinear_terms(
+    state: State | Trajectory, grid: Grid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Momentum, divergence and plate-load corrections of a state or a stack.
+
+    The fields of ``state`` may carry leading level axes (a
+    :class:`Trajectory`), which every result keeps.  The tangential spectra
+    of ``eta``, ``v`` and ``d_n v`` are each taken once and shared by the
+    three terms; see :func:`nonlinear_momentum`,
+    :func:`nonlinear_divergence` and :func:`nonlinear_plate_load`.
+    """
+    n = grid.n
+    tan = range(n - 1)
+    # component axis first, as in a single state; level axes follow it
+    v = np.moveaxis(np.asarray(state.v), -(n + 1), 0)
+    *grad, lap_eta = _apply_multipliers(
+        state.eta,
+        grid,
+        [*(_derivative_factor(grid, d, 1) for d in tan), _laplacian_factor(grid)],
+    )
+    grad_eta = np.stack(grad)
+    dn_v = _d_n(v, grid)
+    dnn_v = _d_n(v, grid, order=2)
+    dn_p = _d_n(state.p, grid)
+    grad_v = list(tangential_derivatives(v, grid, (1,), bulk=True))
+    grad_dn_v = list(tangential_derivatives(dn_v, grid, (1,), bulk=True))
+
+    # (d_t eta - lap' eta) d_n v
+    coef = (state.eta_t - lap_eta)[..., np.newaxis]
+    momentum = coef * dn_v
+
+    # -2 (grad' eta . grad') d_n v  and  |grad' eta|^2 d_nn v
+    for d in tan:
+        momentum -= 2.0 * grad_eta[d][..., np.newaxis] * grad_dn_v[d]
+    momentum += np.sum(grad_eta * grad_eta, axis=0)[..., np.newaxis] * dnn_v
+
+    # -(v . grad) v
+    for d in tan:
+        momentum -= v[d][np.newaxis] * grad_v[d]
+    momentum -= v[n - 1][np.newaxis] * dn_v
+
+    # (v' . grad' eta) d_n v
+    slope_flux = np.zeros(dn_p.shape)
+    for d in tan:
+        slope_flux += v[d] * grad_eta[d][..., np.newaxis]
+    momentum += slope_flux[np.newaxis] * dn_v
+
+    # (grad' eta, 0)^T d_n p
+    for d in tan:
+        momentum[d] += grad_eta[d][..., np.newaxis] * dn_p
+
+    divergence = np.zeros(dn_p.shape)
+    for d in tan:
+        divergence += grad_eta[d][..., np.newaxis] * dn_v[d]
+
+    # grad' v_n(0) is the interface trace of grad' v_n
+    plate_load = np.zeros(np.shape(state.eta))
+    for d in tan:
+        plate_load -= grad_eta[d] * dn_v[d][..., 0]
+        plate_load -= grad_eta[d] * grad_v[d][n - 1][..., 0]
+    return np.moveaxis(momentum, 0, -(n + 1)), divergence, plate_load
 
 
 def nonlinear_momentum(state: State, grid: Grid) -> np.ndarray:
@@ -43,47 +109,12 @@ def nonlinear_momentum(state: State, grid: Grid) -> np.ndarray:
     correction.  Vanishes to second order at the zero state; the only
     surviving term for a flat interface is the convection ``-(v . grad) v``.
     """
-    v = state.v
-    grad_eta = tangential_gradient(state.eta, grid)
-    dn_v = _d_n(v, grid)
-    dnn_v = _d_n(v, grid, order=2)
-    dn_p = _d_n(state.p, grid)
-
-    # (d_t eta - lap' eta) d_n v
-    coef = (state.eta_t - tangential_laplacian(state.eta, grid))[..., np.newaxis]
-    out = coef * dn_v
-
-    # -2 (grad' eta . grad') d_n v  and  |grad' eta|^2 d_nn v
-    for d in range(grid.n - 1):
-        out -= 2.0 * grad_eta[d][..., np.newaxis] * tangential_derivative(
-            dn_v, grid, direction=d
-        )
-    out += np.sum(grad_eta * grad_eta, axis=0)[..., np.newaxis] * dnn_v
-
-    # -(v . grad) v
-    for d in range(grid.n - 1):
-        out -= v[d][np.newaxis] * tangential_derivative(v, grid, direction=d)
-    out -= v[grid.n - 1][np.newaxis] * dn_v
-
-    # (v' . grad' eta) d_n v
-    slope_flux = np.zeros(grid.tan_shape + (grid.M + 1,))
-    for d in range(grid.n - 1):
-        slope_flux += v[d] * grad_eta[d][..., np.newaxis]
-    out += slope_flux[np.newaxis] * dn_v
-
-    # (grad' eta, 0)^T d_n p
-    for d in range(grid.n - 1):
-        out[d] += grad_eta[d][..., np.newaxis] * dn_p
-    return out
+    return nonlinear_terms(state, grid)[0]
 
 
 def nonlinear_divergence(state: State, grid: Grid) -> np.ndarray:
     """Divergence correction ``grad' eta . d_n v'``, a bulk scalar field."""
-    grad_eta = tangential_gradient(state.eta, grid)
-    out = np.zeros(grid.tan_shape + (grid.M + 1,))
-    for d in range(grid.n - 1):
-        out += grad_eta[d][..., np.newaxis] * _d_n(state.v[d], grid)
-    return out
+    return nonlinear_terms(state, grid)[1]
 
 
 def nonlinear_plate_load(state: State, grid: Grid) -> np.ndarray:
@@ -93,11 +124,4 @@ def nonlinear_plate_load(state: State, grid: Grid) -> np.ndarray:
     tilted plate feels from the tangential flow plus the tilt correction
     of the normal-stress trace.
     """
-    grad_eta = tangential_gradient(state.eta, grid)
-    v_n_trace = state.v[grid.n - 1][..., 0]
-    grad_vn = tangential_gradient(v_n_trace, grid)
-    out = np.zeros(grid.tan_shape)
-    for d in range(grid.n - 1):
-        out -= grad_eta[d] * _d_n(state.v[d], grid)[..., 0]
-        out -= grad_eta[d] * grad_vn[d]
-    return out
+    return nonlinear_terms(state, grid)[2]

@@ -24,13 +24,15 @@ kinematic coupling ``v_n(0) = eta_t`` at the plate, a rigid lid at
 
 from __future__ import annotations
 
+from typing import Callable, Iterator
+
 import numpy as np
 import scipy.sparse as sp
 from numpy.typing import ArrayLike
 from scipy.sparse.linalg import onenormest, splu
 
 from ..params import PlateParams
-from .grid import Grid, ProblemData, State, VerticalMesh
+from .grid import Grid, ProblemData, State, Trajectory, VerticalMesh, level_chunks
 
 __all__ = [
     "LinearStepper",
@@ -215,22 +217,12 @@ class ModeStepper:
         )
 
 
-def _bulk_spectrum(field: np.ndarray, grid: Grid) -> np.ndarray:
-    axes = tuple(range(field.ndim - grid.n, field.ndim - 1))
-    return np.fft.rfftn(field, axes=axes)
-
-
-def _plate_spectrum(field: np.ndarray, grid: Grid) -> np.ndarray:
-    axes = tuple(range(field.ndim - (grid.n - 1), field.ndim))
-    return np.fft.rfftn(field, axes=axes)
-
-
 class LinearStepper:
     """Implicit Euler stepper for the full linear system on a :class:`Grid`.
 
     Transforms the state to tangential modes, advances all of them with
     one :class:`ModeStepper` (Nyquist modes are projected out), and
-    transforms back.  The returned state carries the pressure interpolated
+    transforms back.  The returned states carry the pressure interpolated
     from the staggered midpoints to the nodes.
     """
 
@@ -246,6 +238,54 @@ class LinearStepper:
             params, xi.reshape(grid.n - 1, -1)[:, self._modes], grid.mesh, grid.dt
         )
 
+    def _to_modes(self, field: np.ndarray, tail: int = 0) -> np.ndarray:
+        """``lead + tan_shape + tail`` real field -> ``lead + (mode,) + tail`` spectrum."""
+        field = np.asarray(field, dtype=float)
+        stop = field.ndim - tail
+        axes = tuple(range(stop - (self.grid.n - 1), stop))
+        spec = np.fft.rfftn(field, axes=axes)
+        flat = spec.reshape(spec.shape[: axes[0]] + (-1,) + spec.shape[stop:])
+        return np.take(flat, self._modes, axis=axes[0])
+
+    def _from_modes(self, values: np.ndarray, tail: int = 0) -> np.ndarray:
+        """Inverse of :meth:`_to_modes`, zero on the Nyquist entries."""
+        axis = values.ndim - 1 - tail
+        lead, rest = values.shape[:axis], values.shape[axis + 1:]
+        spec = np.zeros(lead + (self._mask_size,) + rest, dtype=complex)
+        spec[(slice(None),) * axis + (self._modes,)] = values
+        spec = spec.reshape(lead + self._shape + rest)
+        axes = tuple(range(axis, axis + self.grid.n - 1))
+        return np.fft.irfftn(spec, s=self.grid.tan_shape, axes=axes)
+
+    def _velocity_modes(self, v: np.ndarray) -> np.ndarray:
+        """``lead + (n,) + tan + (M + 1,)`` -> ``lead + (mode, n, M + 1)``."""
+        return self._to_modes(np.moveaxis(np.asarray(v), -(self.grid.n + 1), -2), tail=2)
+
+    def _forcing_modes(self, f_v, g, f_eta) -> tuple:
+        return (
+            None if f_v is None else self._velocity_modes(f_v),
+            None if g is None else self._to_modes(g, tail=1),
+            0.0 if f_eta is None else self._to_modes(f_eta),
+        )
+
+    def _advance(self, v, eta, eta_t, f_v_hat, g_hat, f_eta_hat) -> tuple:
+        """One step from physical ``v, eta, eta_t`` under forcing spectra.
+
+        Returns the new physical ``v, eta, eta_t`` and the midpoint
+        pressure modes.
+        """
+        plate = self._to_modes(np.stack([eta, eta_t]))
+        v_new, p_mid, eta_new, psi_new = self._mode.step(
+            self._velocity_modes(v), plate[0], plate[1], f_v_hat, g_hat, f_eta_hat
+        )
+        v = np.moveaxis(self._from_modes(v_new, tail=2), -2, -(self.grid.n + 1))
+        eta, psi = self._from_modes(np.stack([eta_new, psi_new]))
+        return v, eta, psi, p_mid
+
+    def _pressure(self, p_mid: np.ndarray) -> np.ndarray:
+        """Midpoint pressure modes -> physical pressure on the nodes."""
+        return self.grid.mesh.midpoints_to_nodes(self._from_modes(p_mid, tail=1))
+
     def step(
         self,
         state: State,
@@ -254,56 +294,58 @@ class LinearStepper:
         f_eta: np.ndarray | None = None,
     ) -> State:
         """One implicit Euler step under the given (already-evaluated) data."""
-        grid, modes, shape = self.grid, self._modes, self._shape
-        n, M = grid.n, grid.M
-
-        def gather(spec: np.ndarray, tail: tuple[int, ...] = ()) -> np.ndarray:
-            # spectrum + tail -> (mode,) + tail
-            return spec.reshape((-1,) + tail)[modes]
-
-        def scatter(values: np.ndarray) -> np.ndarray:
-            # (mode,) + tail -> spectrum + tail, zero on the Nyquist entries
-            out = np.zeros((self._mask_size,) + values.shape[1:], dtype=complex)
-            out[modes] = values
-            return out.reshape(shape + values.shape[1:])
-
-        def velocity(field: np.ndarray) -> np.ndarray:
-            spec = _bulk_spectrum(np.asarray(field, float), grid)
-            return gather(np.moveaxis(spec, 0, -2), (n, M + 1))
-
-        def plate(field: np.ndarray) -> np.ndarray:
-            return gather(_plate_spectrum(np.asarray(field, float), grid))
-
-        v_new, p_mid, eta_new, psi_new = self._mode.step(
-            velocity(state.v),
-            plate(state.eta),
-            plate(state.eta_t),
-            None if f_v is None else velocity(f_v),
-            None if g is None else gather(_bulk_spectrum(np.asarray(g, float), grid), (M + 1,)),
-            0.0 if f_eta is None else plate(f_eta),
+        v, eta, psi, p_mid = self._advance(
+            state.v, state.eta, state.eta_t, *self._forcing_modes(f_v, g, f_eta)
         )
+        return State(v=v, p=self._pressure(p_mid), eta=eta, eta_t=psi)
 
-        tan = grid.tan_shape
-        plate_axes = tuple(range(n - 1))
-        v_spec = np.moveaxis(scatter(v_new), -2, 0)
-        v = np.fft.irfftn(v_spec, s=tan, axes=tuple(range(1, n)))
-        p_mid_phys = np.fft.irfftn(scatter(p_mid), s=tan, axes=plate_axes)
-        eta = np.fft.irfftn(scatter(eta_new), s=tan, axes=plate_axes)
-        psi = np.fft.irfftn(scatter(psi_new), s=tan, axes=plate_axes)
-        return State(v=v, p=grid.mesh.midpoints_to_nodes(p_mid_phys), eta=eta, eta_t=psi)
+    def march(
+        self,
+        state: State,
+        data: ProblemData,
+        extra: Callable[[slice], tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
+    ) -> Iterator[tuple[slice, Trajectory]]:
+        """March from ``state`` over the grid horizon, one chunk of levels at a time.
 
-    def run(self, state: State, data: ProblemData) -> list[State]:
+        Yields ``(levels, chunk)``: first the initial state as level 0, then
+        the chunks of :func:`level_chunks`.  ``data`` must be materialized.
+        ``extra(levels)``, if given, returns ``(f_v, g, f_eta)`` with a
+        leading axis over ``levels``, added to the data's forcing of those
+        levels and transformed once per chunk; without it the forcing is
+        constant and transformed once.  Every step still returns to
+        physical space, and the pressure is recovered once per chunk.
+        """
+        grid = self.grid
+        yield slice(0, 1), Trajectory.of(state)
+        now = state.v, state.eta, state.eta_t
+        if extra is None:
+            constant = self._forcing_modes(data.f_v, data.g, data.f_eta)
+        for levels in level_chunks(grid, 1, grid.steps + 1):
+            count = levels.stop - levels.start
+            if extra is None:
+                forcing = [constant] * count
+            else:
+                f_v, g, f_eta = extra(levels)
+                forcing = zip(*self._forcing_modes(data.f_v + f_v, data.g + g, data.f_eta + f_eta))
+            v = np.empty((count,) + np.shape(state.v))
+            eta = np.empty((count,) + grid.tan_shape)
+            psi = np.empty((count,) + grid.tan_shape)
+            p_mid = []
+            for j, spectra in enumerate(forcing):
+                v[j], eta[j], psi[j], p = self._advance(*now, *spectra)
+                now = v[j], eta[j], psi[j]
+                p_mid.append(p)
+            p = self._pressure(np.stack(p_mid))
+            yield levels, Trajectory(v=v, p=p, eta=eta, eta_t=psi)
+
+    def run(self, state: State, data: ProblemData) -> Trajectory:
         """March constant-in-time data over the grid horizon.
 
-        Returns the trajectory including the initial state,
-        ``grid.steps + 1`` entries.
+        Returns the trajectory including a copy of the initial state,
+        ``grid.steps + 1`` levels.
         """
         data = data.materialize(self.grid)
-        out = [state.copy()]
-        for _ in range(self.grid.steps):
-            state = self.step(state, f_v=data.f_v, g=data.g, f_eta=data.f_eta)
-            out.append(state)
-        return out
+        return Trajectory.collect(self.march(state, data), self.grid.steps + 1)
 
 
 def staggered_divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
@@ -314,7 +356,7 @@ def staggered_divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
     staggered pair; the result is the residual field the pressure
     multiplier annihilates.
     """
-    spec = _bulk_spectrum(np.asarray(v, dtype=float), grid)
+    spec = np.fft.rfftn(np.asarray(v, dtype=float), axes=tuple(range(1, grid.n)))
     avg, dif = grid.mesh.staggered_pair()
     nodes = spec.reshape(-1, grid.M + 1).T
     cells = spec.shape[:-1] + (grid.M,)

@@ -273,6 +273,7 @@ class TestSimulate:
             assert res.exit_code == 0
             outputs.append(
                 (out / "steps.csv").read_bytes()
+                + (out / "fields.csv").read_bytes()
                 + (out / "summary.json").read_bytes()
             )
         assert outputs[0] == outputs[1]

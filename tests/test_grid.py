@@ -190,9 +190,9 @@ class TestTangentialOperators:
         grid = Grid(n=3, N=8, M=16, T=0.5, dt=0.25)
         shape = (2,) + grid.tan_shape + ((grid.M + 1,) if bulk else ())
         field = rng.normal(size=shape)
-        got = list(tangential_derivatives(field, grid, orders=range(1, 4)))
+        got = list(tangential_derivatives(field, grid, orders=range(1, 4), bulk=bulk))
         want = [
-            tangential_derivative(field, grid, d, order=order)
+            tangential_derivative(field, grid, d, order=order, bulk=bulk)
             for order in range(1, 4)
             for d in range(2)
         ]
@@ -227,9 +227,23 @@ class TestTangentialOperators:
         base = 2.0 * pi / grid2.L
         prof = np.exp(-grid2.mesh.nodes)
         bulk = np.sin(base * x)[:, np.newaxis] * prof[np.newaxis, :]
-        out = tangential_derivative(bulk, grid2)
+        out = tangential_derivative(bulk, grid2, bulk=True)
         expected = base * np.cos(base * x)[:, np.newaxis] * prof[np.newaxis, :]
         np.testing.assert_allclose(out, expected, atol=1e-12)
+
+    def test_plate_stack_is_differentiated_level_by_level(
+        self, rng: np.random.Generator
+    ) -> None:
+        # N = M + 1, so a stack of N plate levels has the shape of a bulk
+        # field; the stated layout, not the shape, picks the axes.
+        grid = Grid(n=2, N=32, M=31)
+        stack = rng.normal(size=(32, 32))
+        got = tangential_derivative(stack, grid)
+        for level, row in zip(stack, got):
+            np.testing.assert_array_equal(row, tangential_derivative(level, grid))
+        # read as one bulk field, the same array is differentiated along axis 0
+        bulk = tangential_derivative(stack, grid, bulk=True)
+        np.testing.assert_array_equal(bulk, tangential_derivative(stack.T, grid).T)
 
     def test_shape_mismatch_raises(self, grid2: Grid) -> None:
         with pytest.raises(ValueError, match="tangential grid"):

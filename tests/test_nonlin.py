@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from plate_fsi.timedomain.grid import Grid, State, tangential_derivative
+from plate_fsi.timedomain.grid import Grid, State, Trajectory, tangential_derivative
 from plate_fsi.timedomain.nonlin import (
     nonlinear_divergence,
     nonlinear_momentum,
     nonlinear_plate_load,
+    nonlinear_terms,
 )
 
 
@@ -72,7 +73,7 @@ class TestManufacturedValues:
             ]
         ).transpose(0, 2, 1).reshape(state.v.shape)
         expected = -state.v[0][np.newaxis] * tangential_derivative(
-            state.v, grid
+            state.v, grid, bulk=True
         ) - state.v[1][np.newaxis] * dn_v
         np.testing.assert_allclose(out, expected, atol=1e-12 * np.abs(expected).max())
         np.testing.assert_allclose(nonlinear_divergence(state, grid), 0.0, atol=1e-15)
@@ -119,3 +120,26 @@ class TestQuadraticHomogeneity:
             0.25 * nonlinear_plate_load(state, grid),
             atol=1e-14,
         )
+
+
+class TestBatchedLevels:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stack_equals_single_states(self, n: int, rng) -> None:
+        # The shared-spectrum evaluation of a stack of levels is, level by
+        # level, bit for bit the three single-state functions.
+        grid = Grid(n=n, N=8, M=20, T=0.5, dt=0.25)
+        tan, bulk = grid.tan_shape, grid.tan_shape + (grid.M + 1,)
+        stack = Trajectory(
+            v=rng.normal(size=(5, n) + bulk),
+            p=rng.normal(size=(5,) + bulk),
+            eta=rng.normal(size=(5,) + tan),
+            eta_t=rng.normal(size=(5,) + tan),
+        )
+        momentum, divergence, plate_load = nonlinear_terms(stack, grid)
+        assert momentum.shape == stack.v.shape
+        assert divergence.shape == stack.p.shape
+        assert plate_load.shape == stack.eta.shape
+        for k, state in enumerate(stack):
+            np.testing.assert_array_equal(momentum[k], nonlinear_momentum(state, grid))
+            np.testing.assert_array_equal(divergence[k], nonlinear_divergence(state, grid))
+            np.testing.assert_array_equal(plate_load[k], nonlinear_plate_load(state, grid))
