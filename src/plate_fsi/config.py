@@ -16,9 +16,6 @@ class Tolerances:
     residual_rel: float = 1e-8
     # Guard for near-vanishing response denominators.
     resonance_eps: float = 1e-10
-    # Switch to the confluent x*exp(-omega*x) closed form below this relative
-    # separation of the two decay exponents.
-    confluent_rel: float = 1e-8
     # Direct linear solver acceptance for the time stepper.
     solver_tol: float = 1e-10
     # Self-convergence requirement for contour inversion (node doubling).

@@ -16,13 +16,15 @@ single scalar equation for the plate displacement transform.  This module
 
 Each of these works on a batch of points at once: ``Freq.lam`` and
 ``Freq.z`` may be arrays, every result carries their broadcast shape, and
-each point keeps its own branch choice and residual verdict.  A single
-point is the zero-dimensional batch of the same code.
+each point keeps its own residual verdict.  A single point is the
+zero-dimensional batch of the same code.
 
 Every profile is a linear combination of ``exp(-z x)``, ``exp(-omega x)``
-and, in the confluent case ``omega = z``, ``x exp(-omega x)``; the module
-never evaluates the underlying kernel integrals by quadrature.  The closed
-forms are cross-checked against adaptive quadrature in the test suite.
+and their divided difference ``(exp(-z x) - exp(-omega x)) / (omega - z)``,
+one basis for every point, including ``omega = z`` where the divided
+difference is ``x exp(-z x)``; the module never evaluates the underlying
+kernel integrals by quadrature.  The closed forms are cross-checked against
+adaptive quadrature in the test suite.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .params import Freq, PlateParams
 from .symbols import decay_root, plate_symbol
 
 __all__ = [
-    "ConfluentExponents",
     "DegenerateTangentialFrequency",
     "FieldProfile",
     "NearResonance",
@@ -61,10 +62,6 @@ class NearResonance(ValueError):
 
 class DegenerateTangentialFrequency(UserWarning):
     """Issued at z = 0, where displacement and velocity traces vanish."""
-
-
-class ConfluentExponents(UserWarning):
-    """Issued when omega and z coincide to tolerance (confluent profiles)."""
 
 
 def response_denominator(params: PlateParams, lam, z):
@@ -149,7 +146,8 @@ class TraceSolution:
     that term); it is not the tangential velocity trace, which is
     ``v'(0) = 0``.  ``phi_n_hat`` is the normal velocity trace ``v_n(0)``.
     These satisfy ``i xi' . phi' = -z phi_n``; the divergence pairing
-    ``i xi' . a' = omega a_n`` holds on the profile's ``coef_w`` instead.
+    ``i xi' . a' = omega a_n - d_n`` holds on the profile's ``coef_w`` and
+    ``coef_d`` instead.
 
     The scalar traces have the batch shape of the points (scalars for a
     single point); ``phi_prime_hat`` carries the ``n - 1`` tangential
@@ -243,36 +241,54 @@ def reflection_kernel(omega: complex, x: float, s: float, sign: int) -> complex:
     )
 
 
+def _complex(re, im) -> np.ndarray:
+    """``re + 1j * im`` without complex arithmetic."""
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _exponentials(z, omega, delta, x):
+    """``exp(-z x)``, ``exp(-omega x)`` and ``D(x) = (exp(-z x) - exp(-omega x)) / delta``.
+
+    ``delta = omega - z`` comes from the caller in a form that does not
+    cancel.  With ``r = exp(-Re omega x)`` and ``theta = Im omega x`` the
+    numerator is ``[exp(-z x) - r] + 2 r sin^2(theta/2) + i r sin(theta)``,
+    its bracket the larger exponential times ``expm1(-|Re delta| x)``: no
+    subtraction cancels, no factor is unbounded when the other exponential
+    underflows, and the two trig calls give ``exp(-omega x)`` too.  Where
+    ``|delta| x`` is below the smallest normal float, ``D`` is its limit
+    ``x exp(-z x)``.
+    """
+    decay_z = np.exp(-z * x)
+    r = np.exp(-omega.real * x)
+    half_sin = np.sin(0.5 * omega.imag * x)
+    half_cos = np.cos(0.5 * omega.imag * x)
+    r_versine = 2.0 * r * half_sin * half_sin
+    r_sin = 2.0 * r * half_sin * half_cos
+    decay_w = _complex(r - r_versine, -r_sin)
+    lead = np.where(delta.real > 0, -decay_z, r)
+    d = _complex(lead * np.expm1(-np.abs(delta.real) * x) + r_versine, r_sin)
+    d /= np.where(delta == 0, 1.0, delta)
+    np.copyto(d, x * decay_z, where=np.abs(delta) * x < np.finfo(float).tiny)
+    return decay_z, decay_w, d
+
+
 def kernel_integral(omega: complex, z: float, x, sign: int):
     """Closed form of ``integral_0^inf reflection_kernel(w, x, s, sign) e^(-z s) ds``.
 
-    Generic case::
+    In the basis of :class:`FieldProfile`, for every ``omega`` and ``z``::
 
-        sign=+1:  (omega e^(-z x) - z e^(-omega x)) / (omega (omega^2 - z^2))
-        sign=-1:  (e^(-z x) - e^(-omega x)) / (omega^2 - z^2)
-
-    Confluent case (``|omega - z|`` below tolerance)::
-
-        sign=+1:  e^(-omega x) (1 + omega x) / (2 omega^2)
-        sign=-1:  x e^(-omega x) / (2 omega)
+        sign=+1:  (e^(-omega x) + omega D(x)) / (omega (omega + z))
+        sign=-1:  D(x) / (omega + z)
 
     Broadcasts over ``x``.
     """
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +-1, got {sign}")
     x = np.asarray(x, dtype=float)
-    if abs(omega - z) < TOL.confluent_rel * abs(omega):
-        decay = np.exp(-omega * x)
-        if sign == 1:
-            out = decay * (1.0 + omega * x) / (2.0 * omega * omega)
-        else:
-            out = x * decay / (2.0 * omega)
-        return out[()] if out.ndim == 0 else out
-    lam = omega * omega - z * z
-    if sign == 1:
-        out = (omega * np.exp(-z * x) - z * np.exp(-omega * x)) / (omega * lam)
-    else:
-        out = (np.exp(-z * x) - np.exp(-omega * x)) / lam
+    _, decay_w, d = _exponentials(z, omega, omega - z, x)
+    out = (d if sign == -1 else (decay_w + omega * d) / omega) / (omega + z)
     return out[()] if out.ndim == 0 else out
 
 
@@ -282,27 +298,31 @@ class FieldProfile:
 
     Rows ``0..n-2`` of the coefficient arrays are the tangential velocity
     components, row ``n-1`` is the normal velocity and row ``n`` is the
-    pressure; the remaining axes are the batch shape of ``z``, ``omega``
-    and ``confluent``.  Each component is
+    pressure; the remaining axes are the batch shape of ``lam``, ``z`` and
+    ``omega``.  Each component is
 
-        ``coef_z * exp(-z x) + (coef_w + coef_xw * x) * exp(-omega x)``.
+        ``coef_z * exp(-z x) + coef_w * exp(-omega x) + coef_d * D(x)``
 
-    Both exponents have nonnegative real part, so every profile decays (or,
-    at z = 0, stays bounded) as ``x -> inf``.
+    with the divided difference ``D = (exp(-z x) - exp(-omega x)) /
+    (omega - z)``, ``x exp(-z x)`` at ``omega = z``; ``omega - z`` is taken
+    as ``lam / (omega + z)``, which does not cancel.  ``D' = -z D +
+    exp(-omega x)`` keeps the basis closed under differentiation.  Both
+    exponents have nonnegative real part, so every profile decays (or, at
+    z = 0, stays bounded) as ``x -> inf``.
     """
 
+    lam: complex | np.ndarray
     z: float | np.ndarray
     omega: complex | np.ndarray
-    confluent: bool | np.ndarray
     coef_z: np.ndarray
     coef_w: np.ndarray
-    coef_xw: np.ndarray
+    coef_d: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("coef_z", "coef_w", "coef_xw"):
+        for name in ("coef_z", "coef_w", "coef_d"):
             arr = np.asarray(getattr(self, name), dtype=complex)
             object.__setattr__(self, name, arr)
-        if not self.coef_z.shape == self.coef_w.shape == self.coef_xw.shape:
+        if not self.coef_z.shape == self.coef_w.shape == self.coef_d.shape:
             raise ValueError("coefficient arrays must share a shape")
         if np.any(np.asarray(self.z) < 0):
             raise ValueError(f"z must be nonnegative, got {np.min(self.z)}")
@@ -317,11 +337,14 @@ class FieldProfile:
         """Evaluate all components; shape ``(n+1,) + batch shape + shape(x)``."""
         x = np.asarray(x, dtype=float)
         grid = (Ellipsis,) + (np.newaxis,) * x.ndim
-        decay_z = np.exp(-np.asarray(self.z)[grid] * x)
-        decay_w = np.exp(-np.asarray(self.omega)[grid] * x)
+        z = np.asarray(self.z)[grid]
+        omega = np.asarray(self.omega, dtype=complex)[grid]
+        delta = np.asarray(self.lam, dtype=complex)[grid] / (omega + z)
+        decay_z, decay_w, d = _exponentials(z, omega, delta, x)
         return (
             self.coef_z[grid] * decay_z
-            + (self.coef_w[grid] + self.coef_xw[grid] * x) * decay_w
+            + self.coef_w[grid] * decay_w
+            + self.coef_d[grid] * d
         )
 
     def velocity(self, x) -> np.ndarray:
@@ -333,12 +356,12 @@ class FieldProfile:
     def derivative(self) -> "FieldProfile":
         """Profile of the x-derivative (closed form, same basis)."""
         return FieldProfile(
+            lam=self.lam,
             z=self.z,
             omega=self.omega,
-            confluent=self.confluent,
             coef_z=-self.z * self.coef_z,
-            coef_w=-self.omega * self.coef_w + self.coef_xw,
-            coef_xw=-self.omega * self.coef_xw,
+            coef_w=-self.omega * self.coef_w + self.coef_d,
+            coef_d=-self.z * self.coef_d,
         )
 
     @property
@@ -347,7 +370,7 @@ class FieldProfile:
         return (
             ~self.coef_z.any(axis=0)
             & ~self.coef_w.any(axis=0)
-            & ~self.coef_xw.any(axis=0)
+            & ~self.coef_d.any(axis=0)
         )[()]
 
 
@@ -357,67 +380,44 @@ def build_profile(
     """Assemble the closed-form profiles matching the given traces.
 
     The tangential components ride on the even-reflection kernel integral,
-    the normal component on the odd one; both are expanded into the
-    ``exp(-z x)`` / ``exp(-omega x)`` basis here, with the dedicated
-    ``x exp(-omega x)`` branch at points whose exponents are confluent
-    (one :class:`ConfluentExponents` warning is issued per call when any
-    point is).  Points with zero traces get the zero profile.
+    the normal component on the odd one.  In the ``exp(-z x)``,
+    ``exp(-omega x)``, ``D(x)`` basis of :class:`FieldProfile` each row is
+    one expression, valid at every point, with ``f = -i xi' p0``:
 
-    The resulting evaluation satisfies ``v'(0) = 0`` and
-    ``v_n(0) = phi_n_hat`` by construction.  Broadcasts over the points.
+    * tangential: ``coef_w = phi' + f / (omega (omega + z))``,
+      ``coef_d = f / (omega + z)``;
+    * normal: ``coef_w = phi_n``, ``coef_d = z p0 / (omega + z)``;
+    * pressure: ``coef_z = p0``.
+
+    Points with zero traces get the zero profile.  The resulting evaluation
+    satisfies ``v'(0) = 0`` and ``v_n(0) = phi_n_hat`` by construction.
+    Raises :class:`NearResonance` at ``omega = 0``, where no decaying
+    profile exists.  Broadcasts over the points.
     """
     lam, z = _points(freq)
     n = traces.phi_prime_hat.shape[0] + 1
     xi = freq.direction(n)
     w = decay_root(lam, z)
-    zero = traces.is_zero
-    if np.any((w == 0) & ~zero):
-        lam_i, z_i = _first((w == 0) & ~zero, lam, z)
+    if np.any(w == 0):
+        lam_i, z_i = _first(w == 0, lam, z)
         raise NearResonance(
-            "omega = 0: no decaying profile exists for nonzero traces "
-            f"(lam={lam_i}, z={z_i})"
+            f"omega = 0: no decaying profile exists (lam={lam_i}, z={z_i})"
         )
-
-    confluent = (np.abs(w - z) < TOL.confluent_rel * np.abs(w)) & ~zero
-    if np.any(confluent):
-        w_i, z_i = _first(confluent, w, z)
-        warnings.warn(
-            f"omega = {w_i} and z = {z_i} are confluent to tolerance; using "
-            f"the x exp(-omega x) profile branch at {np.count_nonzero(confluent)} "
-            "point(s)",
-            ConfluentExponents,
-            stacklevel=2,
-        )
-    p0 = traces.p0_hat
+    p0 = np.broadcast_to(traces.p0_hat, lam.shape)
     forcing = -1j * xi * p0
-    # Each point takes one branch; the other, evaluated alongside, may
-    # divide by zero there and is discarded.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # Generic case: lam = (w - z)(w + z) is safely away from zero.
-        generic_z = np.concatenate([forcing / lam, [z * p0 / lam]])
-        generic_w = np.concatenate([
-            traces.phi_prime_hat - forcing * z / (w * lam),
-            [traces.phi_n_hat - z * p0 / lam],
-        ])
-        confluent_w = np.concatenate([
-            traces.phi_prime_hat + forcing / (2.0 * w * w),
-            [np.broadcast_to(traces.phi_n_hat, lam.shape)],
-        ])
-        confluent_xw = np.concatenate([forcing / (2.0 * w), [z * p0 / (2.0 * w)]])
+    no_velocity = np.zeros((n,) + lam.shape, dtype=complex)
     no_pressure = np.zeros((1,) + lam.shape, dtype=complex)
     return FieldProfile(
+        lam=lam[()],
         z=z[()],
         omega=w,
-        confluent=confluent[()],
-        coef_z=np.concatenate([
-            np.where(confluent | zero, 0j, generic_z),
-            [np.broadcast_to(p0, lam.shape)],
-        ]),
+        coef_z=np.concatenate([no_velocity, [p0]]),
         coef_w=np.concatenate([
-            np.where(zero, 0j, np.where(confluent, confluent_w, generic_w)),
+            traces.phi_prime_hat + forcing / (w * (w + z)),
+            [np.broadcast_to(traces.phi_n_hat, lam.shape)],
             no_pressure,
         ]),
-        coef_xw=np.concatenate([np.where(confluent, confluent_xw, 0j), no_pressure]),
+        coef_d=np.concatenate([forcing / (w + z), [z * p0 / (w + z)], no_pressure]),
     )
 
 
@@ -507,12 +507,12 @@ def residual_report(
     d1 = profile.derivative()
     d2 = d1.derivative()
     stacked = FieldProfile(
+        lam=profile.lam,
         z=profile.z,
         omega=profile.omega,
-        confluent=profile.confluent,
         **{
             name: np.stack([getattr(p, name) for p in (profile, d1, d2)], axis=1)
-            for name in ("coef_z", "coef_w", "coef_xw")
+            for name in ("coef_z", "coef_w", "coef_d")
         },
     )
     all_vals = stacked.components(_LOG_GRID)
@@ -538,13 +538,9 @@ def residual_report(
 
     no_slip = np.abs(at0[: n - 1]).max(axis=0, initial=0.0)
     # Term-magnitude scale via the two competing boundary contributions:
-    # the trace coefficient and the pressure-driven kernel part.  Summing
-    # the final coefficients instead would collapse to the residual itself
-    # in the confluent branch, where coef_z vanishes.
-    denom = profile.omega * (profile.omega + z)
-    fluid_part = np.where(
-        denom == 0, 0j, -1j * xi * profile.coef_z[n] / np.where(denom == 0, 1.0, denom)
-    )
+    # the trace coefficient and the pressure-driven kernel part.  The final
+    # coefficient is their cancelled sum, the residual itself.
+    fluid_part = -1j * xi * profile.coef_z[n] / (profile.omega * (profile.omega + z))
     no_slip_scale = (
         np.abs(at0[: n - 1] - fluid_part) + np.abs(fluid_part)
     ).max(axis=0, initial=0.0)
@@ -556,12 +552,11 @@ def residual_report(
 
     normal_gradient = np.abs(d_at0[n - 1])
     # Scale from the underlying term magnitudes, not the already-cancelled
-    # derivative coefficients (in the confluent branch those collapse to the
-    # residual itself and would make the row unpassable).
+    # derivative coefficients, which are the residual itself.
     normal_gradient_scale = (
         np.abs(z * profile.coef_z[n - 1])
         + np.abs(profile.omega * profile.coef_w[n - 1])
-        + np.abs(profile.coef_xw[n - 1])
+        + np.abs(profile.coef_d[n - 1])
     )
 
     balance = np.abs(at0[n] + m_val * eta + f_eta_hat)

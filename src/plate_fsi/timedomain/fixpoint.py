@@ -178,6 +178,8 @@ def fixed_point_solve(
     returns a non-converged result only if ``max_iter`` is hit while the
     ratios still look contractive.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     data = data.materialize(grid)
     threshold = exponent_thresholds(grid.n).quadratic
     if data.p_exponent < float(threshold):

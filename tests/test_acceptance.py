@@ -6,8 +6,9 @@ with the measured margin, and then asserts.  Run with ``pytest -s
 tests/test_acceptance.py`` to see the verdict lines.
 
 ``test_criterion_06a_divergence_pairing_trace`` checks the divergence
-pairing ``i xi' . a' = omega a_n`` on the ``exp(-omega x)`` coefficients of
-the profile, where it is a theorem, and pins the trace-level defect
+pairing ``i xi' . a' = omega a_n - d_n``, ``i xi' . d' = z d_n`` on the
+``exp(-omega x)`` and divided-difference coefficients ``a``, ``d`` of the
+profile, where it is a theorem, and pins the trace-level defect
 ``i xi' . phi' - omega phi_n = -z p0 / omega``.  The stated form
 ``i xi' . phi' = omega phi_n`` fails on the raw traces because ``phi'`` is
 the ``exp(-omega x)`` coefficient before the pressure-kernel term is
@@ -255,36 +256,42 @@ def test_criterion_05_solution_operator_residuals() -> None:
 
 
 def test_criterion_06a_divergence_pairing_trace() -> None:
-    """Divergence pairing on the ``exp(-omega x)`` part, and the trace-level
+    """Divergence pairing on the profile coefficients, and the trace-level
     defect it implies, to 1e-12 relative on every sampled mode.
 
-    The ``exp(-z x)`` part of a profile is divergence-free by itself, so
-    ``div v = 0`` is exactly ``i xi' . a' = omega a_n`` on the
-    ``exp(-omega x)`` coefficients ``a = profile.coef_w``.  The stated form
-    ``i xi' . phi' = omega phi_n`` does not hold on the raw traces:
-    ``phi'`` is the ``exp(-omega x)`` coefficient before the pressure-kernel
-    term is absorbed and ``phi_n = v_n(0)``, and substituting the kernel
-    terms gives ``i xi' . phi' - omega phi_n = -z p0 / omega``, nonzero for
-    every mode with pressure.  This test checks the identity on ``coef_w``
-    and pins that trace-level defect exactly.  Every draw must be
-    non-confluent: with ``omega = z`` the identity picks up ``coef_xw``
-    (``i xi' . a' = omega a_n - b_n``) and would be a different check.
+    A velocity profile is ``a exp(-omega x) + d D(x)`` with ``a =
+    profile.coef_w``, ``d = profile.coef_d`` and ``D' = -z D +
+    exp(-omega x)`` (its ``exp(-z x)`` coefficient vanishes).  So
+    ``div v = 0`` is exactly the pair ``i xi' . a' = omega a_n - d_n`` and
+    ``i xi' . d' = z d_n``, which hold at every point, ``omega = z``
+    included.  The stated form ``i xi' . phi' = omega phi_n`` does not hold
+    on the raw traces: ``phi'`` is the ``exp(-omega x)`` coefficient before
+    the pressure-kernel term is absorbed and ``phi_n = v_n(0)``, and
+    substituting the kernel terms gives ``i xi' . phi' - omega phi_n = -z p0
+    / omega``, nonzero for every mode with pressure.  This test checks the
+    pair on the coefficients and pins that trace-level defect exactly.
     """
     worst_coef = 0.0
+    worst_d = 0.0
     worst_trace = 0.0
     for params, freq, f_hat in _acceptance_draws(100):
         traces = solve_traces(params, freq, f_hat, n=3)
         profile = build_profile(params, freq, traces)
-        assert not profile.confluent
         w = profile.omega
         xi = freq.direction(3)
         a_tan, a_n = profile.coef_w[:2], profile.coef_w[2]
+        d_tan, d_n = profile.coef_d[:2], profile.coef_d[2]
         coef_pairing = sum(1j * x * c for x, c in zip(xi, a_tan))
-        coef_target = w * a_n
         worst_coef = max(
             worst_coef,
-            abs(coef_pairing - coef_target)
-            / (abs(coef_pairing) + abs(coef_target) + 1e-300),
+            abs(coef_pairing - w * a_n + d_n)
+            / (abs(coef_pairing) + abs(w * a_n) + abs(d_n) + 1e-300),
+        )
+        d_pairing = sum(1j * x * c for x, c in zip(xi, d_tan))
+        worst_d = max(
+            worst_d,
+            abs(d_pairing - freq.z * d_n)
+            / (abs(d_pairing) + abs(freq.z * d_n) + 1e-300),
         )
         pairing = sum(1j * x * c for x, c in zip(xi, traces.phi_prime_hat))
         target = w * traces.phi_n_hat
@@ -294,11 +301,12 @@ def test_criterion_06a_divergence_pairing_trace() -> None:
             abs(pairing - target - defect)
             / (abs(pairing) + abs(target) + abs(defect) + 1e-300),
         )
-    ok = worst_coef <= 1e-12 and worst_trace <= 1e-12
+    ok = worst_coef <= 1e-12 and worst_d <= 1e-12 and worst_trace <= 1e-12
     assert _report(
-        "06a", "divergence-pairing (exp(-omega x) part)",
+        "06a", "divergence-pairing (profile coefficients)",
         ok,
-        f"max |i xi . a' - omega a_n| / scale = {worst_coef:.2e} on coef_w, "
+        f"max |i xi . a' - omega a_n + d_n| / scale = {worst_coef:.2e}, "
+        f"max |i xi . d' - z d_n| / scale = {worst_d:.2e}, "
         f"max |i xi . phi' - omega phi_n + z p0 / omega| / scale = "
         f"{worst_trace:.2e} on the traces (tol 1e-12)",
     )

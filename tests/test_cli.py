@@ -173,6 +173,14 @@ class TestSolveLinear:
         assert res.exit_code == 1
         assert "config error: response denominator" in res.output
 
+    def test_near_confluent_point_passes(self, runner: CliRunner) -> None:
+        # omega - z = 9.5e-9: the decay exponents nearly coincide.
+        res = runner.invoke(
+            main, ["solve-linear", "--lambda", "1.9e-8+0j", "--z", "1", "--json"]
+        )
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.stdout)["pass"] is True
+
     def test_corrupted_pressure_trace_exits_3(self, runner: CliRunner) -> None:
         res = runner.invoke(main, ["solve-linear", "--corrupt-p0", "--grid", "2x2"])
         assert res.exit_code == 3
@@ -298,6 +306,17 @@ class TestSimulate:
         )
         assert res.exit_code == 1
         assert "config error" in res.output
+
+    def test_no_iterations_is_config_error(
+        self, runner: CliRunner, tmp_path: Path
+    ) -> None:
+        res = runner.invoke(
+            main,
+            ["simulate", *REDUCED, "--set", "max_iter=0", "--out", str(tmp_path / "out")],
+        )
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 1
+        assert "config error: max_iter" in res.output
 
     def test_check_mode(self, runner: CliRunner) -> None:
         res = runner.invoke(main, ["simulate", *REDUCED, "--check"])

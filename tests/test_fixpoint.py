@@ -55,6 +55,10 @@ class TestGating:
         with pytest.raises(ValueError, match="threshold"):
             fixed_point_solve(UNIT, grid3, ProblemData(p_exponent=1.5))
 
+    def test_rejects_no_iterations(self, grid: Grid) -> None:
+        with pytest.raises(ValueError, match="max_iter"):
+            fixed_point_solve(UNIT, grid, ProblemData(), max_iter=0)
+
 
 class TestZeroData:
     def test_zero_data_is_a_fixed_point(self, grid: Grid) -> None:

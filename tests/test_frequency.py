@@ -13,9 +13,9 @@ from scipy.integrate import quad
 
 from plate_fsi.params import Freq, PlateParams
 from plate_fsi.frequency import (
-    ConfluentExponents,
     DegenerateTangentialFrequency,
     NearResonance,
+    TraceSolution,
     build_profile,
     kernel_integral,
     reflection_kernel,
@@ -145,7 +145,14 @@ class TestKernelIntegral:
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize(
         ("omega", "z"),
-        [(1.5 + 0.0j, 0.7), (0.9 + 1.1j, 2.0), (2.0 + 0.4j, 0.05)],
+        [
+            (1.5 + 0.0j, 0.7),
+            (0.9 + 1.1j, 2.0),
+            (2.0 + 0.4j, 0.05),
+            # Equal and nearly equal exponents share the one closed form.
+            pytest.param(1.3 + 0.0j, 1.3, id="equal"),
+            pytest.param(1.3 * (1.0 + 1e-9) + 0.0j, 1.3, id="near-equal"),
+        ],
     )
     def test_matches_quadrature(self, omega: complex, z: float, sign: int) -> None:
         for x in (0.0, 0.3, 2.5):
@@ -156,20 +163,6 @@ class TestKernelIntegral:
                 kink=x,
             )
             assert kernel_integral(omega, z, x, sign) == pytest.approx(
-                oracle, rel=1e-9, abs=1e-12
-            )
-
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_confluent_branch_matches_quadrature(self, sign: int) -> None:
-        omega = 1.3 + 0.0j
-        for x in (0.0, 0.4, 1.9):
-            oracle = _quad_complex(
-                lambda s: reflection_kernel(omega, x, s, sign) * np.exp(-1.3 * s),
-                0.0,
-                60.0,
-                kink=x,
-            )
-            assert kernel_integral(omega, 1.3, x, sign) == pytest.approx(
                 oracle, rel=1e-9, abs=1e-12
             )
 
@@ -250,13 +243,14 @@ class TestBuildProfile:
             assert uniqueness_probe(UNIT, Freq(lam=1.0, z=0.0))
 
     def test_confluent_profile_branch(self) -> None:
-        # lam ~ 1e-9 puts omega within the confluence tolerance of z.
+        # lam = 1e-9 puts omega within 5e-10 of z; the profile takes the
+        # same basis as everywhere else, without a warning.
         freq = Freq(lam=1e-9, z=1.0)
         traces = solve_traces(UNIT, freq, 1.0)
-        with pytest.warns(ConfluentExponents):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             profile = build_profile(UNIT, freq, traces)
-        assert profile.confluent
-        report = residual_report(UNIT, freq, profile, 1.0)
+            report = residual_report(UNIT, freq, profile, 1.0)
         assert report.passed, report.max_normalized
 
     def test_derivative_profile_differentiates(self, rng) -> None:
@@ -318,6 +312,42 @@ class TestResidualReport:
         assert ResidualRow("x", 1.0, 0.0).normalized() == np.inf
 
 
+class TestNearlyEqualExponents:
+    """Points where omega - z is small against omega, or Re omega << z."""
+
+    @pytest.mark.parametrize("z", [0.2, 1.0, 5.0, 400.0])
+    def test_near_confluent_grid_passes(self, z: float) -> None:
+        ratio = np.geomspace(1e-9, 1e-5, 150)
+        lam = (ratio[:, None] * z * z * np.exp(1j * np.array([0.0, 0.6, 1.2]))).ravel()
+        freq = Freq(lam=lam, z=np.full(lam.shape, z))
+        traces = solve_traces(UNIT, freq, 1.0)
+        report = residual_report(UNIT, freq, build_profile(UNIT, freq, traces), 1.0)
+        worst = int(np.argmax(report.max_normalized))
+        assert report.passed.all(), (lam[worst], report.max_normalized[worst])
+        assert report.max_normalized.max() <= 1e-13
+
+    @pytest.mark.parametrize(
+        ("lam", "z"), [(0.0, 1.0), (1e-12, 1.0), (-3599.0 + 10.0j, 60.0), (-9996.0 + 40.0j, 100.0)]
+    )
+    def test_exact_confluence_and_small_re_omega(self, lam: complex, z: float) -> None:
+        # lam = 0 gives omega = z exactly; the last two have Re omega ~ 2,
+        # so exp(-z x) underflows on the grid while exp(-omega x) does not.
+        freq = Freq(lam=lam, z=z)
+        traces = solve_traces(UNIT, freq, 1.0)
+        report = residual_report(UNIT, freq, build_profile(UNIT, freq, traces), 1.0)
+        assert np.isfinite(report.max_normalized)
+        assert report.passed
+        assert report.max_normalized <= 1e-13
+
+    def test_omega_zero_has_no_profile(self) -> None:
+        # lam = -z^2: omega = 0, so no decaying profile exists, not even
+        # for zero traces.
+        freq = Freq(lam=-1.0, z=1.0)
+        traces = TraceSolution(eta_hat=0j, p0_hat=0j, phi_prime_hat=[0j], phi_n_hat=0j)
+        with pytest.raises(NearResonance, match="omega = 0"):
+            build_profile(UNIT, freq, traces)
+
+
 class TestFreqValidation:
     def test_negative_modulus_rejected(self) -> None:
         with pytest.raises(ValueError, match="z"):
@@ -330,7 +360,7 @@ class TestFreqValidation:
 
 
 def _batch_points(rng, n: int, count: int = 12) -> tuple[Freq, np.ndarray]:
-    """Random admissible points with covectors, plus z = 0 and a confluent point."""
+    """Random admissible points with covectors, plus z = 0 and omega ~ z."""
     modulus = 10.0 ** rng.uniform(-2.0, 2.0, count)
     arg = rng.uniform(-0.45 * np.pi, 0.45 * np.pi, count)
     lam = modulus * np.exp(1j * arg)
@@ -365,13 +395,10 @@ class TestBatchedPoints:
             traces = solve_traces(params, freq, f_hat)
             profile = build_profile(params, freq, traces)
         # One warning per call, however many points trigger it.
-        kinds = [w.category for w in caught]
-        assert kinds.count(DegenerateTangentialFrequency) == 1
-        assert kinds.count(ConfluentExponents) == 1
+        assert [w.category for w in caught] == [DegenerateTangentialFrequency]
         report = residual_report(params, freq, profile, f_hat)
         assert traces.phi_prime_hat.shape == (n - 1,) + freq.shape
         assert profile.coef_w.shape == (n + 1,) + freq.shape
-        assert profile.confluent.tolist() == [False, True] + [False] * (freq.shape[0] - 2)
 
         for i in range(freq.shape[0]):
             point = Freq(
@@ -387,19 +414,15 @@ class TestBatchedPoints:
             for name in ("eta_hat", "p0_hat", "phi_n_hat"):
                 _assert_close(getattr(traces, name)[i], getattr(one, name))
             _assert_close(traces.phi_prime_hat[:, i], one.phi_prime_hat)
-            for name in ("coef_z", "coef_w", "coef_xw"):
+            for name in ("coef_z", "coef_w", "coef_d"):
                 _assert_close(getattr(profile, name)[:, i], getattr(one_profile, name))
-            assert profile.confluent[i] == one_profile.confluent
             # Residual rows are sups of grid values that cancel, so last-bit
-            # differences of the coefficients reach them amplified: by up to
-            # ~1e2 on these draws, and by |omega| / |omega - z| from the
-            # generic exp(-z x) / exp(-omega x) split near confluence.
-            w, z = one_profile.omega, point.z
-            split = 1.0 if one_profile.confluent else max(1.0, abs(w) / abs(w - z))
+            # differences of the coefficients reach them amplified, by up to
+            # ~1e2 on these draws.
             for row, one_row in zip(report.rows, one_report.rows):
                 assert row.name == one_row.name
                 # Residuals are rounding noise; compare them on their scale.
-                tol = 1e-12 * split * one_row.scale
+                tol = 1e-12 * one_row.scale
                 assert abs(row.scale[i] - one_row.scale) <= tol
                 assert abs(row.value[i] - one_row.value) <= tol
                 assert row.passed(report.rel_tol)[i] == one_row.passed(report.rel_tol)
@@ -437,4 +460,3 @@ class TestBatchedPoints:
             traces = solve_traces(UNIT, freq, 0j)
         profile = build_profile(UNIT, freq, traces)
         assert traces.is_zero.all() and profile.is_zero.all()
-        assert not profile.confluent.any()
