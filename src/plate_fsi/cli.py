@@ -435,18 +435,23 @@ def _write_fields_csv(path: Path, grid: Grid, state: State) -> None:
     tan_names = ["x1"] if grid.n == 2 else ["x1", "x2"]
     v_names = [f"v{i + 1}" for i in range(grid.n)]
     names = tan_names + ["xn"] + v_names + ["p", "eta", "eta_t"]
-    # one row per (tangential point, node), nodes fastest
-    bulk = grid.tan_shape + (grid.M + 1,)
-    columns = (
-        [np.broadcast_to(x[..., np.newaxis], bulk) for x in grid.tangential_coordinates()]
-        + [np.broadcast_to(grid.mesh.nodes, bulk)]
-        + list(state.v)
-        + [state.p]
-        + [np.broadcast_to(f[..., np.newaxis], bulk) for f in (state.eta, state.eta_t)]
-    )
-    row = ",".join(["%.12g"] * len(names))
+    # One row per (tangential point, node), nodes fastest.  Each tangential
+    # point, node and (eta, eta_t) pair is formatted once; per row only the
+    # bulk columns are.
+    coords = zip(*(x.ravel().tolist() for x in grid.tangential_coordinates()))
+    leads = [("%.12g," * (grid.n - 1)) % point for point in coords]
+    nodes = ["%.12g," % x for x in grid.mesh.nodes.tolist()]
+    plate = zip(state.eta.ravel().tolist(), state.eta_t.ravel().tolist())
+    tails = [",%.12g,%.12g" % pair for pair in plate]
+    bulk = ",".join(["%.12g"] * (grid.n + 1))
+    columns = (f.ravel().tolist() for f in (*state.v, state.p))
+    rows = iter([bulk % values for values in zip(*columns)])
     lines = ["# schema=1", ",".join(names)]
-    lines += [row % values for values in zip(*(c.ravel().tolist() for c in columns))]
+    lines += [
+        lead + node + next(rows) + tail
+        for lead, tail in zip(leads, tails)
+        for node in nodes
+    ]
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -97,6 +97,18 @@ def _first(mask: np.ndarray, *arrays) -> tuple:
     return tuple(np.broadcast_to(a, np.shape(mask)).flat[i] for a in arrays)
 
 
+def _require_decay(lam: np.ndarray, z: np.ndarray, w: np.ndarray) -> None:
+    """Raise :class:`NearResonance` at the first point with ``omega = 0``.
+
+    There ``lam = -z^2`` and no decaying profile exists.
+    """
+    if np.any(w == 0):
+        lam_i, z_i = _first(w == 0, lam, z)
+        raise NearResonance(
+            f"omega = 0: no decaying profile exists (lam={lam_i}, z={z_i})"
+        )
+
+
 def _reduced_denominator(
     params: PlateParams, lam: np.ndarray, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -191,7 +203,8 @@ def solve_traces(
     with that term, ``v'(0) = 0``.  At z = 0 the displacement and velocity
     traces vanish while the pressure trace tends to ``-f_eta_hat``; one
     :class:`DegenerateTangentialFrequency` warning is issued per call when
-    any point has z = 0.
+    any point has z = 0.  Raises :class:`NearResonance` at ``omega = 0``,
+    where the tangential coefficients would divide zero by zero.
 
     ``n`` is the spatial dimension (the tangential covector has ``n - 1``
     components); it defaults to the dimension implied by ``freq.xi_prime``,
@@ -209,6 +222,7 @@ def solve_traces(
     xi = freq.direction(n)
 
     d1, w, _, _ = _reduced_denominator(params, lam, z)
+    _require_decay(lam, z, w)
     eta = -z * f_eta_hat / d1
     p0 = -lam * w * (w + z) * f_eta_hat / d1
     degenerate = z == 0.0
@@ -398,11 +412,7 @@ def build_profile(
     n = traces.phi_prime_hat.shape[0] + 1
     xi = freq.direction(n)
     w = decay_root(lam, z)
-    if np.any(w == 0):
-        lam_i, z_i = _first(w == 0, lam, z)
-        raise NearResonance(
-            f"omega = 0: no decaying profile exists (lam={lam_i}, z={z_i})"
-        )
+    _require_decay(lam, z, w)
     p0 = np.broadcast_to(traces.p0_hat, lam.shape)
     forcing = -1j * xi * p0
     no_velocity = np.zeros((n,) + lam.shape, dtype=complex)

@@ -6,7 +6,8 @@ stepper over the whole time horizon with the quadratic correction terms
 frozen from the previous iterate.  For small data the map contracts and
 the successive-difference norms decay geometrically; the decay ratios
 are reported, and three consecutive ratios near or above one abort with
-:class:`NoContraction`.
+:class:`NoContraction`, as does an iterate that leaves the finite range
+(without floating-point warnings on the way).
 
 Iterates are compared in a discrete surrogate of the solution norm: the
 sup of the fields together with sups of first derivatives of the
@@ -16,11 +17,14 @@ norms the contraction argument actually uses while staying cheap to
 evaluate on grid functions.
 
 Iterates are :class:`Trajectory` records, arrays with a leading time
-axis.  A sweep runs in chunks of levels (:func:`level_chunks`): the frozen
-quadratic terms of a chunk are evaluated in one call and its forcing
-transformed once, and the surrogate norms of a chunk's levels are taken
-together.  The final probe sweep is compared chunk by chunk and never
-stored.
+axis.  Each sweep after the first, linear one freezes the previous
+iterate and runs in chunks of levels (:func:`level_chunks`): a source
+chunk is differentiated once, and those derivatives give both its
+surrogate norms and its quadratic terms; the forcing of the chunk is
+transformed once, and each new chunk is compared with its source as the
+march yields it.  So the sweep from iterate ``k`` is iterate ``k + 1``
+and, when ``k`` has converged or is the last allowed, its probe: the
+per-level gaps are the step residuals.
 """
 
 from __future__ import annotations
@@ -32,16 +36,8 @@ import numpy as np
 
 from ..indices import exponent_thresholds
 from ..params import PlateParams
-from .grid import (
-    Grid,
-    ProblemData,
-    State,
-    Trajectory,
-    level_chunks,
-    tangential_derivatives,
-    vertical_derivative,
-)
-from .nonlin import nonlinear_terms
+from .grid import Grid, ProblemData, State, Trajectory
+from .nonlin import Derivatives, derivatives, nonlinear_terms
 from .stepper import LinearStepper
 
 __all__ = [
@@ -84,24 +80,28 @@ class FixedPointResult:
     step_residuals: list[float] = field(default_factory=list)
 
 
-def surrogate_norms(traj: Trajectory, grid: Grid) -> np.ndarray:
+def surrogate_norms(
+    traj: Trajectory, grid: Grid, derivs: Derivatives | None = None
+) -> np.ndarray:
     """Discrete stand-in for the solution norm of each level of ``traj``.
 
-    Every level is summed in the order of :func:`state_surrogate_norm`,
-    so each entry equals the single-state norm bit for bit.
+    ``derivs``, the :func:`derivatives` of ``traj``, are taken here
+    (without the Laplacian) when not given.  Every level is summed in the
+    order of :func:`state_surrogate_norm`, so each entry equals the
+    single-state norm bit for bit.
     """
+    if derivs is None:
+        derivs = derivatives(traj, grid, laplacian=False)
 
     def sup(field: np.ndarray) -> np.ndarray:
         return np.abs(field).max(axis=tuple(range(1, field.ndim)))
 
     total = sup(traj.v) + sup(traj.p)
-    for deriv in tangential_derivatives(traj.v, grid, orders=(1,), bulk=True):
+    for deriv in derivs.grad_v:
         total += sup(deriv)
-    total += sup(vertical_derivative(traj.v, grid.mesh))
+    total += sup(derivs.dn_v)
     total += sup(traj.eta) + sup(traj.eta_t)
-    for deriv in tangential_derivatives(traj.eta, grid, orders=range(1, 5)):
-        total += sup(deriv)
-    for deriv in tangential_derivatives(traj.eta_t, grid, orders=range(1, 3)):
+    for deriv in derivs.eta + derivs.eta_t:
         total += sup(deriv)
     return total
 
@@ -120,44 +120,40 @@ def _difference(a: Trajectory, b: Trajectory) -> Trajectory:
     return Trajectory(*(fa - fb for fa, fb in zip(a.fields(), b.fields())))
 
 
-def _trajectory_distance(a: Trajectory, b: Trajectory, grid: Grid) -> float:
-    return max(
-        norm
-        for levels in level_chunks(grid, 0, len(a))
-        for norm in surrogate_norms(_difference(a[levels], b[levels]), grid).tolist()
-    )
-
-
-def _trajectory_norm(traj: Trajectory, grid: Grid) -> float:
-    return max(
-        norm
-        for levels in level_chunks(grid, 0, len(traj))
-        for norm in surrogate_norms(traj[levels], grid).tolist()
-    )
-
-
-def _sweep(
-    stepper: LinearStepper,
-    data: ProblemData,
-    grid: Grid,
-    source: Trajectory | None,
-) -> Iterator[tuple[slice, Trajectory]]:
-    """One application of the fixed-point map with the source iterate frozen.
-
-    Yields the new iterate chunk by chunk, as :meth:`LinearStepper.march`.
-    """
-    state = State(
-        v=data.v0,
-        p=np.zeros(grid.tan_shape + (grid.M + 1,)),
-        eta=data.eta0,
-        eta_t=data.eta1,
-    )
-    extra = None if source is None else (lambda levels: nonlinear_terms(source[levels], grid))
-    return stepper.march(state, data, extra)
-
-
 def _finite(traj: Trajectory) -> bool:
     return all(np.isfinite(f).all() for f in traj.fields())
+
+
+def _frozen_sweep(
+    stepper: LinearStepper, data: ProblemData, start: State, source: Trajectory
+) -> tuple[Trajectory, list[float], list[float]]:
+    """Apply the fixed-point map once with ``source`` frozen.
+
+    Returns the new iterate and, for the levels after the initial one,
+    the surrogate norm of ``source`` and the gap ``new - source`` in that
+    norm.  Each chunk of source levels is differentiated once for both its
+    norm and its quadratic terms; each new chunk is compared as the march
+    yields it.
+    """
+    grid = stepper.grid
+    norms: list[float] = []
+    gaps: list[float] = []
+
+    def frozen(levels: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        chunk = source[levels]
+        derivs = derivatives(chunk, grid)
+        norms.extend(surrogate_norms(chunk, grid, derivs).tolist())
+        return nonlinear_terms(chunk, grid, derivs)
+
+    def compared(chunks: Iterator[tuple[slice, Trajectory]]):
+        for levels, chunk in chunks:
+            if levels.start:
+                gap = _difference(chunk, source[levels])
+                gaps.extend(surrogate_norms(gap, grid).tolist())
+            yield levels, chunk
+
+    new = Trajectory.collect(compared(stepper.march(start, data, frozen)), len(source))
+    return new, norms, gaps
 
 
 def fixed_point_solve(
@@ -189,23 +185,49 @@ def fixed_point_solve(
         )
     stepper = LinearStepper(params, grid)
     levels = grid.steps + 1
-    previous = None
-    ratios: list[float] = []
-    diffs: list[float] = []
-    stall = 0
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        trajectory = Trajectory.collect(_sweep(stepper, data, grid, previous), levels)
-        if not _finite(trajectory):
-            raise NoContraction(
-                f"iterate {iterations} left the finite range", ratios
+    start = State(
+        v=data.v0,
+        p=np.zeros(grid.tan_shape + (grid.M + 1,)),
+        eta=data.eta0,
+        eta_t=data.eta1,
+    )
+    # Overflow and invalid values arise only on the way out of the finite
+    # range, which the finite checks report as NoContraction.
+    with np.errstate(over="ignore", invalid="ignore"):
+        source = Trajectory.collect(stepper.march(start, data), levels)
+        if not _finite(source):
+            raise NoContraction("iterate 1 left the finite range", [])
+        if not any(f.any() for f in source.fields()):
+            # zero data: the linear sweep is already the fixed point
+            return FixedPointResult(
+                trajectory=source,
+                iterations=1,
+                contraction_ratios=[],
+                residual=0.0,
+                scale=1.0,
+                converged=True,
+                step_residuals=[0.0] * levels,
             )
-        if previous is not None:
-            diff = _trajectory_distance(trajectory, previous, grid)
-            diffs.append(diff)
-            if len(diffs) >= 2:
-                prev_diff = diffs[-2]
+        # level 0 is the initial state in every iterate: the same norm,
+        # no gap
+        start_norm = float(surrogate_norms(source[:1], grid)[0])
+        ratios: list[float] = []
+        diff = None  # the gap from the source's own source, once known
+        stall = 0
+        for iterations in range(1, max_iter + 1):
+            # the sweep from iterate k is the next iterate and the probe of k
+            new, norms, gaps = _frozen_sweep(stepper, data, start, source)
+            norm = max(start_norm, *norms)
+            step_residuals = [0.0] + gaps
+            converged = diff is not None and diff <= rel_tol * max(norm, 1e-300)
+            if converged or iterations == max_iter:
+                break
+            if not _finite(new):
+                raise NoContraction(
+                    f"iterate {iterations + 1} left the finite range", ratios
+                )
+            prev_diff, diff = diff, max(step_residuals)
+            if prev_diff is not None:
                 ratio = np.inf if prev_diff == 0.0 else diff / prev_diff
                 if prev_diff == 0.0 and diff == 0.0:
                     ratio = 0.0
@@ -220,31 +242,9 @@ def fixed_point_solve(
                         )
                 else:
                     stall = 0
-            norm = _trajectory_norm(trajectory, grid)
-            if diff <= rel_tol * max(norm, 1e-300):
-                converged = True
-                break
-        else:
-            norm = _trajectory_norm(trajectory, grid)
-            if norm == 0.0:
-                # zero data: the linear sweep is already the fixed point
-                return FixedPointResult(
-                    trajectory=trajectory,
-                    iterations=1,
-                    contraction_ratios=[],
-                    residual=0.0,
-                    scale=1.0,
-                    converged=True,
-                    step_residuals=[0.0] * levels,
-                )
-        previous = trajectory
-    # the probe sweep is compared chunk by chunk and never stored
-    step_residuals: list[float] = []
-    for where, chunk in _sweep(stepper, data, grid, trajectory):
-        gap = _difference(chunk, trajectory[where])
-        step_residuals += surrogate_norms(gap, grid).tolist()
+            source = new
     return FixedPointResult(
-        trajectory=trajectory,
+        trajectory=source,
         iterations=iterations,
         contraction_ratios=ratios,
         residual=max(step_residuals),

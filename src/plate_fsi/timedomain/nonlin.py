@@ -10,6 +10,8 @@ derivatives use fourth-order one-sided-aware stencils.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .grid import (
@@ -24,6 +26,8 @@ from .grid import (
 )
 
 __all__ = [
+    "Derivatives",
+    "derivatives",
     "nonlinear_divergence",
     "nonlinear_momentum",
     "nonlinear_plate_load",
@@ -37,35 +41,85 @@ def _d_n(field: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray:
     return vertical_derivative(field, grid.mesh, order=order, accuracy=_ACC)
 
 
+@dataclass(frozen=True, eq=False)
+class Derivatives:
+    """Derivatives of a state or a stack of levels, each taken once.
+
+    Every array keeps the layout of the field it differentiates, level
+    axes included.  ``grad_v`` holds ``d_j v`` for each tangential
+    direction ``j`` and ``dn_v`` the vertical derivative of ``v``.
+    ``eta`` holds the tangential derivatives of ``eta`` of orders 1 to 4,
+    ``eta_t`` those of ``eta_t`` of orders 1 and 2, order by order and
+    each order in every direction, as :func:`tangential_derivatives`
+    yields them; ``lap_eta`` is the tangential Laplacian of ``eta`` or
+    None.
+    """
+
+    grad_v: tuple[np.ndarray, ...]
+    dn_v: np.ndarray
+    eta: tuple[np.ndarray, ...]
+    eta_t: tuple[np.ndarray, ...]
+    lap_eta: np.ndarray | None
+
+
+def derivatives(
+    state: State | Trajectory, grid: Grid, laplacian: bool = True
+) -> Derivatives:
+    """The derivatives that the surrogate norm and the quadratic terms read.
+
+    ``eta`` up to fourth and ``eta_t`` up to second order, and with
+    ``laplacian`` the Laplacian of ``eta``, which only the quadratic terms
+    read.  The spectra of ``v``, ``eta`` and ``eta_t`` are taken once each.
+    """
+    factors = [
+        _derivative_factor(grid, d, k) for k in range(1, 5) for d in range(grid.n - 1)
+    ]
+    if laplacian:
+        factors.append(_laplacian_factor(grid))
+    eta = list(_apply_multipliers(state.eta, grid, factors))
+    return Derivatives(
+        grad_v=tuple(tangential_derivatives(state.v, grid, (1,), bulk=True)),
+        dn_v=_d_n(state.v, grid),
+        eta=tuple(eta[: 4 * (grid.n - 1)]),
+        eta_t=tuple(tangential_derivatives(state.eta_t, grid, (1, 2))),
+        lap_eta=eta[-1] if laplacian else None,
+    )
+
+
 def nonlinear_terms(
-    state: State | Trajectory, grid: Grid
+    state: State | Trajectory, grid: Grid, derivs: Derivatives | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Momentum, divergence and plate-load corrections of a state or a stack.
 
     The fields of ``state`` may carry leading level axes (a
-    :class:`Trajectory`), which every result keeps.  The tangential spectra
-    of ``eta``, ``v`` and ``d_n v`` are each taken once and shared by the
-    three terms; see :func:`nonlinear_momentum`,
+    :class:`Trajectory`), which every result keeps.  ``derivs``, the
+    :func:`derivatives` of ``state`` with the Laplacian, are taken here
+    when not given; only the spectrum of ``d_n v`` is taken besides.  The
+    three terms share them; see :func:`nonlinear_momentum`,
     :func:`nonlinear_divergence` and :func:`nonlinear_plate_load`.
     """
     n = grid.n
     tan = range(n - 1)
-    # component axis first, as in a single state; level axes follow it
-    v = np.moveaxis(np.asarray(state.v), -(n + 1), 0)
-    *grad, lap_eta = _apply_multipliers(
-        state.eta,
-        grid,
-        [*(_derivative_factor(grid, d, 1) for d in tan), _laplacian_factor(grid)],
-    )
-    grad_eta = np.stack(grad)
-    dn_v = _d_n(v, grid)
+    if derivs is None:
+        derivs = derivatives(state, grid)
+
+    def components_first(field: np.ndarray) -> np.ndarray:
+        # component axis first, as in a single state; level axes follow it
+        return np.moveaxis(np.asarray(field), -(n + 1), 0)
+
+    v = components_first(state.v)
+    grad_v = [components_first(g) for g in derivs.grad_v]
+    dn_v = components_first(derivs.dn_v)
+    grad_dn_v = [
+        components_first(g)
+        for g in tangential_derivatives(derivs.dn_v, grid, (1,), bulk=True)
+    ]
+    grad_eta = np.stack(derivs.eta[: n - 1])
     dnn_v = _d_n(v, grid, order=2)
     dn_p = _d_n(state.p, grid)
-    grad_v = list(tangential_derivatives(v, grid, (1,), bulk=True))
-    grad_dn_v = list(tangential_derivatives(dn_v, grid, (1,), bulk=True))
 
     # (d_t eta - lap' eta) d_n v
-    coef = (state.eta_t - lap_eta)[..., np.newaxis]
+    coef = (state.eta_t - derivs.lap_eta)[..., np.newaxis]
     momentum = coef * dn_v
 
     # -2 (grad' eta . grad') d_n v  and  |grad' eta|^2 d_nn v

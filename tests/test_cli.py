@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -16,12 +17,14 @@ from plate_fsi.cli import (
     ConfigError,
     _default_points,
     _linear_rows,
+    _write_fields_csv,
     load_config,
     main,
 )
 from plate_fsi.config import TOL
 from plate_fsi.frequency import build_profile, residual_report, solve_traces
 from plate_fsi.params import Freq, PlateParams
+from plate_fsi.timedomain.grid import Grid, State
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -173,6 +176,15 @@ class TestSolveLinear:
         assert res.exit_code == 1
         assert "config error: response denominator" in res.output
 
+    def test_omega_zero_is_config_error_without_warnings(self, runner: CliRunner) -> None:
+        # lam = -z^2: omega = 0.  The warnings filter turns a 0/0 on the
+        # way into an error that is not a SystemExit.
+        res = runner.invoke(main, ["solve-linear", "--lambda=-1+0j", "--z", "1"])
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 1
+        assert res.stderr.startswith("config error: omega = 0")
+        assert "Warning" not in res.stderr
+
     def test_near_confluent_point_passes(self, runner: CliRunner) -> None:
         # omega - z = 9.5e-9: the decay exponents nearly coincide.
         res = runner.invoke(
@@ -296,6 +308,50 @@ class TestSimulate:
         payload = json.loads(res.stdout)
         assert payload["no_contraction"] is True
         assert payload["contraction_ratios"]
+
+    def test_overflowing_iterate_exits_4_without_warnings(
+        self, runner: CliRunner, tmp_path: Path
+    ) -> None:
+        res = runner.invoke(
+            main,
+            ["simulate", *REDUCED, "--set", "amplitude=1e100",
+             "--json", "--out", str(tmp_path / "out")],
+        )
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 4
+        assert res.stderr == ""
+        payload = json.loads(res.stdout)
+        assert payload["no_contraction"] is True
+        assert payload["message"] == "iterate 3 left the finite range"
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_fields_csv_matches_row_by_row_writer(
+        self, n: int, tmp_path: Path, rng: np.random.Generator
+    ) -> None:
+        grid = Grid(n=n, N=8, M=16, T=0.25, dt=0.25)
+        bulk = grid.tan_shape + (grid.M + 1,)
+        state = State(
+            v=rng.normal(size=(n,) + bulk),
+            p=rng.normal(size=bulk),
+            eta=rng.normal(size=grid.tan_shape),
+            eta_t=rng.normal(size=grid.tan_shape),
+        )
+        _write_fields_csv(tmp_path / "fields.csv", grid, state)
+        coords = [x.ravel() for x in grid.tangential_coordinates()]
+        tan_names = ["x1", "x2"][: n - 1]
+        names = tan_names + ["xn"] + [f"v{i + 1}" for i in range(n)] + ["p", "eta", "eta_t"]
+        lines = ["# schema=1", ",".join(names)]
+        for i in range(len(coords[0])):
+            tan = np.unravel_index(i, grid.tan_shape)
+            for j, xn in enumerate(grid.mesh.nodes):
+                values = [c[i] for c in coords] + [xn]
+                values += [state.v[(k, *tan, j)] for k in range(n)] + [state.p[(*tan, j)]]
+                values += [state.eta[tan], state.eta_t[tan]]
+                lines.append(",".join("%.12g" % float(x) for x in values))
+        got = (tmp_path / "fields.csv").read_text().split("\n")
+        assert got[-1] == "" and len(got) == len(lines) + 1
+        # the first differing row, not a diff of the whole file
+        assert next((pair for pair in zip(got, lines) if pair[0] != pair[1]), None) is None
 
     def test_subcritical_exponent_exits_1(
         self, runner: CliRunner, tmp_path: Path

@@ -60,9 +60,25 @@ class TestGating:
             fixed_point_solve(UNIT, grid, ProblemData(), max_iter=0)
 
 
+def _count_marches(monkeypatch: pytest.MonkeyPatch) -> list[int]:
+    marches: list[int] = []
+    march = LinearStepper.march
+
+    def counting(self, *args, **kwargs):
+        marches.append(1)
+        return march(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinearStepper, "march", counting)
+    return marches
+
+
 class TestZeroData:
-    def test_zero_data_is_a_fixed_point(self, grid: Grid) -> None:
+    def test_zero_data_is_a_fixed_point(
+        self, grid: Grid, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        marches = _count_marches(monkeypatch)
         result = fixed_point_solve(UNIT, grid, ProblemData())
+        assert len(marches) == 1
         assert result.converged
         assert result.iterations == 1
         assert result.residual == 0.0
@@ -96,37 +112,62 @@ class TestSmallData:
         assert result.iterations == 2
         assert result.residual > 0.0
 
-
-class TestNormCalls:
-    def test_each_trajectory_norm_is_computed_once(
+    def test_one_iteration_is_probed_by_the_second_sweep(
         self, grid: Grid, monkeypatch: pytest.MonkeyPatch
     ) -> None:
-        # Per iteration: the trajectory norm, plus the distance to the
-        # previous iterate from the second on; then the final step
-        # residuals.  Each pass covers every level once, one call per
-        # chunk of levels; the probe sweep yields its initial level as a
-        # chunk of its own.  The returned scale reuses the last norm.
-        from plate_fsi.timedomain import fixpoint
+        marches = _count_marches(monkeypatch)
+        data = default_forcing(grid, 1e-3).materialize(grid)
+        result = fixed_point_solve(UNIT, grid, data, max_iter=1)
+        assert len(marches) == 2
+        assert not result.converged
+        assert result.iterations == 1
+        assert result.contraction_ratios == []
+        monkeypatch.undo()
 
-        calls: list[int] = []
+        stepper = LinearStepper(UNIT, grid)
+        first = _reference_sweep(stepper, data, grid, None)
+        second = _reference_sweep(stepper, data, grid, first)
+        for got, want in zip(result.trajectory, first):
+            assert np.array_equal(got.v, want.v)
+        residuals = [_reference_norm(_difference(a, b), grid) for a, b in zip(second, first)]
+        assert result.step_residuals == residuals
+        assert result.residual == max(residuals) > 0.0
+        assert result.scale == max(_reference_norm(s, grid) for s in first)
 
-        def counting(traj: Trajectory, grid: Grid) -> np.ndarray:
-            calls.append(len(traj))
-            return surrogate_norms(traj, grid)
+
+class TestNormCalls:
+    def test_each_source_level_norm_is_taken_once_per_sweep(
+        self, grid: Grid, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        # Every sweep after the linear one differentiates each chunk of
+        # source levels once, for its norm and its quadratic terms, and
+        # takes the gap of each new chunk once.  The initial level is the
+        # same in every iterate: its norm is taken once, its gap is zero.
+        from plate_fsi.timedomain import fixpoint, nonlin
+
+        shared: list[int] = []  # levels normed from shared derivatives
+        own: list[int] = []  # levels normed from their own derivatives
+
+        def counting(traj: Trajectory, grid: Grid, derivs=None) -> np.ndarray:
+            (own if derivs is None else shared).append(len(traj))
+            return surrogate_norms(traj, grid, derivs)
+
+        def unshared(*args, **kwargs):
+            raise AssertionError("nonlinear_terms took its own derivatives")
 
         monkeypatch.setattr(fixpoint, "surrogate_norms", counting)
+        monkeypatch.setattr(nonlin, "derivatives", unshared)
         result = fixpoint.fixed_point_solve(UNIT, grid, default_forcing(grid, 1e-3))
         assert result.iterations >= 2
-        levels = grid.steps + 1
-        passes = 2 * result.iterations - 1
-        per_pass = len(list(level_chunks(grid, 0, levels)))
-        probe = 1 + len(list(level_chunks(grid, 1, levels)))
-        assert len(calls) == passes * per_pass + probe
-        assert sum(calls) == 2 * levels * result.iterations
+        # one sweep per iteration follows the linear one, the last the probe
+        sizes = [c.stop - c.start for c in level_chunks(grid, 1, grid.steps + 1)]
+        assert shared == sizes * result.iterations
+        assert own == [1] + shared
         monkeypatch.undo()
         assert result.scale == max(
             state_surrogate_norm(s, grid) for s in result.trajectory
         )
+        assert result.step_residuals[0] == 0.0
 
 
 def _reference_norm(state: State, grid: Grid) -> float:
@@ -244,6 +285,15 @@ class TestLargeData:
         ratios = excinfo.value.ratios
         assert ratios and all(isinstance(r, float) for r in ratios)
         assert max(ratios) > 0.95
+
+
+class TestNonFinite:
+    def test_overflowing_iterate_raises_without_warnings(self, grid: Grid) -> None:
+        # The quadratic terms of the second iterate overflow.  The warnings
+        # filter turns any floating-point warning on the way into an error.
+        with pytest.raises(NoContraction, match="iterate 3 left the finite range") as excinfo:
+            fixed_point_solve(UNIT, grid, default_forcing(grid, 1e100))
+        assert excinfo.value.ratios == []
 
 
 class TestSurrogateNorm:

@@ -7,6 +7,7 @@ import pytest
 
 from plate_fsi.timedomain.grid import Grid, State, Trajectory, tangential_derivative
 from plate_fsi.timedomain.nonlin import (
+    derivatives,
     nonlinear_divergence,
     nonlinear_momentum,
     nonlinear_plate_load,
@@ -143,3 +144,26 @@ class TestBatchedLevels:
             np.testing.assert_array_equal(momentum[k], nonlinear_momentum(state, grid))
             np.testing.assert_array_equal(divergence[k], nonlinear_divergence(state, grid))
             np.testing.assert_array_equal(plate_load[k], nonlinear_plate_load(state, grid))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_shared_derivatives_give_the_same_terms(self, n: int, rng) -> None:
+        # The Picard sweep reads one set of derivatives for the surrogate
+        # norm and then for the terms; the terms stay bit for bit those
+        # that take their own derivatives.
+        from plate_fsi.timedomain.fixpoint import surrogate_norms
+
+        grid = Grid(n=n, N=8, M=20, T=0.5, dt=0.25)
+        tan, bulk = grid.tan_shape, grid.tan_shape + (grid.M + 1,)
+        stack = Trajectory(
+            v=rng.normal(size=(5, n) + bulk),
+            p=rng.normal(size=(5,) + bulk),
+            eta=rng.normal(size=(5,) + tan),
+            eta_t=rng.normal(size=(5,) + tan),
+        )
+        derivs = derivatives(stack, grid)
+        assert surrogate_norms(stack, grid, derivs).tolist() == surrogate_norms(
+            stack, grid
+        ).tolist()
+        shared = nonlinear_terms(stack, grid, derivs)
+        for got, want in zip(shared, nonlinear_terms(stack, grid)):
+            np.testing.assert_array_equal(got, want)
