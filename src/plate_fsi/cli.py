@@ -277,8 +277,8 @@ def polygon_cmd(config_path, sets, as_json, check_only):
 
 
 # Points per call into the frequency layer: large enough that the
-# per-call overhead vanishes, small enough that the (point, component, x)
-# residual arrays stay a few megabytes.
+# per-call overhead vanishes, small enough that the (point, x) residual
+# buffers stay a few megabytes.
 _BLOCK = 256
 
 
@@ -369,19 +369,17 @@ def solve_linear(config_path, sets, as_json, check_only, lam_text, z_value, grid
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
     all_pass = bool(table["pass"].all())
-    # Plain Python floats and bools, one tuple per point.
-    rows = list(zip(*(column.tolist() for column in table.values())))
     if as_json:
+        # Plain Python floats and bools, one dict per point.
+        rows = zip(*(column.tolist() for column in table.values()))
         rows = [dict(zip(table, row)) for row in rows]
         _emit({"rows": rows, "pass": all_pass}, as_json=True)
     else:
-        lines = ["# schema=1", ",".join(table)]
-        lines += [
-            f"{re_lam:.12g},{im_lam:.12g},{z:.12g},{eta_abs:.12g},{p0_abs:.12g},"
-            f"{residual_max:.6e},{int(passed)}"
-            for re_lam, im_lam, z, eta_abs, p0_abs, residual_max, passed in rows
-        ]
-        text = "\n".join(lines)
+        # The whole table, point by point, through one format string.
+        row = "%.12g,%.12g,%.12g,%.12g,%.12g,%.6e,%d"
+        values = np.column_stack(list(table.values())).ravel().tolist()
+        body = "\n".join([row] * len(table["z"])) % tuple(values)
+        text = "\n".join(["# schema=1", ",".join(table), body])
         if out_path is not None:
             Path(out_path).write_text(text + "\n")
         else:
@@ -392,12 +390,14 @@ def solve_linear(config_path, sets, as_json, check_only, lam_text, z_value, grid
 # ----------------------------------------------------------------- simulate
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def default_forcing(grid: Grid, amplitude: float) -> ProblemData:
     """Deterministic smooth forcing bundle scaled by ``amplitude``.
 
     Low tangential modes with an exponential vertical profile; strong
     enough that the quadratic terms dominate the Picard iteration once
-    the amplitude is of order ten.
+    the amplitude is of order ten.  Raises :class:`ConfigError`, without
+    a floating-point warning, when the forcing is not finite.
     """
     from .timedomain import ProblemData
 
@@ -416,7 +416,16 @@ def default_forcing(grid: Grid, amplitude: float) -> ProblemData:
         f_v[1] = 2.0 * amplitude * (np.sin(2.0 * k * x))[..., np.newaxis] * prof
         f_v[2] = 2.0 * amplitude * (np.sin(k * x) * np.cos(k * y))[..., np.newaxis] * prof
         f_eta = 4.0 * amplitude * (np.sin(k * x) + 0.5 * np.cos(2.0 * k * y))
+    _require_finite(amplitude, f_v, f_eta)
     return ProblemData(f_v=f_v, f_eta=f_eta)
+
+
+def _require_finite(amplitude: float, *fields: np.ndarray) -> None:
+    """Reject an ``amplitude`` whose data leave the finite range."""
+    if not all(np.isfinite(field).all() for field in fields):
+        raise ConfigError(
+            "amplitude", f"the data are not finite at amplitude={amplitude!r}"
+        )
 
 
 def _write_steps_csv(path: Path, grid: Grid, result) -> None:
@@ -527,8 +536,13 @@ def simulate(config_path, sets, as_json, check_only, out_dir):
 # ------------------------------------------------------------- check-compat
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def compatible_example(grid: Grid, amplitude: float) -> ProblemData:
-    """Deterministic discretely compatible initial data (stream function)."""
+    """Deterministic discretely compatible initial data (stream function).
+
+    Raises :class:`ConfigError`, without a floating-point warning, when
+    the data are not finite.
+    """
     from .timedomain import ProblemData
     from .timedomain.compat import discrete_divergence
     from .timedomain.grid import tangential_derivative
@@ -550,6 +564,7 @@ def compatible_example(grid: Grid, amplitude: float) -> ProblemData:
     v[: grid.n - 1, ..., 0] = 0.0
     v[: grid.n - 1, ..., -1] = 0.0
     g = discrete_divergence(v, grid)
+    _require_finite(amplitude, v, g)
     eta1 = v[grid.n - 1][..., 0].copy()
     return ProblemData(v0=v, g=g, eta1=eta1)
 

@@ -347,19 +347,50 @@ class FieldProfile:
     def tangential_dim(self) -> int:
         return self.coef_z.shape[0] - 2
 
-    def components(self, x) -> np.ndarray:
-        """Evaluate all components; shape ``(n+1,) + batch shape + shape(x)``."""
+    def basis(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(exp(-z x), exp(-omega x), D(x))``, each of batch shape + ``shape(x)``."""
         x = np.asarray(x, dtype=float)
         grid = (Ellipsis,) + (np.newaxis,) * x.ndim
         z = np.asarray(self.z)[grid]
         omega = np.asarray(self.omega, dtype=complex)[grid]
         delta = np.asarray(self.lam, dtype=complex)[grid] / (omega + z)
-        decay_z, decay_w, d = _exponentials(z, omega, delta, x)
-        return (
-            self.coef_z[grid] * decay_z
-            + self.coef_w[grid] * decay_w
-            + self.coef_d[grid] * d
+        return _exponentials(z, omega, delta, x)
+
+    def _row(
+        self, index: int, basis, out: np.ndarray, scratch: np.ndarray
+    ) -> np.ndarray:
+        """Component ``index`` on ``basis`` (from :meth:`basis`), written to ``out``.
+
+        Evaluated as ``coef_z e^(-zx) + coef_w e^(-omega x) + coef_d D`` in
+        that order; a term whose coefficients are all zero is skipped.
+        ``scratch`` has the shape of ``out`` and holds one term at a time.
+        """
+        # exp(-z x) has the axes of z followed by those of x
+        grid = (Ellipsis,) + (np.newaxis,) * (basis[0].ndim - np.ndim(self.z))
+        first = True
+        for coef, function in zip((self.coef_z, self.coef_w, self.coef_d), basis):
+            coef = coef[index]
+            if not coef.any():
+                continue
+            np.multiply(coef[grid], function, out=out if first else scratch)
+            if not first:
+                out += scratch
+            first = False
+        if first:
+            out[...] = 0.0
+        return out
+
+    def components(self, x) -> np.ndarray:
+        """Evaluate all components; shape ``(n+1,) + batch shape + shape(x)``."""
+        basis = self.basis(x)
+        shape = np.broadcast_shapes(
+            self.coef_z.shape[1:] + np.shape(x), basis[2].shape
         )
+        out = np.empty((self.coef_z.shape[0],) + shape, dtype=complex)
+        scratch = np.empty(shape, dtype=complex)
+        for index in range(len(out)):
+            self._row(index, basis, out[index, ...], scratch)
+        return out
 
     def velocity(self, x) -> np.ndarray:
         return self.components(x)[:-1]
@@ -509,36 +540,61 @@ def residual_report(
     xi = freq.direction(n)
     w2 = lam + z * z
 
-    # Interior rows: arrays of shape (component,) + batch + (x,), reduced
-    # over the component and x axes.  The profile and its first two
-    # derivatives share their exponentials, so they are evaluated as one
-    # profile with a derivative-order axis after the component axis.
+    # Interior rows: the equations read only v, p, p', v_n' and v''.  Each
+    # is evaluated as one (point, x) row on the shared basis, and the
+    # residuals and scales are reduced over x and the velocity components
+    # as they go.
     on_grid = (Ellipsis, np.newaxis)
     d1 = profile.derivative()
     d2 = d1.derivative()
-    stacked = FieldProfile(
-        lam=profile.lam,
-        z=profile.z,
-        omega=profile.omega,
-        **{
-            name: np.stack([getattr(p, name) for p in (profile, d1, d2)], axis=1)
-            for name in ("coef_z", "coef_w", "coef_d")
-        },
+    basis = profile.basis(_LOG_GRID)
+    shape = np.broadcast_shapes(
+        profile.coef_z.shape[1:] + _LOG_GRID.shape, basis[2].shape
     )
-    all_vals = stacked.components(_LOG_GRID)
-    vals, vals1, vals2 = all_vals[:, 0], all_vals[:, 1], all_vals[:, 2]
-
-    # Interior momentum equation, all velocity components.
-    grad_p = np.concatenate([1j * xi[on_grid] * vals[n], vals1[n:]])
-    w2_v = w2[on_grid] * vals[:n]
-    momentum = w2_v - vals2[:n] + grad_p
-    momentum_scale = (np.abs(w2_v) + np.abs(vals2[:n]) + np.abs(grad_p)).max(axis=(0, -1))
-
-    # Interior divergence.
-    div = (1j * xi[on_grid] * vals[: n - 1]).sum(axis=0) + vals1[n - 1]
-    div_scale = (
-        np.abs(xi[on_grid] * vals[: n - 1]).sum(axis=0) + np.abs(vals1[n - 1])
-    ).max(axis=-1)
+    # The (point, x) buffers are reused by every row, one allocation per
+    # dtype: separate buffers of a few hundred kilobytes each cost more to
+    # allocate than the arithmetic on them.
+    complex_buffers = np.empty((10,) + shape, dtype=complex)
+    v, v2, p, dp, dvn, w2_v, grad_buf, term, residual, div = (
+        complex_buffers[i, ...] for i in range(10)
+    )
+    real_buffers = np.empty((3,) + shape)
+    magnitude, part, div_magnitude = (real_buffers[i, ...] for i in range(3))
+    profile._row(n, basis, p, term)
+    d1._row(n, basis, dp, term)
+    d1._row(n - 1, basis, dvn, term)
+    i_xi = 1j * xi
+    w2_grid = w2[on_grid]
+    momentum, momentum_scale = [], []
+    for k in range(n):
+        profile._row(k, basis, v, term)
+        d2._row(k, basis, v2, term)
+        # momentum: omega^2 v - v'' + (i xi', d_n) p, maximized per component
+        np.multiply(w2_grid, v, out=w2_v)
+        grad = np.multiply(i_xi[k][on_grid], p, out=grad_buf) if k < n - 1 else dp
+        np.subtract(w2_v, v2, out=residual)
+        residual += grad
+        momentum.append(np.abs(residual, out=magnitude).max(axis=-1))
+        np.abs(w2_v, out=magnitude)
+        magnitude += np.abs(v2, out=part)
+        magnitude += np.abs(grad, out=part)
+        momentum_scale.append(magnitude.max(axis=-1))
+        # divergence: i xi' . v' summed component by component, then d_n v_n
+        if k < n - 1:
+            first = k == 0
+            np.multiply(i_xi[k][on_grid], v, out=div if first else residual)
+            np.abs(
+                np.multiply(xi[k][on_grid], v, out=term),
+                out=div_magnitude if first else part,
+            )
+            if not first:
+                div += residual
+                div_magnitude += part
+    div += dvn
+    div_magnitude += np.abs(dvn, out=part)
+    momentum = np.maximum.reduce(momentum)
+    momentum_scale = np.maximum.reduce(momentum_scale)
+    div_scale = div_magnitude.max(axis=-1)
 
     # Boundary rows at x = 0 use the coefficient bundles directly.
     at0 = profile.coef_z + profile.coef_w
@@ -575,8 +631,8 @@ def residual_report(
     rows = tuple(
         ResidualRow(name, np.asarray(value)[()], np.asarray(scale)[()])
         for name, value, scale in (
-            ("momentum", np.abs(momentum).max(axis=(0, -1)), momentum_scale),
-            ("divergence", np.abs(div).max(axis=-1), div_scale),
+            ("momentum", momentum, momentum_scale),
+            ("divergence", np.abs(div, out=magnitude).max(axis=-1), div_scale),
             ("no-slip", no_slip, no_slip_scale),
             ("kinematic", kinematic, kinematic_scale),
             ("normal-gradient", normal_gradient, normal_gradient_scale),

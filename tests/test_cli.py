@@ -232,6 +232,29 @@ class TestSolveLinear:
                 if key != "pass":
                     assert type(value) is float, key
 
+    @pytest.mark.parametrize("corrupt", [False, True])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_csv_matches_row_by_row_formatter(
+        self, runner: CliRunner, n: int, corrupt: bool
+    ) -> None:
+        flags = ["--corrupt-p0"] if corrupt else []
+        res = runner.invoke(
+            main, ["solve-linear", "--grid", "8x8", "--set", f"n={n}", *flags]
+        )
+        assert res.exit_code == (3 if corrupt else 0)
+        params = PlateParams(alpha=1.0, beta=0.0, gamma=1.0)
+        table = _linear_rows(params, *_default_points("8x8"), corrupt, n)
+        lines = ["# schema=1", ",".join(table)]
+        lines += [
+            f"{re_lam:.12g},{im_lam:.12g},{z:.12g},{eta_abs:.12g},{p0_abs:.12g},"
+            f"{residual_max:.6e},{int(passed)}"
+            for re_lam, im_lam, z, eta_abs, p0_abs, residual_max, passed in zip(
+                *(column.tolist() for column in table.values())
+            )
+        ]
+        assert res.stdout == "\n".join(lines) + "\n"
+        assert res.stdout.count(",0\n") == (64 if corrupt else 0)
+
     def test_blocked_sweep_matches_single_points(self) -> None:
         # 17 x 17 = 289 points: more than one block of the frequency layer.
         params = PlateParams(alpha=1.0, beta=0.0, gamma=1.0)
@@ -324,6 +347,22 @@ class TestSimulate:
         assert payload["no_contraction"] is True
         assert payload["message"] == "iterate 3 left the finite range"
 
+    @pytest.mark.parametrize("amplitude", ["1e308", "inf", "nan"])
+    def test_non_finite_forcing_is_config_error(
+        self, runner: CliRunner, tmp_path: Path, amplitude: str
+    ) -> None:
+        # 1e308 is finite, but the forcing 4 * amplitude is not.
+        res = runner.invoke(
+            main,
+            ["simulate", *REDUCED, "--set", f"amplitude={amplitude}",
+             "--out", str(tmp_path / "out")],
+        )
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 1
+        assert res.stderr.startswith("config error: amplitude: the data are not finite")
+        assert "Warning" not in res.stderr
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_fields_csv_matches_row_by_row_writer(
         self, n: int, tmp_path: Path, rng: np.random.Generator
@@ -392,6 +431,19 @@ class TestCheckCompat:
             "no-slip-trace",
             "kinematic-trace",
         ]
+
+    @pytest.mark.parametrize("amplitude", ["1e308", "inf", "nan"])
+    def test_non_finite_data_is_config_error(
+        self, runner: CliRunner, amplitude: str
+    ) -> None:
+        res = runner.invoke(
+            main, ["check-compat", *REDUCED, "--set", f"amplitude={amplitude}", "--json"]
+        )
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("config error: amplitude: the data are not finite")
+        assert "Warning" not in res.stderr
 
     def test_small_exponent_skips_traces(self, runner: CliRunner) -> None:
         res = runner.invoke(

@@ -11,10 +11,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from plate_fsi.config import TOL
 from plate_fsi.params import Freq, PlateParams
 from plate_fsi.frequency import (
+    _LOG_GRID,
     DegenerateTangentialFrequency,
     NearResonance,
+    ResidualReport,
+    ResidualRow,
     TraceSolution,
     build_profile,
     kernel_integral,
@@ -25,6 +29,7 @@ from plate_fsi.frequency import (
     solve_traces,
     uniqueness_probe,
 )
+from plate_fsi.symbols import plate_symbol
 
 UNIT = PlateParams(alpha=1.0, beta=0.0, gamma=1.0)
 
@@ -460,3 +465,142 @@ class TestBatchedPoints:
             traces = solve_traces(UNIT, freq, 0j)
         profile = build_profile(UNIT, freq, traces)
         assert traces.is_zero.all() and profile.is_zero.all()
+
+
+def _stacked_residual_report(params, freq, profile, f_eta_hat) -> ResidualReport:
+    """Reference: every row of every order on one stacked coefficient array.
+
+    The profile and its first two derivatives are stacked along an order
+    axis and evaluated together as a ``(component, order, point, x)``
+    array, all ``3 (n + 1)`` rows, one temporary per term; the equations
+    are then formed on slices of it.  :func:`residual_report` must give
+    the same bits while evaluating only the rows it reads.
+    """
+    lam, z = np.broadcast_arrays(
+        np.asarray(freq.lam, dtype=complex), np.asarray(freq.z, dtype=float)
+    )
+    f_eta_hat = np.asarray(f_eta_hat, dtype=complex)
+    n = profile.tangential_dim + 1
+    xi = freq.direction(n)
+    w2 = lam + z * z
+    on_grid = (Ellipsis, np.newaxis)
+    d1 = profile.derivative()
+    d2 = d1.derivative()
+    coef_z, coef_w, coef_d = (
+        np.stack([getattr(p, name) for p in (profile, d1, d2)], axis=1)[on_grid]
+        for name in ("coef_z", "coef_w", "coef_d")
+    )
+    decay_z, decay_w, d = profile.basis(_LOG_GRID)
+    all_vals = coef_z * decay_z + coef_w * decay_w + coef_d * d
+    vals, vals1, vals2 = all_vals[:, 0], all_vals[:, 1], all_vals[:, 2]
+
+    grad_p = np.concatenate([1j * xi[on_grid] * vals[n], vals1[n:]])
+    w2_v = w2[on_grid] * vals[:n]
+    momentum = w2_v - vals2[:n] + grad_p
+    momentum_scale = (np.abs(w2_v) + np.abs(vals2[:n]) + np.abs(grad_p)).max(axis=(0, -1))
+    div = (1j * xi[on_grid] * vals[: n - 1]).sum(axis=0) + vals1[n - 1]
+    div_scale = (
+        np.abs(xi[on_grid] * vals[: n - 1]).sum(axis=0) + np.abs(vals1[n - 1])
+    ).max(axis=-1)
+
+    at0 = profile.coef_z + profile.coef_w
+    d_at0 = d1.coef_z + d1.coef_w
+    eta = solve_displacement(params, freq, f_eta_hat)
+    m_val = plate_symbol(params, lam, z)
+    no_slip = np.abs(at0[: n - 1]).max(axis=0, initial=0.0)
+    fluid_part = -1j * xi * profile.coef_z[n] / (profile.omega * (profile.omega + z))
+    no_slip_scale = (
+        np.abs(at0[: n - 1] - fluid_part) + np.abs(fluid_part)
+    ).max(axis=0, initial=0.0)
+    kinematic = np.abs(lam * eta - at0[n - 1])
+    kinematic_scale = np.abs(lam * eta) + np.abs(profile.coef_z[n - 1]) + np.abs(
+        profile.coef_w[n - 1]
+    )
+    normal_gradient = np.abs(d_at0[n - 1])
+    normal_gradient_scale = (
+        np.abs(z * profile.coef_z[n - 1])
+        + np.abs(profile.omega * profile.coef_w[n - 1])
+        + np.abs(profile.coef_d[n - 1])
+    )
+    balance = np.abs(at0[n] + m_val * eta + f_eta_hat)
+    balance_scale = np.abs(at0[n]) + np.abs(m_val * eta) + np.abs(f_eta_hat)
+    rows = tuple(
+        ResidualRow(name, np.asarray(value)[()], np.asarray(scale)[()])
+        for name, value, scale in (
+            ("momentum", np.abs(momentum).max(axis=(0, -1)), momentum_scale),
+            ("divergence", np.abs(div).max(axis=-1), div_scale),
+            ("no-slip", no_slip, no_slip_scale),
+            ("kinematic", kinematic, kinematic_scale),
+            ("normal-gradient", normal_gradient, normal_gradient_scale),
+            ("plate-balance", balance, balance_scale),
+        )
+    )
+    return ResidualReport(rows=rows, rel_tol=TOL.residual_rel)
+
+
+def _assert_same_bits(params, freq, profile, f_eta_hat=1.0) -> ResidualReport:
+    """``residual_report`` equals the stacked reference bit for bit."""
+    report = residual_report(params, freq, profile, f_eta_hat)
+    expected = _stacked_residual_report(params, freq, profile, f_eta_hat)
+    for row, ref in zip(report.rows, expected.rows, strict=True):
+        assert row.name == ref.name
+        assert np.array_equal(row.value, ref.value, equal_nan=True), row.name
+        assert np.array_equal(row.scale, ref.scale, equal_nan=True), row.name
+    assert np.array_equal(report.passed, expected.passed)
+    return report
+
+
+def _sweep_blocks(lam, z, n, params=UNIT, p0_factor=1.0):
+    """``(freq, profile)`` per block of 256 points, as ``solve-linear`` runs them."""
+    for start in range(0, lam.size, 256):
+        freq = Freq(lam=lam[start:start + 256], z=z[start:start + 256])
+        traces = solve_traces(params, freq, 1.0, n=n)
+        traces = dataclasses.replace(traces, p0_hat=traces.p0_hat * p0_factor)
+        yield freq, build_profile(params, freq, traces)
+
+
+class TestRowsMatchStackedEvaluation:
+    """Only the rows the equations read, with the reference's exact bits."""
+
+    @staticmethod
+    def _default_grid() -> tuple[np.ndarray, np.ndarray]:
+        # the solve-linear 64x64 sweep, lambda-major
+        lams = np.geomspace(0.1, 10.0, 64) * np.exp(
+            1j * np.linspace(-0.55 * np.pi, 0.55 * np.pi, 64)
+        )
+        return np.repeat(lams, 64), np.tile(np.geomspace(0.1, 10.0, 64), 64)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_default_sweep_grid(self, n: int) -> None:
+        for freq, profile in _sweep_blocks(*self._default_grid(), n):
+            assert _assert_same_bits(UNIT, freq, profile).passed.all()
+
+    def test_near_confluent_grid(self) -> None:
+        ratio = np.geomspace(1e-9, 1e-5, 150)
+        turns = np.exp(1j * np.array([0.0, 0.6, 1.2]))
+        z = np.repeat([0.2, 1.0, 5.0, 400.0], ratio.size * turns.size)
+        lam = (ratio[:, None] * turns).ravel()
+        lam = np.tile(lam, 4) * z * z
+        for freq, profile in _sweep_blocks(lam, z, 2):
+            _assert_same_bits(UNIT, freq, profile)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_corrupted_pressure_trace(self, n: int) -> None:
+        lam, z = self._default_grid()
+        freq, profile = next(_sweep_blocks(lam, z, n, p0_factor=1.01))
+        report = _assert_same_bits(UNIT, freq, profile)
+        assert not report.passed.any()
+
+    def test_nonzero_velocity_coef_z_is_flagged(self) -> None:
+        # build_profile never puts exp(-z x) into a velocity row, so that
+        # term is skipped there; a profile that does carry one is still
+        # evaluated and fails the momentum equation at those points only.
+        lam, z = self._default_grid()
+        freq, profile = next(_sweep_blocks(lam, z, 2))
+        coef_z = profile.coef_z.copy()
+        coef_z[0, :3] = 1e-3
+        bad = dataclasses.replace(profile, coef_z=coef_z)
+        report = _assert_same_bits(UNIT, freq, bad)
+        momentum = report["momentum"].passed(report.rel_tol)
+        assert not momentum[:3].any()
+        assert momentum[3:].all()
