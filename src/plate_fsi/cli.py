@@ -352,7 +352,12 @@ def solve_linear(config_path, sets, as_json, check_only, lam_text, z_value, grid
         if (lam_text is None) != (z_value is None):
             raise ConfigError("lambda", "--lambda and --z must be given together")
         if lam_text is not None:
-            points = (np.array([_parse_complex(lam_text)]), np.array([float(z_value)]))
+            lam, z = _parse_complex(lam_text), float(z_value)
+            if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+                raise ConfigError("lambda", f"must be finite, got {lam_text!r}")
+            if not math.isfinite(z):
+                raise ConfigError("z", f"must be finite, got {z_value!r}")
+            points = (np.array([lam]), np.array([z]))
             Freq(*points)  # rejects a negative z while it is still a config error
         else:
             points = _default_points(grid_spec)
@@ -364,9 +369,21 @@ def solve_linear(config_path, sets, as_json, check_only, lam_text, z_value, grid
         click.echo("check: " + ("ok" if ok else "FAILED"))
         sys.exit(EXIT_OK if ok else EXIT_RESIDUAL)
     try:
-        table = _linear_rows(params, *points, corrupt_p0, n)
+        # a point so large that its traces overflow is reported below, as
+        # a config error rather than as floating-point warnings
+        with np.errstate(all="ignore"):
+            table = _linear_rows(params, *points, corrupt_p0, n)
     except NearResonance as exc:
         click.echo(f"config error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
+    finite = np.isfinite([table[c] for c in ("eta_abs", "p0_abs", "residual_max")]).all(axis=0)
+    if not finite.all():
+        i = int(np.flatnonzero(~finite)[0])
+        click.echo(
+            f"config error: lambda: the traces are not finite at lambda = "
+            f"{complex(points[0][i])}, z = {float(points[1][i])}",
+            err=True,
+        )
         sys.exit(EXIT_CONFIG)
     all_pass = bool(table["pass"].all())
     if as_json:

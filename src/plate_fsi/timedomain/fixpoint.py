@@ -176,6 +176,8 @@ def fixed_point_solve(
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not (np.isfinite(rel_tol) and rel_tol >= 0.0):
+        raise ValueError(f"rel_tol must be finite and nonnegative, got {rel_tol}")
     data = data.materialize(grid)
     threshold = exponent_thresholds(grid.n).quadratic
     if data.p_exponent < float(threshold):

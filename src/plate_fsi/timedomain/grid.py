@@ -273,6 +273,7 @@ class Grid:
             raise ValueError(f"T / dt = {self.T / self.dt} is not integral")
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "mesh", VerticalMesh(self.X, self.M, self.grading))
+        object.__setattr__(self, "_multiplier_cache", {})
 
     @property
     def tan_shape(self) -> tuple[int, ...]:
@@ -313,15 +314,18 @@ class Grid:
 
 
 def _apply_multipliers(
-    field: np.ndarray, grid: Grid, factors: Iterable[np.ndarray], bulk: bool = False
-) -> Iterator[np.ndarray]:
+    field: np.ndarray, grid: Grid, factors: np.ndarray, bulk: bool = False
+) -> Iterable[np.ndarray]:
     """Multiply the tangential spectrum of a real field by each of ``factors``.
 
     The caller states the layout: a plate field ends with the tangential
     axes, a bulk field with the tangential axes and then the vertical one.
     Any leading axes (vector components, time levels) are batch axes.  The
-    spectrum is taken once; each factor must broadcast against the spectral
-    tangential shape.
+    spectrum is taken once; ``factors`` stacks the multipliers along its
+    first axis, each of the spectral tangential shape.  A plate field's
+    products are inverted by one transform, with the factor axis in
+    front; a bulk field's one factor at a time, so that no stack of bulk
+    results is held.
     """
     field = np.asarray(field, dtype=float)
     stop = field.ndim - int(bulk)
@@ -333,24 +337,43 @@ def _apply_multipliers(
             f"grid {grid.tan_shape} in the expected axes"
         )
     spec = np.fft.rfftn(field, axes=axes)
-    for factor in factors:
-        if bulk:
-            factor = np.asarray(factor)[..., np.newaxis]
-        yield np.fft.irfftn(spec * factor, s=grid.tan_shape, axes=axes)
+    if bulk:
+        return (
+            np.fft.irfftn(spec * factor[..., np.newaxis], s=grid.tan_shape, axes=axes)
+            for factor in factors
+        )
+    stacked = factors[(slice(None),) + (np.newaxis,) * axes[0]]
+    shifted = tuple(axis + 1 for axis in axes)
+    return tuple(np.fft.irfftn(spec * stacked, s=grid.tan_shape, axes=shifted))
 
 
-def _derivative_factor(grid: Grid, direction: int, order: int) -> np.ndarray:
-    xi = grid.wavenumbers()[direction]
-    factor = (1j * xi) ** order
-    if order % 2:
-        factor = np.where(grid.nyquist_mask(), 0.0, factor)
-    return factor
+def _multipliers(grid: Grid, orders: tuple[int, ...], laplacian: bool = False) -> np.ndarray:
+    """Stacked spectral multipliers, built once per grid.
 
-
-def _laplacian_factor(grid: Grid) -> np.ndarray:
-    # sum() broadcasts the per-direction arrays pairwise; np.add.reduce
-    # would choke on their deliberately different broadcast shapes.
-    return -sum(w * w for w in grid.wavenumbers())
+    Each derivative order of ``orders`` in every direction, then the
+    tangential Laplacian when asked: shape ``(count,)`` plus the spectral
+    tangential shape.  Odd orders zero the Nyquist modes.
+    """
+    key = (orders, laplacian)
+    cached = grid._multiplier_cache.get(key)
+    if cached is not None:
+        return cached
+    shape = grid.nyquist_mask().shape
+    parts = []
+    for order in orders:
+        for xi in grid.wavenumbers():
+            factor = (1j * xi) ** order
+            if order % 2:
+                factor = np.where(grid.nyquist_mask(), 0.0, factor)
+            parts.append(np.broadcast_to(factor, shape))
+    if laplacian:
+        # sum() broadcasts the per-direction arrays pairwise; np.add.reduce
+        # would choke on their deliberately different broadcast shapes.
+        parts.append(np.broadcast_to(-sum(w * w for w in grid.wavenumbers()), shape))
+    cached = np.stack(parts).astype(complex)
+    cached.flags.writeable = False
+    grid._multiplier_cache[key] = cached
+    return cached
 
 
 def tangential_derivative(
@@ -363,27 +386,21 @@ def tangential_derivative(
     fields stay exactly real and derivatives see the same truncation as the
     mode solver.
     """
-    (out,) = _apply_multipliers(
-        field, grid, [_derivative_factor(grid, direction, order)], bulk
-    )
+    factor = _multipliers(grid, (order,))[direction: direction + 1]
+    (out,) = _apply_multipliers(field, grid, factor, bulk)
     return out
 
 
 def tangential_derivatives(
     field: np.ndarray, grid: Grid, orders: Iterable[int], bulk: bool = False
-) -> Iterator[np.ndarray]:
+) -> Iterable[np.ndarray]:
     """:func:`tangential_derivative` for each order, then each direction.
 
     The tangential spectrum of ``field`` is taken once and every
     derivative multiplier applied to it; each result equals the single
     derivative bit for bit.
     """
-    return _apply_multipliers(
-        field,
-        grid,
-        (_derivative_factor(grid, d, order) for order in orders for d in range(grid.n - 1)),
-        bulk,
-    )
+    return _apply_multipliers(field, grid, _multipliers(grid, tuple(orders)), bulk)
 
 
 def tangential_gradient(field: np.ndarray, grid: Grid, bulk: bool = False) -> np.ndarray:
@@ -393,7 +410,7 @@ def tangential_gradient(field: np.ndarray, grid: Grid, bulk: bool = False) -> np
 
 def tangential_laplacian(field: np.ndarray, grid: Grid, bulk: bool = False) -> np.ndarray:
     """Spectral tangential Laplacian (sum of second derivatives)."""
-    (out,) = _apply_multipliers(field, grid, [_laplacian_factor(grid)], bulk)
+    (out,) = _apply_multipliers(field, grid, _multipliers(grid, (), laplacian=True), bulk)
     return out
 
 

@@ -19,8 +19,7 @@ from .grid import (
     State,
     Trajectory,
     _apply_multipliers,
-    _derivative_factor,
-    _laplacian_factor,
+    _multipliers,
     tangential_derivatives,
     vertical_derivative,
 )
@@ -71,12 +70,7 @@ def derivatives(
     ``laplacian`` the Laplacian of ``eta``, which only the quadratic terms
     read.  The spectra of ``v``, ``eta`` and ``eta_t`` are taken once each.
     """
-    factors = [
-        _derivative_factor(grid, d, k) for k in range(1, 5) for d in range(grid.n - 1)
-    ]
-    if laplacian:
-        factors.append(_laplacian_factor(grid))
-    eta = list(_apply_multipliers(state.eta, grid, factors))
+    eta = _apply_multipliers(state.eta, grid, _multipliers(grid, (1, 2, 3, 4), laplacian))
     return Derivatives(
         grad_v=tuple(tangential_derivatives(state.v, grid, (1,), bulk=True)),
         dn_v=_d_n(state.v, grid),
@@ -167,8 +161,19 @@ def nonlinear_momentum(state: State, grid: Grid) -> np.ndarray:
 
 
 def nonlinear_divergence(state: State, grid: Grid) -> np.ndarray:
-    """Divergence correction ``grad' eta . d_n v'``, a bulk scalar field."""
-    return nonlinear_terms(state, grid)[1]
+    """Divergence correction ``grad' eta . d_n v'``, a bulk scalar field.
+
+    Only this term is evaluated, with the operations of
+    :func:`nonlinear_terms`, so it equals that function's divergence bit
+    for bit and stays quiet where the other terms would overflow.
+    """
+    n = grid.n
+    tangential = np.moveaxis(np.asarray(state.v), -(n + 1), 0)[: n - 1]
+    dn_v = _d_n(tangential, grid)
+    divergence = np.zeros(np.shape(state.p))
+    for grad_eta, dn_v_d in zip(tangential_derivatives(state.eta, grid, (1,)), dn_v):
+        divergence += grad_eta[..., np.newaxis] * dn_v_d
+    return divergence
 
 
 def nonlinear_plate_load(state: State, grid: Grid) -> np.ndarray:

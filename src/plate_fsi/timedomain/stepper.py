@@ -166,125 +166,137 @@ class ModeStepper:
             (vals, (rows, cols)), shape=(total, total), dtype=complex
         ).tocsc()
 
-    def step(
-        self,
-        v_hat: ArrayLike,
-        eta_hat: ArrayLike,
-        psi_hat: ArrayLike,
-        f_v_hat: ArrayLike | None = None,
-        g_hat: ArrayLike | None = None,
-        f_eta_hat: ArrayLike = 0.0,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def step(self, state: ArrayLike, forcing: ArrayLike) -> np.ndarray:
         """Advance every mode of the batch by one step.
 
-        ``v_hat`` holds the ``n`` velocity component amplitudes on the
-        nodes, shape ``batch + (n, M + 1)``; ``g_hat`` is the divergence
-        datum on the nodes, ``batch + (M + 1,)`` (averaged onto cells
-        internally); ``eta_hat``, ``psi_hat`` and ``f_eta_hat`` broadcast
-        to ``batch``.  Returns the new ``(v_hat, p_mid_hat, eta_hat,
-        psi_hat)`` with the pressure on the ``M`` cell midpoints, shape
-        ``batch + (M,)``.
+        ``state`` holds each mode's unknowns without the pressure, which
+        a step does not read: the ``n`` velocity components on the nodes,
+        then ``eta`` and ``psi``, shape ``batch + (size - M,)``.
+        ``forcing`` is in the unknown layout, shape ``batch + (size,)``:
+        the momentum forcing on the velocity entries (interior rows read),
+        the divergence datum averaged onto the cells on the pressure
+        entries and the plate forcing on the ``psi`` entry; its ``eta``
+        entry is not read.  Returns the new unknowns, pressure on the ``M``
+        cell midpoints included, shape ``batch + (size,)``.
         """
         M, dt = self.mesh.M, self.dt
-        c = len(self.xi)
-        shape = self.batch + (c + 1, M + 1)
-        v_hat = np.asarray(v_hat)
-        if v_hat.shape != shape:
-            raise ValueError(f"v_hat has shape {v_hat.shape}, expected {shape}")
-        i_p = (c + 1) * (M + 1)
+        i_p = (len(self.xi) + 1) * (M + 1)
+        state, forcing = np.asarray(state), np.asarray(forcing)
+        for name, arr, columns in (("state", state, i_p + 2), ("forcing", forcing, self.size)):
+            if arr.shape != self.batch + (columns,):
+                raise ValueError(
+                    f"{name} has shape {arr.shape}, expected {self.batch + (columns,)}"
+                )
+        nodes = self.batch + (len(self.xi) + 1, M + 1)
         b = np.zeros(self.batch + (self.size,), dtype=complex)
-        b_v = b[..., :i_p].reshape(shape)
-        b_v[..., 1:M] = v_hat[..., 1:M] / dt
-        if f_v_hat is not None:
-            b_v[..., 1:M] += np.asarray(f_v_hat)[..., 1:M]
-        if g_hat is not None:
-            avg = self.mesh.staggered_pair()[0]
-            nodes = np.asarray(g_hat, dtype=complex).reshape(-1, M + 1)
-            b[..., i_p: i_p + M] = (avg @ nodes.T).T.reshape(self.batch + (M,))
-        b[..., i_p + M] = eta_hat
+        b_v = b[..., :i_p].reshape(nodes)
+        b_v[..., 1:M] = state[..., :i_p].reshape(nodes)[..., 1:M] / dt
+        b_v[..., 1:M] += forcing[..., :i_p].reshape(nodes)[..., 1:M]
+        b[..., i_p: i_p + M] = forcing[..., i_p: i_p + M]
+        b[..., i_p + M] = state[..., -2]
         # psi / dt as complex division by a real number rounds it (Smith's
         # formula with a zero ratio), which also fixes the signs of zeros
-        psi = np.asarray(psi_hat, dtype=complex)
+        psi = state[..., -1].astype(complex)
         b[..., -1].real = (psi.real + psi.imag * 0.0) / dt
         b[..., -1].imag = (psi.imag - psi.real * 0.0) / dt
-        b[..., -1] -= f_eta_hat
-        sol = self._lu.solve(b.ravel()).reshape(b.shape)
-        return (
-            sol[..., :i_p].reshape(shape),
-            sol[..., i_p: i_p + M],
-            sol[..., -2],
-            sol[..., -1],
-        )
+        b[..., -1] -= forcing[..., -1]
+        return self._lu.solve(b.ravel()).reshape(b.shape)
 
 
 class LinearStepper:
     """Implicit Euler stepper for the full linear system on a :class:`Grid`.
 
-    Transforms the state to tangential modes, advances all of them with
-    one :class:`ModeStepper` (Nyquist modes are projected out), and
-    transforms back.  The returned states carry the pressure interpolated
-    from the staggered midpoints to the nodes.
+    A step packs the state's real unknowns (velocity on the nodes,
+    ``eta``, ``eta_t``) as the columns of one ``tan_shape + (columns,)``
+    array in the mode solver's unknown layout, transforms it to
+    tangential modes once, advances all modes with one
+    :class:`ModeStepper` (Nyquist modes are projected out) and transforms
+    the whole solution back once.  The returned states carry the pressure
+    interpolated from the staggered midpoints to the nodes.
     """
 
     def __init__(self, params: PlateParams, grid: Grid) -> None:
         self.params = params
         self.grid = grid
         mask = grid.nyquist_mask()
-        self._shape, self._mask_size = mask.shape, mask.size
         # flat C-order index of every non-Nyquist entry of the spectrum
         self._modes = np.flatnonzero(~mask)
         xi = np.stack([np.broadcast_to(x, mask.shape) for x in grid.wavenumbers()])
         self._mode = ModeStepper(
             params, xi.reshape(grid.n - 1, -1)[:, self._modes], grid.mesh, grid.dt
         )
+        # the spectrum of one solution; its Nyquist entries stay zero
+        self._spectrum = np.zeros(mask.shape + (self._mode.size,), dtype=complex)
+        # velocity entries of the unknown layout
+        self._i_p = grid.n * (grid.M + 1)
 
-    def _to_modes(self, field: np.ndarray, tail: int = 0) -> np.ndarray:
-        """``lead + tan_shape + tail`` real field -> ``lead + (mode,) + tail`` spectrum."""
-        field = np.asarray(field, dtype=float)
-        stop = field.ndim - tail
-        axes = tuple(range(stop - (self.grid.n - 1), stop))
-        spec = np.fft.rfftn(field, axes=axes)
-        flat = spec.reshape(spec.shape[: axes[0]] + (-1,) + spec.shape[stop:])
-        return np.take(flat, self._modes, axis=axes[0])
+    def _velocity(self, packed: np.ndarray) -> np.ndarray:
+        """The velocity columns of ``lead + tan_shape + (columns,)`` unknowns.
 
-    def _from_modes(self, values: np.ndarray, tail: int = 0) -> np.ndarray:
-        """Inverse of :meth:`_to_modes`, zero on the Nyquist entries."""
-        axis = values.ndim - 1 - tail
-        lead, rest = values.shape[:axis], values.shape[axis + 1:]
-        spec = np.zeros(lead + (self._mask_size,) + rest, dtype=complex)
-        spec[(slice(None),) * axis + (self._modes,)] = values
-        spec = spec.reshape(lead + self._shape + rest)
-        axes = tuple(range(axis, axis + self.grid.n - 1))
-        return np.fft.irfftn(spec, s=self.grid.tan_shape, axes=axes)
-
-    def _velocity_modes(self, v: np.ndarray) -> np.ndarray:
-        """``lead + (n,) + tan + (M + 1,)`` -> ``lead + (mode, n, M + 1)``."""
-        return self._to_modes(np.moveaxis(np.asarray(v), -(self.grid.n + 1), -2), tail=2)
-
-    def _forcing_modes(self, f_v, g, f_eta) -> tuple:
-        return (
-            None if f_v is None else self._velocity_modes(f_v),
-            None if g is None else self._to_modes(g, tail=1),
-            0.0 if f_eta is None else self._to_modes(f_eta),
-        )
-
-    def _advance(self, v, eta, eta_t, f_v_hat, g_hat, f_eta_hat) -> tuple:
-        """One step from physical ``v, eta, eta_t`` under forcing spectra.
-
-        Returns the new physical ``v, eta, eta_t`` and the midpoint
-        pressure modes.
+        A view, shaped as a velocity field: ``lead + (n,) + tan_shape + (M + 1,)``.
         """
-        plate = self._to_modes(np.stack([eta, eta_t]))
-        v_new, p_mid, eta_new, psi_new = self._mode.step(
-            self._velocity_modes(v), plate[0], plate[1], f_v_hat, g_hat, f_eta_hat
+        grid = self.grid
+        lead = packed.ndim - grid.n
+        nodes = packed[..., : self._i_p].reshape(
+            packed.shape[:-1] + (grid.n, grid.M + 1)
         )
-        v = np.moveaxis(self._from_modes(v_new, tail=2), -2, -(self.grid.n + 1))
-        eta, psi = self._from_modes(np.stack([eta_new, psi_new]))
-        return v, eta, psi, p_mid
+        return np.moveaxis(nodes, -2, lead)
 
-    def _pressure(self, p_mid: np.ndarray) -> np.ndarray:
-        """Midpoint pressure modes -> physical pressure on the nodes."""
-        return self.grid.mesh.midpoints_to_nodes(self._from_modes(p_mid, tail=1))
+    def _pack(self, state: State) -> np.ndarray:
+        """``tan_shape + (size - M,)``: the velocity, ``eta`` and ``eta_t`` columns."""
+        packed = np.empty(self.grid.tan_shape + (self._i_p + 2,))
+        self._velocity(packed)[...] = state.v
+        packed[..., -2] = state.eta
+        packed[..., -1] = state.eta_t
+        return packed
+
+    def _unpack(self, new: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``v``, the midpoint pressure, ``eta`` and ``eta_t`` of ``new``.
+
+        Views into unknowns of shape ``tan_shape + (size,)``.
+        """
+        i_p, M = self._i_p, self.grid.M
+        return self._velocity(new), new[..., i_p: i_p + M], new[..., -2], new[..., -1]
+
+    def _to_modes(self, packed: np.ndarray) -> np.ndarray:
+        """``lead + tan_shape + (columns,)`` real -> ``lead + (mode, columns)`` spectrum."""
+        lead = packed.ndim - self.grid.n
+        spec = np.fft.rfftn(packed, axes=tuple(range(lead, packed.ndim - 1)))
+        flat = spec.reshape(spec.shape[:lead] + (-1, spec.shape[-1]))
+        return np.take(flat, self._modes, axis=lead)
+
+    def _forcing(self, data: ProblemData, frozen: tuple | None = None) -> np.ndarray:
+        """Forcing spectra in the unknown layout, shape ``(levels, mode, size)``.
+
+        The data's ``f_v``, ``g`` (on the nodes) and ``f_eta``, plus the
+        level-indexed ``frozen = (f_v, g, f_eta)`` when given, are summed
+        into the columns of one real array and transformed once; the
+        datum's ``M + 1`` node columns then end on the ``M`` pressure
+        entries and the unread ``eta`` entry, and are averaged onto the
+        cells for all levels by one sparse product.
+        """
+        grid, i_p, M = self.grid, self._i_p, self.grid.M
+        levels = 1 if frozen is None else len(frozen[2])
+        packed = np.empty((levels,) + grid.tan_shape + (self._mode.size,))
+        columns = (self._velocity(packed), packed[..., i_p:-1], packed[..., -1])
+        bases = (data.f_v, data.g, data.f_eta)
+        for out, base, extra in zip(columns, bases, frozen or (None,) * 3):
+            if extra is None:
+                out[...] = base
+            else:
+                np.add(base, extra, out=out)
+        spec = self._to_modes(packed)
+        avg = grid.mesh.staggered_pair()[0]
+        nodes = spec[..., i_p:-1].reshape(-1, M + 1)
+        spec[..., i_p: i_p + M] = (avg @ nodes.T).T.reshape(spec.shape[:-1] + (M,))
+        return spec
+
+    def _advance(self, packed: np.ndarray, forcing: np.ndarray) -> np.ndarray:
+        """One step from packed physical unknowns; returns ``tan_shape + (size,)``."""
+        grid = self.grid
+        flat = self._spectrum.reshape(-1, self._mode.size)
+        flat[self._modes] = self._mode.step(self._to_modes(packed), forcing)
+        return np.fft.irfftn(self._spectrum, s=grid.tan_shape, axes=tuple(range(grid.n - 1)))
 
     def step(
         self,
@@ -294,10 +306,15 @@ class LinearStepper:
         f_eta: np.ndarray | None = None,
     ) -> State:
         """One implicit Euler step under the given (already-evaluated) data."""
-        v, eta, psi, p_mid = self._advance(
-            state.v, state.eta, state.eta_t, *self._forcing_modes(f_v, g, f_eta)
+        data = ProblemData(f_v=f_v, g=g, f_eta=f_eta).materialize(self.grid)
+        new = self._advance(self._pack(state), self._forcing(data)[0])
+        v, p_mid, eta, psi = self._unpack(new)
+        return State(
+            v=v.copy(),
+            p=self.grid.mesh.midpoints_to_nodes(p_mid),
+            eta=eta.copy(),
+            eta_t=psi.copy(),
         )
-        return State(v=v, p=self._pressure(p_mid), eta=eta, eta_t=psi)
 
     def march(
         self,
@@ -312,30 +329,31 @@ class LinearStepper:
         ``extra(levels)``, if given, returns ``(f_v, g, f_eta)`` with a
         leading axis over ``levels``, added to the data's forcing of those
         levels and transformed once per chunk; without it the forcing is
-        constant and transformed once.  Every step still returns to
-        physical space, and the pressure is recovered once per chunk.
+        constant and transformed once.  Every step transforms its packed
+        unknowns once each way; the pressure is interpolated to the nodes
+        once per chunk.
         """
-        grid = self.grid
+        grid, i_p = self.grid, self._i_p
         yield slice(0, 1), Trajectory.of(state)
-        now = state.v, state.eta, state.eta_t
+        packed = self._pack(state)
         if extra is None:
-            constant = self._forcing_modes(data.f_v, data.g, data.f_eta)
+            constant = self._forcing(data)
         for levels in level_chunks(grid, 1, grid.steps + 1):
             count = levels.stop - levels.start
             if extra is None:
-                forcing = [constant] * count
+                forcing = np.broadcast_to(constant, (count,) + constant.shape[1:])
             else:
-                f_v, g, f_eta = extra(levels)
-                forcing = zip(*self._forcing_modes(data.f_v + f_v, data.g + g, data.f_eta + f_eta))
+                forcing = self._forcing(data, extra(levels))
             v = np.empty((count,) + np.shape(state.v))
             eta = np.empty((count,) + grid.tan_shape)
             psi = np.empty((count,) + grid.tan_shape)
-            p_mid = []
-            for j, spectra in enumerate(forcing):
-                v[j], eta[j], psi[j], p = self._advance(*now, *spectra)
-                now = v[j], eta[j], psi[j]
-                p_mid.append(p)
-            p = self._pressure(np.stack(p_mid))
+            p_mid = np.empty((count,) + grid.tan_shape + (grid.M,))
+            for j in range(count):
+                new = self._advance(packed, forcing[j])
+                v[j], p_mid[j], eta[j], psi[j] = self._unpack(new)
+                packed[..., :i_p] = new[..., :i_p]
+                packed[..., -2:] = new[..., -2:]
+            p = grid.mesh.midpoints_to_nodes(p_mid)
             yield levels, Trajectory(v=v, p=p, eta=eta, eta_t=psi)
 
     def run(self, state: State, data: ProblemData) -> Trajectory:

@@ -185,6 +185,24 @@ class TestSolveLinear:
         assert res.stderr.startswith("config error: omega = 0")
         assert "Warning" not in res.stderr
 
+    @pytest.mark.parametrize(
+        ("lam", "z", "message"),
+        [
+            ("nan", "1", "lambda: must be finite"),
+            ("1", "inf", "z: must be finite"),
+            ("1", "nan", "z: must be finite"),
+            ("1e308+1e308i", "1", "lambda: the traces are not finite"),
+        ],
+    )
+    def test_non_finite_point_is_config_error_without_warnings(
+        self, runner: CliRunner, lam: str, z: str, message: str
+    ) -> None:
+        res = runner.invoke(main, ["solve-linear", "--lambda", lam, "--z", z, "--json"])
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"config error: {message}")
+
     def test_near_confluent_point_passes(self, runner: CliRunner) -> None:
         # omega - z = 9.5e-9: the decay exponents nearly coincide.
         res = runner.invoke(
@@ -413,6 +431,29 @@ class TestSimulate:
         assert res.exit_code == 1
         assert "config error: max_iter" in res.output
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tolerance_is_config_error(
+        self, runner: CliRunner, tmp_path: Path, tol: str
+    ) -> None:
+        res = runner.invoke(
+            main, ["simulate", *REDUCED, "--set", f"tol={tol}", "--out", str(tmp_path / "out")]
+        )
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("config error: rel_tol must be finite and nonnegative")
+
+    def test_zero_tolerance_reaches_an_exact_fixed_point(
+        self, runner: CliRunner, tmp_path: Path
+    ) -> None:
+        res = runner.invoke(
+            main, ["simulate", *REDUCED, "--set", "tol=0", "--json", "--out", str(tmp_path / "out")]
+        )
+        assert res.exit_code == 0, res.output
+        payload = json.loads(res.stdout)
+        assert payload["converged"] is True
+        assert payload["residual"] == 0.0
+
     def test_check_mode(self, runner: CliRunner) -> None:
         res = runner.invoke(main, ["simulate", *REDUCED, "--check"])
         assert res.exit_code == 0
@@ -444,6 +485,17 @@ class TestCheckCompat:
         assert res.stdout == ""
         assert res.stderr.startswith("config error: amplitude: the data are not finite")
         assert "Warning" not in res.stderr
+
+    def test_huge_finite_data_pass_without_warnings(self, runner: CliRunner) -> None:
+        # Only the divergence correction is evaluated; the momentum term
+        # would overflow at this amplitude.  Warnings are errors here.
+        res = runner.invoke(
+            main, ["check-compat", *REDUCED, "--set", "amplitude=1e300", "--json"]
+        )
+        assert res.exception is None, res.exception
+        assert res.exit_code == 0
+        assert res.stderr == ""
+        assert json.loads(res.stdout)["passed"] is True
 
     def test_small_exponent_skips_traces(self, runner: CliRunner) -> None:
         res = runner.invoke(

@@ -59,6 +59,11 @@ class TestGating:
         with pytest.raises(ValueError, match="max_iter"):
             fixed_point_solve(UNIT, grid, ProblemData(), max_iter=0)
 
+    @pytest.mark.parametrize("rel_tol", [-1.0, float("nan"), float("inf")])
+    def test_rejects_bad_tolerance(self, grid: Grid, rel_tol: float) -> None:
+        with pytest.raises(ValueError, match="rel_tol must be finite and nonnegative"):
+            fixed_point_solve(UNIT, grid, ProblemData(), rel_tol=rel_tol)
+
 
 def _count_marches(monkeypatch: pytest.MonkeyPatch) -> list[int]:
     marches: list[int] = []

@@ -12,6 +12,8 @@ from plate_fsi.timedomain.grid import (
     ProblemData,
     State,
     VerticalMesh,
+    _apply_multipliers,
+    _multipliers,
     fornberg_weights,
     tangential_derivative,
     tangential_derivatives,
@@ -199,6 +201,39 @@ class TestTangentialOperators:
         assert len(got) == len(want)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_batched_plate_multipliers_equal_single_derivatives(
+        self, n: int, rng: np.random.Generator
+    ) -> None:
+        # All plate multipliers share one inverse transform; each result is
+        # the single derivative, and that is the plain spectral product.
+        grid = Grid(n=n, N=8, M=16, L=7.3, X=40.0, T=0.5, dt=0.25)
+        field = rng.normal(size=(3,) + grid.tan_shape)
+        got = _apply_multipliers(field, grid, _multipliers(grid, (1, 2, 3, 4), laplacian=True))
+        single = [
+            tangential_derivative(field, grid, d, order=k)
+            for k in range(1, 5)
+            for d in range(n - 1)
+        ] + [tangential_laplacian(field, grid)]
+        axes = tuple(range(1, n))
+        spec = np.fft.rfftn(field, axes=axes)
+        factors = []
+        for k in range(1, 5):
+            for xi in grid.wavenumbers():
+                factor = (1j * xi) ** k
+                factors.append(np.where(grid.nyquist_mask(), 0.0, factor) if k % 2 else factor)
+        factors.append(-sum(w * w for w in grid.wavenumbers()))
+        plain = [np.fft.irfftn(spec * f, s=grid.tan_shape, axes=axes) for f in factors]
+        assert len(got) == len(single) == len(plain) == 4 * (n - 1) + 1
+        for a, b, c in zip(got, single, plain):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a, c)
+
+    def test_multipliers_are_built_once_per_grid(self) -> None:
+        grid = Grid(n=3, N=8, M=16, T=0.5, dt=0.25)
+        assert _multipliers(grid, (1, 2)) is _multipliers(grid, (1, 2))
+        assert _multipliers(grid, (1, 2)).shape == (4,) + grid.nyquist_mask().shape
 
     def test_odd_orders_zero_nyquist(self, grid2: Grid) -> None:
         (x,) = grid2.tangential_coordinates()

@@ -146,6 +146,22 @@ class TestBatchedLevels:
             np.testing.assert_array_equal(plate_load[k], nonlinear_plate_load(state, grid))
 
     @pytest.mark.parametrize("n", [2, 3])
+    def test_divergence_alone_equals_shared_terms(self, n: int, rng) -> None:
+        # nonlinear_divergence evaluates only its own term, bit for bit the
+        # divergence that nonlinear_terms computes with the other two.
+        grid = Grid(n=n, N=8, M=20, T=0.5, dt=0.25)
+        tan, bulk = grid.tan_shape, grid.tan_shape + (grid.M + 1,)
+        state = State(
+            v=rng.normal(size=(n,) + bulk),
+            p=rng.normal(size=bulk),
+            eta=rng.normal(size=tan),
+            eta_t=rng.normal(size=tan),
+        )
+        np.testing.assert_array_equal(
+            nonlinear_divergence(state, grid), nonlinear_terms(state, grid)[1]
+        )
+
+    @pytest.mark.parametrize("n", [2, 3])
     def test_shared_derivatives_give_the_same_terms(self, n: int, rng) -> None:
         # The Picard sweep reads one set of derivatives for the surrogate
         # norm and then for the terms; the terms stay bit for bit those

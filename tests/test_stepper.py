@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from math import pi
 
 import numpy as np
@@ -11,7 +12,14 @@ import scipy.sparse as sp
 from plate_fsi.frequency import solve_displacement
 from plate_fsi.params import Freq, PlateParams
 from plate_fsi.timedomain import stepper as stepper_module
-from plate_fsi.timedomain.grid import Grid, ProblemData, State, VerticalMesh
+from plate_fsi.timedomain.grid import (
+    Grid,
+    ProblemData,
+    State,
+    Trajectory,
+    VerticalMesh,
+    level_chunks,
+)
 from plate_fsi.timedomain.stepper import (
     LinearStepper,
     ModeStepper,
@@ -21,6 +29,34 @@ from plate_fsi.timedomain.stepper import (
 )
 
 UNIT = PlateParams(alpha=1.0, beta=0.0, gamma=1.0)
+
+
+def _mode_step(
+    mode: ModeStepper, v, eta, psi, f_v=None, g=None, f_eta=0.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One :meth:`ModeStepper.step` in per-field form.
+
+    ``v`` and ``f_v`` have shape ``batch + (n, M + 1)``, ``g`` is the
+    divergence datum on the nodes, ``batch + (M + 1,)``, averaged onto the
+    cells here; ``eta``, ``psi`` and ``f_eta`` broadcast to the batch.
+    Returns ``(v, p_mid, eta, psi)``.
+    """
+    M, batch = mode.mesh.M, mode.batch
+    v = np.asarray(v)
+    i_p = v.shape[-2] * (M + 1)
+    state = np.zeros(batch + (i_p + 2,), dtype=complex)
+    state[..., :i_p] = v.reshape(batch + (i_p,))
+    state[..., -2], state[..., -1] = eta, psi
+    forcing = np.zeros(batch + (mode.size,), dtype=complex)
+    if f_v is not None:
+        forcing[..., :i_p] = np.reshape(f_v, batch + (i_p,))
+    if g is not None:
+        avg = mode.mesh.staggered_pair()[0]
+        nodes = np.asarray(g, dtype=complex).reshape(-1, M + 1)
+        forcing[..., i_p: i_p + M] = (avg @ nodes.T).T.reshape(batch + (M,))
+    forcing[..., -1] = f_eta
+    new = mode.step(state, forcing)
+    return new[..., :i_p].reshape(v.shape), new[..., i_p: i_p + M], new[..., -2], new[..., -1]
 
 
 @pytest.fixture(scope="module")
@@ -61,18 +97,15 @@ def _smooth_state(grid: Grid, rng: np.random.Generator) -> State:
 class TestModeStepper:
     def test_zero_input_stays_zero(self, grid2: Grid) -> None:
         mode = ModeStepper(UNIT, (1.0,), grid2.mesh, grid2.dt)
-        v, p_mid, eta, psi = mode.step(
-            np.zeros((2, grid2.M + 1), dtype=complex), 0.0, 0.0
-        )
-        assert np.abs(v).max() == 0.0
-        assert np.abs(p_mid).max() == 0.0
-        assert eta == 0.0 and psi == 0.0
+        new = mode.step(np.zeros(mode.size - grid2.M), np.zeros(mode.size))
+        assert new.shape == (mode.size,)
+        assert np.abs(new).max() == 0.0
 
     def test_displacement_update_is_implicit(self, grid2: Grid) -> None:
         # eta_new = eta_old + dt * psi_new is an exact row of the system.
         mode = ModeStepper(UNIT, (1.0,), grid2.mesh, grid2.dt)
         v0 = np.zeros((2, grid2.M + 1), dtype=complex)
-        _, _, eta, psi = mode.step(v0, 0.3 + 0.1j, -0.2j, f_eta_hat=1.0 + 0.5j)
+        _, _, eta, psi = _mode_step(mode, v0, 0.3 + 0.1j, -0.2j, f_eta=1.0 + 0.5j)
         assert eta == pytest.approx((0.3 + 0.1j) + grid2.dt * psi, rel=1e-13)
 
     def test_validation(self, grid2: Grid) -> None:
@@ -81,8 +114,10 @@ class TestModeStepper:
         with pytest.raises(ValueError, match="tangential"):
             ModeStepper(UNIT, (), grid2.mesh, 0.1)
         mode = ModeStepper(UNIT, (1.0,), grid2.mesh, 0.1)
-        with pytest.raises(ValueError, match="v_hat has shape"):
-            mode.step(np.zeros((3, grid2.M + 1), dtype=complex), 0.0, 0.0)
+        with pytest.raises(ValueError, match="state has shape"):
+            mode.step(np.zeros(mode.size), np.zeros(mode.size))
+        with pytest.raises(ValueError, match="forcing has shape"):
+            mode.step(np.zeros(mode.size - grid2.M), np.zeros(mode.size - 1))
 
     def test_singular_error_is_runtime_error(self) -> None:
         assert issubclass(SolverSingular, RuntimeError)
@@ -173,10 +208,10 @@ class TestBatchedModes:
 
         v, g, f_v = cplx(3, M + 1), cplx(M + 1), cplx(3, M + 1)
         eta, psi, f_eta = cplx(), cplx(), cplx()
-        got = ModeStepper(SKEW, xi, grid.mesh, grid.dt).step(v, eta, psi, f_v, g, f_eta)
+        got = _mode_step(ModeStepper(SKEW, xi, grid.mesh, grid.dt), v, eta, psi, f_v, g, f_eta)
         for idx in np.ndindex(batch):
             mode = ModeStepper(SKEW, xi[(slice(None),) + idx], grid.mesh, grid.dt)
-            want = mode.step(v[idx], eta[idx], psi[idx], f_v[idx], g[idx], f_eta[idx])
+            want = _mode_step(mode, v[idx], eta[idx], psi[idx], f_v[idx], g[idx], f_eta[idx])
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a[idx], b)
 
@@ -208,8 +243,8 @@ class TestBatchedModes:
         for idx in _modes(grid):
             vec = (slice(None),) + idx
             mode = ModeStepper(SKEW, _mode_xi(grid, idx), grid.mesh, grid.dt)
-            v_out[vec], p_out[idx], eta_out[idx], psi_out[idx] = mode.step(
-                v_spec[vec], eta_spec[idx], psi_spec[idx],
+            v_out[vec], p_out[idx], eta_out[idx], psi_out[idx] = _mode_step(
+                mode, v_spec[vec], eta_spec[idx], psi_spec[idx],
                 fv_spec[vec], g_spec[idx], fe_spec[idx],
             )
         tan = grid.tan_shape
@@ -245,10 +280,156 @@ class TestBatchedModes:
         psi = rng.normal(size=64) + 1j * rng.normal(size=64)
         f_eta = rng.normal(size=64) + 1j * rng.normal(size=64)
         batch = ModeStepper(SKEW, rng.normal(size=(2, 64)), grid.mesh, dt)
-        batch.step(np.zeros((64, 3, grid.M + 1)), 0.0, psi, f_eta_hat=f_eta)
+        _mode_step(batch, np.zeros((64, 3, grid.M + 1)), 0.0, psi, f_eta=f_eta)
         rhs = capture.b.reshape(64, -1)[:, -1]
         want = [p / dt - f for p, f in zip(psi.tolist(), f_eta.tolist())]
         np.testing.assert_array_equal(rhs, want)
+
+
+class _PerFieldMarch:
+    """The march with one transform per field, the reference of the packed one.
+
+    Velocity and plate are transformed separately each way on every step,
+    the divergence datum is averaged onto the cells on every step, and the
+    pressure is transformed once per chunk.  Every product, sum and
+    transformed lane is the one the packed march computes, so the two
+    agree bit for bit.
+    """
+
+    def __init__(self, params: PlateParams, grid: Grid) -> None:
+        self.grid = grid
+        mask = grid.nyquist_mask()
+        self.shape, self.mask_size = mask.shape, mask.size
+        self.modes = np.flatnonzero(~mask)
+        xi = np.stack([np.broadcast_to(x, mask.shape) for x in grid.wavenumbers()])
+        self.mode = ModeStepper(
+            params, xi.reshape(grid.n - 1, -1)[:, self.modes], grid.mesh, grid.dt
+        )
+
+    def to_modes(self, field: np.ndarray, tail: int = 0) -> np.ndarray:
+        field = np.asarray(field, dtype=float)
+        stop = field.ndim - tail
+        axes = tuple(range(stop - (self.grid.n - 1), stop))
+        spec = np.fft.rfftn(field, axes=axes)
+        flat = spec.reshape(spec.shape[: axes[0]] + (-1,) + spec.shape[stop:])
+        return np.take(flat, self.modes, axis=axes[0])
+
+    def from_modes(self, values: np.ndarray, tail: int = 0) -> np.ndarray:
+        axis = values.ndim - 1 - tail
+        lead, rest = values.shape[:axis], values.shape[axis + 1:]
+        spec = np.zeros(lead + (self.mask_size,) + rest, dtype=complex)
+        spec[(slice(None),) * axis + (self.modes,)] = values
+        spec = spec.reshape(lead + self.shape + rest)
+        axes = tuple(range(axis, axis + self.grid.n - 1))
+        return np.fft.irfftn(spec, s=self.grid.tan_shape, axes=axes)
+
+    def velocity_modes(self, v: np.ndarray) -> np.ndarray:
+        return self.to_modes(np.moveaxis(v, -(self.grid.n + 1), -2), tail=2)
+
+    def forcing_modes(self, f_v, g, f_eta) -> tuple:
+        return self.velocity_modes(f_v), self.to_modes(g, tail=1), self.to_modes(f_eta)
+
+    def advance(self, v, eta, eta_t, f_v_hat, g_hat, f_eta_hat) -> tuple:
+        plate = self.to_modes(np.stack([eta, eta_t]))
+        v_new, p_mid, eta_new, psi_new = _mode_step(
+            self.mode, self.velocity_modes(v), plate[0], plate[1], f_v_hat, g_hat, f_eta_hat
+        )
+        v = np.moveaxis(self.from_modes(v_new, tail=2), -2, -(self.grid.n + 1))
+        eta, psi = self.from_modes(np.stack([eta_new, psi_new]))
+        return v, eta, psi, p_mid
+
+    def march(self, state: State, data: ProblemData, extra=None):
+        grid = self.grid
+        yield slice(0, 1), Trajectory.of(state)
+        now = state.v, state.eta, state.eta_t
+        constant = self.forcing_modes(data.f_v, data.g, data.f_eta)
+        for levels in level_chunks(grid, 1, grid.steps + 1):
+            count = levels.stop - levels.start
+            if extra is None:
+                forcing = [constant] * count
+            else:
+                f_v, g, f_eta = extra(levels)
+                forcing = zip(
+                    *self.forcing_modes(data.f_v + f_v, data.g + g, data.f_eta + f_eta)
+                )
+            fields, p_mid = [], []
+            for spectra in forcing:
+                *now, p = self.advance(*now, *spectra)
+                fields.append(now)
+                p_mid.append(p)
+            v, eta, psi = (np.stack(f) for f in zip(*fields))
+            p = grid.mesh.midpoints_to_nodes(self.from_modes(np.stack(p_mid), tail=1))
+            yield levels, Trajectory(v=v, p=p, eta=eta, eta_t=psi)
+
+
+def _march_case(n: int, rng: np.random.Generator):
+    """A grid whose march has several multi-level chunks, random data and state."""
+    if n == 2:
+        # 7 levels per chunk: chunks of 7, 7 and 2 levels
+        grid = Grid(n=2, N=32, M=64, L=7.3, X=40.0, T=0.48, dt=0.03)
+    else:
+        # 10 levels per chunk: chunks of 10 and 6 levels
+        grid = Grid(n=3, N=8, M=16, L=7.3, X=40.0, T=0.48, dt=0.03)
+    tan, bulk = grid.tan_shape, grid.tan_shape + (grid.M + 1,)
+    state = State(
+        v=rng.normal(size=(n,) + bulk), p=np.zeros(bulk),
+        eta=rng.normal(size=tan), eta_t=rng.normal(size=tan),
+    )
+    data = ProblemData(
+        f_v=rng.normal(size=(n,) + bulk), g=rng.normal(size=bulk), f_eta=rng.normal(size=tan)
+    ).materialize(grid)
+
+    def extra(levels: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        draw = np.random.default_rng(levels.start)
+        count = (levels.stop - levels.start,)
+        return (
+            draw.normal(size=count + (n,) + bulk),
+            draw.normal(size=count + bulk),
+            draw.normal(size=count + tan),
+        )
+
+    return grid, state, data, extra
+
+
+class TestPackedMarch:
+    """The march moves whole unknown vectors, bit for bit the per-field march."""
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_equals_per_field_march(
+        self, n: int, frozen: bool, rng: np.random.Generator
+    ) -> None:
+        grid, state, data, extra = _march_case(n, rng)
+        chunks = list(level_chunks(grid, 1, grid.steps + 1))
+        assert len(chunks) > 1 and all(c.stop - c.start > 1 for c in chunks)
+        extra = extra if frozen else None
+        levels = grid.steps + 1
+        got = Trajectory.collect(LinearStepper(SKEW, grid).march(state, data, extra), levels)
+        want = Trajectory.collect(_PerFieldMarch(SKEW, grid).march(state, data, extra), levels)
+        for name, a, b in zip(("v", "p", "eta", "eta_t"), got.fields(), want.fields()):
+            assert a.shape == b.shape, name
+            assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_one_transform_each_way_per_step(
+        self, frozen: bool, rng: np.random.Generator, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        grid, state, data, extra = _march_case(3, rng)
+        stepper = LinearStepper(SKEW, grid)
+        calls: Counter[str] = Counter()
+        for name in ("rfftn", "irfftn", "fftn", "ifftn", "rfft", "irfft", "fft", "ifft"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        march = stepper.march(state, data, extra if frozen else None)
+        Trajectory.collect(march, grid.steps + 1)
+        # the forcing is transformed once per chunk, or once when constant
+        chunks = len(list(level_chunks(grid, 1, grid.steps + 1))) if frozen else 1
+        assert calls == Counter(rfftn=grid.steps + chunks, irfftn=grid.steps)
 
 
 class TestLinearStepperConstraints:
@@ -393,7 +574,7 @@ class TestResolventOracle:
     @staticmethod
     def _relative_error(z: float, dt: float, M: int) -> float:
         mode = ModeStepper(UNIT, (z,), VerticalMesh(30.0, M), dt)
-        _, _, eta, _ = mode.step(np.zeros((2, M + 1)), 0.0, 0.0, f_eta_hat=1.0)
+        _, _, eta, _ = _mode_step(mode, np.zeros((2, M + 1)), 0.0, 0.0, f_eta=1.0)
         exact = solve_displacement(UNIT, Freq(lam=1.0 / dt, z=z), 1.0)
         return abs(eta - exact) / abs(exact)
 
