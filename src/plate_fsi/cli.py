@@ -160,8 +160,12 @@ def _grid(cfg: dict[str, object]) -> Grid:
 
 
 def _parse_complex(text: str) -> complex:
+    # only a trailing imaginary unit: the i of inf must reach complex()
+    value = text.strip().replace(" ", "")
+    if value.endswith("i"):
+        value = value[:-1] + "j"
     try:
-        return complex(text.strip().replace("i", "j").replace(" ", ""))
+        return complex(value)
     except ValueError:
         raise ConfigError("lambda", f"cannot parse complex number {text!r}") from None
 

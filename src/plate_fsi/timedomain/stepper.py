@@ -7,6 +7,16 @@ system on the vertical mesh: staggered velocity/pressure unknowns
 displacement and velocity of the mode.  The modes' systems are stacked
 into one block-diagonal matrix, factorized once and solved together.
 
+In 3D a mode's system sees its covector only through ``|xi|^2`` and the
+odd couplings ``i xi``, so the matrix of ``(-xi_1, xi_2)`` is ``D A D``
+for the matrix ``A`` of ``(xi_1, xi_2)``, with ``D = -1`` on the ``u_1``
+unknowns and ``+1`` elsewhere.  Negation is exact in floating point and
+leaves the pivots and the ordering unchanged, so only the modes with
+``xi_1 >= 0`` are factorized: each mirrored mode is solved as a second
+right-hand-side column of its partner's block, its ``u_1`` unknowns
+negated on the way in and on the way out.  The results are those of
+factorizing every mode, up to the sign of exact zeros.
+
 Every discrete divergence here comes from the mesh's staggered pair
 (:meth:`VerticalMesh.staggered_pair`, the node-to-cell average ``A`` and
 difference ``D``): the divergence rows ``i xi . A v' + H^-1 D v_n`` of the
@@ -56,7 +66,9 @@ class ModeStepper:
     ``n`` velocity components on the nodes, the pressure on the cell
     midpoints, and the plate displacement/velocity pair.  The saddle
     matrices of all modes form one block-diagonal matrix whose sparse
-    factorization is computed once and reused for every step.
+    factorization is computed once and reused for every step.  ``modes``
+    is the number of tangential modes the blocks serve, for messages; it
+    defaults to one mode per block.
     """
 
     def __init__(
@@ -65,6 +77,8 @@ class ModeStepper:
         xi: ArrayLike,
         mesh: VerticalMesh,
         dt: float,
+        *,
+        modes: int | None = None,
     ) -> None:
         if dt <= 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
@@ -81,9 +95,10 @@ class ModeStepper:
         try:
             self._lu = splu(matrix)
         except RuntimeError as exc:
+            blocks = self.xi[0].size
             raise SolverSingular(
-                f"{self.xi[0].size} modes: factorization failed ({exc}); "
-                f"matrix 1-norm ~ {onenormest(matrix):.3e}"
+                f"{blocks} blocks for {modes or blocks} modes: factorization "
+                f"failed ({exc}); matrix 1-norm ~ {onenormest(matrix):.3e}"
             ) from exc
 
     @property
@@ -171,24 +186,28 @@ class ModeStepper:
 
         ``state`` holds each mode's unknowns without the pressure, which
         a step does not read: the ``n`` velocity components on the nodes,
-        then ``eta`` and ``psi``, shape ``batch + (size - M,)``.
-        ``forcing`` is in the unknown layout, shape ``batch + (size,)``:
-        the momentum forcing on the velocity entries (interior rows read),
-        the divergence datum averaged onto the cells on the pressure
-        entries and the plate forcing on the ``psi`` entry; its ``eta``
-        entry is not read.  Returns the new unknowns, pressure on the ``M``
-        cell midpoints included, shape ``batch + (size,)``.
+        then ``eta`` and ``psi``, shape ``lead + batch + (size - M,)``.
+        ``forcing`` is in the unknown layout, shape ``lead + batch +
+        (size,)``: the momentum forcing on the velocity entries (interior
+        rows read), the divergence datum averaged onto the cells on the
+        pressure entries and the plate forcing on the ``psi`` entry; its
+        ``eta`` entry is not read.  ``lead`` is empty or one axis of
+        right-hand-side columns, all solved by one call on the one
+        factorization.  Returns the new unknowns, pressure on the ``M``
+        cell midpoints included, shape ``lead + batch + (size,)``.
         """
         M, dt = self.mesh.M, self.dt
         i_p = (len(self.xi) + 1) * (M + 1)
         state, forcing = np.asarray(state), np.asarray(forcing)
+        lead = state.shape[:1] if state.ndim > len(self.batch) + 1 else ()
         for name, arr, columns in (("state", state, i_p + 2), ("forcing", forcing, self.size)):
-            if arr.shape != self.batch + (columns,):
+            if arr.shape != lead + self.batch + (columns,):
                 raise ValueError(
-                    f"{name} has shape {arr.shape}, expected {self.batch + (columns,)}"
+                    f"{name} has shape {arr.shape}, "
+                    f"expected {lead + self.batch + (columns,)}"
                 )
-        nodes = self.batch + (len(self.xi) + 1, M + 1)
-        b = np.zeros(self.batch + (self.size,), dtype=complex)
+        nodes = lead + self.batch + (len(self.xi) + 1, M + 1)
+        b = np.zeros(lead + self.batch + (self.size,), dtype=complex)
         b_v = b[..., :i_p].reshape(nodes)
         b_v[..., 1:M] = state[..., :i_p].reshape(nodes)[..., 1:M] / dt
         b_v[..., 1:M] += forcing[..., :i_p].reshape(nodes)[..., 1:M]
@@ -200,7 +219,9 @@ class ModeStepper:
         b[..., -1].real = (psi.real + psi.imag * 0.0) / dt
         b[..., -1].imag = (psi.imag - psi.real * 0.0) / dt
         b[..., -1] -= forcing[..., -1]
-        return self._lu.solve(b.ravel()).reshape(b.shape)
+        # the lead columns are the columns of one 2-D right-hand side,
+        # each solved with the operations of a 1-D solve
+        return self._lu.solve(b.reshape(lead + (-1,)).T).T.reshape(b.shape)
 
 
 class LinearStepper:
@@ -213,6 +234,13 @@ class LinearStepper:
     :class:`ModeStepper` (Nyquist modes are projected out) and transforms
     the whole solution back once.  The returned states carry the pressure
     interpolated from the staggered midpoints to the nodes.
+
+    The mode solver factorizes the modes with ``xi_1 >= 0`` only.  In 3D
+    the spectrum is gathered as ``(column, block)``: column 0 holds those
+    modes, column 1 their mirrors ``(-xi_1, xi_2)`` with ``u_1`` negated.
+    The ``xi_1 = 0`` blocks are their own mirrors; their second column is
+    solved and dropped.  The 2D ``rfft`` axis has ``xi >= 0`` only, so
+    there is one column and nothing is mirrored.
     """
 
     def __init__(self, params: PlateParams, grid: Grid) -> None:
@@ -220,10 +248,24 @@ class LinearStepper:
         self.grid = grid
         mask = grid.nyquist_mask()
         # flat C-order index of every non-Nyquist entry of the spectrum
-        self._modes = np.flatnonzero(~mask)
+        modes = np.flatnonzero(~mask)
         xi = np.stack([np.broadcast_to(x, mask.shape) for x in grid.wavenumbers()])
+        if grid.n == 2:
+            self._columns = modes[np.newaxis]
+            self._kept = (slice(None),)
+        else:
+            # fftfreq rows 0 .. N/2 - 1 carry xi_1 >= 0; row r holds the
+            # mirror of row (N - r) mod N.  The xi_1 = 0 row leads in C order.
+            rows, cols = np.unravel_index(modes, mask.shape)
+            half = rows < grid.N // 2
+            mirror = np.ravel_multi_index(
+                ((grid.N - rows[half]) % grid.N, cols[half]), mask.shape
+            )
+            self._columns = np.stack([modes[half], mirror])
+            self._kept = (slice(None), slice(np.count_nonzero(rows == 0), None))
         self._mode = ModeStepper(
-            params, xi.reshape(grid.n - 1, -1)[:, self._modes], grid.mesh, grid.dt
+            params, xi.reshape(grid.n - 1, -1)[:, self._columns[0]], grid.mesh,
+            grid.dt, modes=modes.size,
         )
         # the spectrum of one solution; its Nyquist entries stay zero
         self._spectrum = np.zeros(mask.shape + (self._mode.size,), dtype=complex)
@@ -258,15 +300,21 @@ class LinearStepper:
         i_p, M = self._i_p, self.grid.M
         return self._velocity(new), new[..., i_p: i_p + M], new[..., -2], new[..., -1]
 
+    def _mirror(self, spec: np.ndarray) -> np.ndarray:
+        """Negate ``u_1`` in place on the mirrored column of ``... + (column, block, entries)``."""
+        u_1 = spec[..., 1:, :, : self.grid.M + 1]
+        np.negative(u_1, out=u_1)
+        return spec
+
     def _to_modes(self, packed: np.ndarray) -> np.ndarray:
-        """``lead + tan_shape + (columns,)`` real -> ``lead + (mode, columns)`` spectrum."""
+        """``lead + tan_shape + (entries,)`` real -> ``lead + (column, block, entries)``."""
         lead = packed.ndim - self.grid.n
         spec = np.fft.rfftn(packed, axes=tuple(range(lead, packed.ndim - 1)))
         flat = spec.reshape(spec.shape[:lead] + (-1, spec.shape[-1]))
-        return np.take(flat, self._modes, axis=lead)
+        return self._mirror(np.take(flat, self._columns, axis=lead))
 
     def _forcing(self, data: ProblemData, frozen: tuple | None = None) -> np.ndarray:
-        """Forcing spectra in the unknown layout, shape ``(levels, mode, size)``.
+        """Forcing spectra in the unknown layout, ``(levels, column, block, size)``.
 
         The data's ``f_v``, ``g`` (on the nodes) and ``f_eta``, plus the
         level-indexed ``frozen = (f_v, g, f_eta)`` when given, are summed
@@ -295,7 +343,9 @@ class LinearStepper:
         """One step from packed physical unknowns; returns ``tan_shape + (size,)``."""
         grid = self.grid
         flat = self._spectrum.reshape(-1, self._mode.size)
-        flat[self._modes] = self._mode.step(self._to_modes(packed), forcing)
+        new = self._mirror(self._mode.step(self._to_modes(packed), forcing))
+        for modes, column, kept in zip(self._columns, new, self._kept):
+            flat[modes[kept]] = column[kept]
         return np.fft.irfftn(self._spectrum, s=grid.tan_shape, axes=tuple(range(grid.n - 1)))
 
     def step(

@@ -17,6 +17,7 @@ from plate_fsi.cli import (
     ConfigError,
     _default_points,
     _linear_rows,
+    _parse_complex,
     _write_fields_csv,
     load_config,
     main,
@@ -189,6 +190,9 @@ class TestSolveLinear:
         ("lam", "z", "message"),
         [
             ("nan", "1", "lambda: must be finite"),
+            ("inf", "1", "lambda: must be finite"),
+            ("-inf", "1", "lambda: must be finite"),
+            ("1+infi", "1", "lambda: must be finite"),
             ("1", "inf", "z: must be finite"),
             ("1", "nan", "z: must be finite"),
             ("1e308+1e308i", "1", "lambda: the traces are not finite"),
@@ -202,6 +206,21 @@ class TestSolveLinear:
         assert res.exit_code == 1
         assert res.stdout == ""
         assert res.stderr.startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize(
+        ("text", "value"),
+        [("1+2i", 1 + 2j), ("2i", 2j), ("i", 1j), (" -1.5 - 0.5i ", -1.5 - 0.5j),
+         ("3", 3 + 0j), ("1+2j", 1 + 2j)],
+    )
+    def test_lambda_imaginary_unit(self, text: str, value: complex) -> None:
+        assert _parse_complex(text) == value
+
+    @pytest.mark.parametrize("text", ["1+2ii", "i1", "1+xi"])
+    def test_unparsable_lambda_is_config_error(self, runner: CliRunner, text: str) -> None:
+        res = runner.invoke(main, ["solve-linear", "--lambda", text, "--z", "1"])
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 1
+        assert res.stderr.startswith("config error: lambda: cannot parse complex number")
 
     def test_near_confluent_point_passes(self, runner: CliRunner) -> None:
         # omega - z = 9.5e-9: the decay exponents nearly coincide.
