@@ -12,10 +12,10 @@ The package has five working layers:
 * :mod:`plate_fsi.frequency` -- the explicit frequency-domain solution
   operator: plate displacement, boundary traces, closed-form vertical
   profiles, and residual verification.
-* :mod:`plate_fsi.timedomain` -- torus-strip grids, the flattening coordinate
-  transform, quadratic nonlinearities, compatibility checks, an inverse
-  Laplace reference, a mode-wise implicit Euler stepper, and the small-data
-  fixed-point solver.
+* :mod:`plate_fsi.timedomain` -- torus-strip grids, the quadratic terms
+  that flattening the moving domain leaves behind, compatibility checks, an
+  inverse Laplace reference, a mode-wise implicit Euler stepper, and the
+  small-data fixed-point solver, all on arrays with a time-level axis.
 
 The command line front-end lives in :mod:`plate_fsi.cli`.
 """

@@ -136,6 +136,8 @@ def load_config(config_path: str | None, sets: tuple[str, ...]) -> dict[str, obj
         if key not in _SCHEMA:
             raise ConfigError(key, "unknown configuration key")
         cfg[key] = _coerce(key, raw)
+    if not math.isfinite(cfg["p"]):
+        raise ConfigError("p", f"must be finite, got {cfg['p']!r}")
     return cfg
 
 
@@ -516,8 +518,9 @@ def simulate(config_path, sets, as_json, check_only, out_dir):
         except ValueError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(EXIT_CONFIG)
-        stepper = LinearStepper(params, grid)
-        forced = stepper.step(State.zeros(grid), g=data.g, f_v=data.f_v, f_eta=data.f_eta)
+        # one step: the march over a horizon of one time step
+        stepper = LinearStepper(params, dataclasses.replace(grid, T=grid.dt))
+        forced = stepper.run(State.zeros(grid), data)[1]
         defect = float(np.abs(staggered_divergence(forced.v, grid)).max())
         ok = zero.converged and zero.iterations == 1 and defect <= TOL.solver_tol
         click.echo(f"check: {'ok' if ok else 'FAILED'} (divergence defect {defect:.2e})")
@@ -566,7 +569,7 @@ def compatible_example(grid: Grid, amplitude: float) -> ProblemData:
     """
     from .timedomain import ProblemData
     from .timedomain.compat import discrete_divergence
-    from .timedomain.grid import tangential_derivative
+    from .timedomain.grid import tangential_derivatives
 
     k = 2.0 * math.pi / grid.L
     xn = grid.mesh.nodes
@@ -579,7 +582,7 @@ def compatible_example(grid: Grid, amplitude: float) -> ProblemData:
     sbp = grid.mesh.sbp_derivative_matrix()
     v = np.zeros((grid.n,) + grid.tan_shape + (grid.M + 1,))
     v[0] = (sbp @ stream.reshape(-1, grid.M + 1).T).T.reshape(stream.shape)
-    v[grid.n - 1] = -tangential_derivative(stream, grid, direction=0, bulk=True)
+    v[grid.n - 1] = -next(iter(tangential_derivatives(stream, grid, (1,), bulk=True)))
     trace_bump = amplitude * np.cos(2.0 * k * coords[0])[..., np.newaxis] * np.exp(-xn)
     v[grid.n - 1] += trace_bump
     v[: grid.n - 1, ..., 0] = 0.0

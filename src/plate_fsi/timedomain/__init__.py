@@ -1,19 +1,15 @@
-"""Time-domain layer: grids, transforms, nonlinearities, steppers.
+"""Time-domain layer: grids, nonlinearities, steppers.
 
-Everything here lives on a periodic tangential torus and a graded vertical
-mesh: the coordinate transform that flattens the moving interface, the
-quadratic interface nonlinearities, discrete compatibility checks, a
-mode-wise implicit Euler stepper for the linearized system, an
-inverse-Laplace reference solution, and the small-data fixed-point driver.
+Everything here lives on the flat strip that ``(x', x_n + eta(x'))`` maps
+onto the moving domain, a periodic tangential torus times a graded
+vertical mesh: the quadratic terms this flattening leaves behind, discrete
+compatibility checks, a mode-wise implicit Euler stepper for the linearized
+system, an inverse-Laplace reference, and the small-data fixed-point driver,
+all on arrays with a leading time-level axis.
 """
 
 from .grid import Grid, ProblemData, State, Trajectory, VerticalMesh
-from .transform import ShiftOutOfRange, normal_vector, pullback, pushforward
-from .nonlin import (
-    nonlinear_divergence,
-    nonlinear_momentum,
-    nonlinear_plate_load,
-)
+from .nonlin import nonlinear_divergence, nonlinear_terms
 from .compat import CompatReport, check_compatibility
 from .laplace import ContourFailure, mode_response_reference, talbot_inverse
 from .stepper import LinearStepper, ModeStepper, SolverSingular
@@ -28,7 +24,6 @@ __all__ = [
     "ModeStepper",
     "NoContraction",
     "ProblemData",
-    "ShiftOutOfRange",
     "SolverSingular",
     "State",
     "Trajectory",
@@ -37,10 +32,6 @@ __all__ = [
     "fixed_point_solve",
     "mode_response_reference",
     "nonlinear_divergence",
-    "nonlinear_momentum",
-    "nonlinear_plate_load",
-    "normal_vector",
-    "pullback",
-    "pushforward",
+    "nonlinear_terms",
     "talbot_inverse",
 ]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import TOL
-from .grid import Grid, ProblemData, State, tangential_derivative
+from .grid import Grid, ProblemData, State, tangential_derivatives
 from .nonlin import nonlinear_divergence
 
 __all__ = [
@@ -135,7 +135,7 @@ def test_function_family(grid: Grid) -> list[np.ndarray]:
 
 def _bulk_integral(field: np.ndarray, grid: Grid) -> float:
     cell = (grid.L / grid.N) ** (grid.n - 1)
-    return float(np.sum(field @ grid.mesh.weights) * cell)
+    return float(np.sum(grid.mesh.integrate(field)) * cell)
 
 
 def _plate_integral(field: np.ndarray, grid: Grid) -> float:
@@ -146,8 +146,8 @@ def _plate_integral(field: np.ndarray, grid: Grid) -> float:
 def discrete_divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
     """Weak-form divergence: spectral tangential plus summation-by-parts vertical."""
     out = np.zeros(grid.tan_shape + (grid.M + 1,))
-    for d in range(grid.n - 1):
-        out += tangential_derivative(v[d], grid, direction=d, bulk=True)
+    for d, grad in enumerate(tangential_derivatives(v[: grid.n - 1], grid, (1,), bulk=True)):
+        out += grad[d]  # d_d v_d
     sbp = grid.mesh.sbp_derivative_matrix()
     flat = v[grid.n - 1].reshape(-1, grid.M + 1)
     out += (sbp @ flat.T).T.reshape(grid.tan_shape + (grid.M + 1,))
@@ -155,10 +155,7 @@ def discrete_divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _gradient_of(phi: np.ndarray, grid: Grid) -> list[np.ndarray]:
-    parts = [
-        tangential_derivative(phi, grid, direction=d, bulk=True)
-        for d in range(grid.n - 1)
-    ]
+    parts = list(tangential_derivatives(phi, grid, (1,), bulk=True))
     sbp = grid.mesh.sbp_derivative_matrix()
     flat = phi.reshape(-1, grid.M + 1)
     parts.append((sbp @ flat.T).T.reshape(phi.shape))

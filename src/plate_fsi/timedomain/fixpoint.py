@@ -44,7 +44,6 @@ __all__ = [
     "FixedPointResult",
     "NoContraction",
     "fixed_point_solve",
-    "state_surrogate_norm",
     "surrogate_norms",
 ]
 
@@ -85,10 +84,12 @@ def surrogate_norms(
 ) -> np.ndarray:
     """Discrete stand-in for the solution norm of each level of ``traj``.
 
-    ``derivs``, the :func:`derivatives` of ``traj``, are taken here
-    (without the Laplacian) when not given.  Every level is summed in the
-    order of :func:`state_surrogate_norm`, so each entry equals the
-    single-state norm bit for bit.
+    The sup of the fields, of the first derivatives of ``v``, of the
+    tangential derivatives of ``eta`` up to fourth and of ``eta_t`` up to
+    second order, summed in that order for every level, so an entry does
+    not depend on the other levels.  A single state is the one-level
+    ``Trajectory.of(state)``.  ``derivs``, the :func:`derivatives` of
+    ``traj``, are taken here (without the Laplacian) when not given.
     """
     if derivs is None:
         derivs = derivatives(traj, grid, laplacian=False)
@@ -104,16 +105,6 @@ def surrogate_norms(
     for deriv in derivs.eta + derivs.eta_t:
         total += sup(deriv)
     return total
-
-
-def state_surrogate_norm(state: State, grid: Grid) -> float:
-    """Discrete stand-in for the solution norm of one state.
-
-    The sup of the fields, of the first derivatives of ``v``, of the
-    tangential derivatives of ``eta`` up to fourth and of ``eta_t`` up to
-    second order: the one-level case of :func:`surrogate_norms`.
-    """
-    return float(surrogate_norms(Trajectory.of(state), grid)[0])
 
 
 def _difference(a: Trajectory, b: Trajectory) -> Trajectory:

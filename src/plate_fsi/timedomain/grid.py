@@ -18,7 +18,7 @@ axis as a batch axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import expm1, pi
+from math import expm1, isfinite, pi
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -32,10 +32,7 @@ __all__ = [
     "VerticalMesh",
     "fornberg_weights",
     "level_chunks",
-    "tangential_derivative",
     "tangential_derivatives",
-    "tangential_gradient",
-    "tangential_laplacian",
     "vertical_derivative",
 ]
 
@@ -243,7 +240,8 @@ class Grid:
     ``n`` is the spatial dimension (2 or 3), so there are ``n - 1``
     tangential directions with period ``L`` and ``N`` points each.  ``X``
     defaults to ``8 L`` and must be at least ``4 L`` so the lid at
-    ``x_n = X`` stays far from the interface.  ``T / dt`` must be integral.
+    ``x_n = X`` stays far from the interface.  ``L``, ``X``, ``T`` and ``dt``
+    must be finite and ``T / dt`` integral.
     """
 
     n: int = 2
@@ -258,12 +256,15 @@ class Grid:
     def __post_init__(self) -> None:
         if self.n not in (2, 3):
             raise ValueError(f"n must be 2 or 3, got {self.n}")
+        if self.X is None:
+            object.__setattr__(self, "X", 8.0 * self.L)
+        for name in ("L", "X", "T", "dt"):
+            if not isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.L <= 0:
             raise ValueError(f"L must be positive, got {self.L}")
         if self.N < 8 or self.N & (self.N - 1):
             raise ValueError(f"N must be a power of two >= 8, got {self.N}")
-        if self.X is None:
-            object.__setattr__(self, "X", 8.0 * self.L)
         if self.X < 4.0 * self.L:
             raise ValueError(f"X = {self.X} is below the minimum 4 L = {4 * self.L}")
         if self.dt <= 0 or self.T <= 0:
@@ -278,10 +279,6 @@ class Grid:
     @property
     def tan_shape(self) -> tuple[int, ...]:
         return (self.N,) * (self.n - 1)
-
-    @property
-    def tan_axes(self) -> tuple[int, ...]:
-        return tuple(range(-(self.n - 1), 0))
 
     def tangential_coordinates(self) -> tuple[np.ndarray, ...]:
         """Coordinate arrays of the tangential grid (open meshgrid)."""
@@ -376,42 +373,17 @@ def _multipliers(grid: Grid, orders: tuple[int, ...], laplacian: bool = False) -
     return cached
 
 
-def tangential_derivative(
-    field: np.ndarray, grid: Grid, direction: int = 0, order: int = 1, bulk: bool = False
-) -> np.ndarray:
-    """Spectral tangential derivative ``(d/dx_direction)^order``.
-
-    ``bulk`` says whether ``field`` ends with the vertical axis; leading
-    axes are batch axes.  Odd orders zero the Nyquist modes, so real
-    fields stay exactly real and derivatives see the same truncation as the
-    mode solver.
-    """
-    factor = _multipliers(grid, (order,))[direction: direction + 1]
-    (out,) = _apply_multipliers(field, grid, factor, bulk)
-    return out
-
-
 def tangential_derivatives(
     field: np.ndarray, grid: Grid, orders: Iterable[int], bulk: bool = False
 ) -> Iterable[np.ndarray]:
-    """:func:`tangential_derivative` for each order, then each direction.
+    """Spectral ``(d/dx_j)^order`` for each of ``orders``, then each direction ``j``.
 
-    The tangential spectrum of ``field`` is taken once and every
-    derivative multiplier applied to it; each result equals the single
-    derivative bit for bit.
+    ``bulk`` says whether ``field`` ends with the vertical axis; leading
+    axes are batch axes.  The spectrum is taken once.  Odd orders zero the
+    Nyquist modes, so real fields stay exactly real and derivatives see the
+    same truncation as the mode solver.
     """
     return _apply_multipliers(field, grid, _multipliers(grid, tuple(orders)), bulk)
-
-
-def tangential_gradient(field: np.ndarray, grid: Grid, bulk: bool = False) -> np.ndarray:
-    """Stack of all tangential derivatives; leading axis of length n - 1."""
-    return np.stack(list(tangential_derivatives(field, grid, (1,), bulk)))
-
-
-def tangential_laplacian(field: np.ndarray, grid: Grid, bulk: bool = False) -> np.ndarray:
-    """Spectral tangential Laplacian (sum of second derivatives)."""
-    (out,) = _apply_multipliers(field, grid, _multipliers(grid, (), laplacian=True), bulk)
-    return out
 
 
 @dataclass(eq=False)

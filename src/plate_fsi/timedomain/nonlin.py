@@ -28,8 +28,6 @@ __all__ = [
     "Derivatives",
     "derivatives",
     "nonlinear_divergence",
-    "nonlinear_momentum",
-    "nonlinear_plate_load",
     "nonlinear_terms",
 ]
 
@@ -85,12 +83,18 @@ def nonlinear_terms(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Momentum, divergence and plate-load corrections of a state or a stack.
 
-    The fields of ``state`` may carry leading level axes (a
-    :class:`Trajectory`), which every result keeps.  ``derivs``, the
-    :func:`derivatives` of ``state`` with the Laplacian, are taken here
-    when not given; only the spectrum of ``d_n v`` is taken besides.  The
-    three terms share them; see :func:`nonlinear_momentum`,
-    :func:`nonlinear_divergence` and :func:`nonlinear_plate_load`.
+    * momentum: every term the flattening moves out of the Stokes operator,
+      ``(eta_t - lap' eta) d_n v - 2 (grad' eta . grad') d_n v + |grad' eta|^2
+      d_nn v - (v . grad) v + (v' . grad' eta) d_n v + (grad' eta, 0) d_n p``;
+    * divergence: ``grad' eta . d_n v'``, as :func:`nonlinear_divergence`;
+    * plate load: ``-grad' eta . d_n v'(0) - grad' eta . grad' v_n(0)``, the
+      shear of the tangential flow on the tilted plate plus the tilt
+      correction of the normal-stress trace.
+
+    Each vanishes to second order at the zero state.  The fields of
+    ``state`` may carry leading level axes (a :class:`Trajectory`), which
+    every result keeps.  ``derivs``, the :func:`derivatives` of ``state``
+    with the Laplacian, are taken here when not given.
     """
     n = grid.n
     tan = range(n - 1)
@@ -148,18 +152,6 @@ def nonlinear_terms(
     return np.moveaxis(momentum, 0, -(n + 1)), divergence, plate_load
 
 
-def nonlinear_momentum(state: State, grid: Grid) -> np.ndarray:
-    """Momentum correction, shape ``(n,) + tan_shape + (M + 1,)``.
-
-    Collects every term the flattening moves out of the Stokes operator:
-    vertical-stretch corrections proportional to derivatives of the
-    displacement, the full convection term, and the pressure-gradient
-    correction.  Vanishes to second order at the zero state; the only
-    surviving term for a flat interface is the convection ``-(v . grad) v``.
-    """
-    return nonlinear_terms(state, grid)[0]
-
-
 def nonlinear_divergence(state: State, grid: Grid) -> np.ndarray:
     """Divergence correction ``grad' eta . d_n v'``, a bulk scalar field.
 
@@ -174,13 +166,3 @@ def nonlinear_divergence(state: State, grid: Grid) -> np.ndarray:
     for grad_eta, dn_v_d in zip(tangential_derivatives(state.eta, grid, (1,)), dn_v):
         divergence += grad_eta[..., np.newaxis] * dn_v_d
     return divergence
-
-
-def nonlinear_plate_load(state: State, grid: Grid) -> np.ndarray:
-    """Plate-load correction evaluated on the interface, a tangential field.
-
-    ``-grad' eta . d_n v'(0) - grad' eta . grad' v_n(0)``: the shear the
-    tilted plate feels from the tangential flow plus the tilt correction
-    of the normal-stress trace.
-    """
-    return nonlinear_terms(state, grid)[2]

@@ -43,6 +43,7 @@ from scipy.sparse.linalg import onenormest, splu
 
 from ..params import PlateParams
 from .grid import Grid, ProblemData, State, Trajectory, VerticalMesh, level_chunks
+from .grid import _apply_multipliers, _multipliers
 
 __all__ = [
     "LinearStepper",
@@ -348,24 +349,6 @@ class LinearStepper:
             flat[modes[kept]] = column[kept]
         return np.fft.irfftn(self._spectrum, s=grid.tan_shape, axes=tuple(range(grid.n - 1)))
 
-    def step(
-        self,
-        state: State,
-        f_v: np.ndarray | None = None,
-        g: np.ndarray | None = None,
-        f_eta: np.ndarray | None = None,
-    ) -> State:
-        """One implicit Euler step under the given (already-evaluated) data."""
-        data = ProblemData(f_v=f_v, g=g, f_eta=f_eta).materialize(self.grid)
-        new = self._advance(self._pack(state), self._forcing(data)[0])
-        v, p_mid, eta, psi = self._unpack(new)
-        return State(
-            v=v.copy(),
-            p=self.grid.mesh.midpoints_to_nodes(p_mid),
-            eta=eta.copy(),
-            eta_t=psi.copy(),
-        )
-
     def march(
         self,
         state: State,
@@ -446,17 +429,14 @@ def total_energy(state: State, grid: Grid, params: PlateParams) -> float:
     + beta |grad' eta|^2``; meaningful as a Lyapunov diagnostic for
     ``beta >= 0``.
     """
-    from .grid import tangential_gradient, tangential_laplacian
-
     cell = (grid.L / grid.N) ** (grid.n - 1)
-    kinetic = 0.5 * float(np.sum(np.sum(state.v**2, axis=0) @ grid.mesh.weights)) * cell
-    lap = tangential_laplacian(state.eta, grid)
-    grad = tangential_gradient(state.eta, grid)
+    kinetic = 0.5 * float(np.sum(grid.mesh.integrate(np.sum(state.v**2, axis=0)))) * cell
+    *grad, lap = _apply_multipliers(state.eta, grid, _multipliers(grid, (1,), laplacian=True))
     plate = 0.5 * float(
         np.sum(
             state.eta_t**2
             + params.alpha * lap**2
-            + params.beta * np.sum(grad**2, axis=0)
+            + params.beta * np.sum(np.stack(grad) ** 2, axis=0)
         )
     ) * cell
     return kinetic + plate

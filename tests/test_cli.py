@@ -532,6 +532,40 @@ class TestCheckCompat:
         assert "check: ok" in res.stdout
 
 
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize(
+        ("command", "key", "value"),
+        [
+            ("simulate", "T", "inf"),
+            ("check-compat", "T", "inf"),
+            ("index", "p", "inf"),
+            ("simulate", "X", "inf"),
+            ("simulate --check", "X", "inf"),
+            ("simulate", "L", "inf"),
+            ("simulate", "L", "nan"),
+            ("simulate", "X", "nan"),
+            ("simulate", "T", "nan"),
+            ("simulate", "dt", "nan"),
+            ("simulate", "p", "nan"),
+            ("check-compat", "p", "nan"),
+        ],
+    )
+    def test_value_is_config_error_naming_the_key(
+        self, runner: CliRunner, tmp_path: Path, command: str, key: str, value: str
+    ) -> None:
+        argv = [*command.split(), *REDUCED, "--set", f"{key}={value}"]
+        if argv[0] == "simulate":
+            argv += ["--out", str(tmp_path / "out")]
+        res = runner.invoke(main, argv)
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"config error: {key}")
+        assert "must be finite" in res.stderr
+        assert "Warning" not in res.stderr
+        assert not (tmp_path / "out").exists()
+
+
 class TestIndex:
     def test_default_report(self, runner: CliRunner) -> None:
         res = runner.invoke(main, ["index", "--json"])

@@ -14,7 +14,7 @@ from plate_fsi.timedomain.compat import (
     discrete_divergence,
 )
 from plate_fsi.timedomain.compat import test_function_family as function_family
-from plate_fsi.timedomain.grid import Grid, ProblemData, tangential_derivative
+from plate_fsi.timedomain.grid import Grid, ProblemData, tangential_derivatives
 
 ITEM_NAMES = ["divergence-data", "duality-pairing", "no-slip-trace", "kinematic-trace"]
 
@@ -64,7 +64,8 @@ class TestDiscreteDivergence:
         sbp = grid.mesh.sbp_derivative_matrix()
         v = np.zeros((2,) + grid.tan_shape + (grid.M + 1,))
         v[0] = (sbp @ q.T).T
-        v[1] = -tangential_derivative(q, grid, direction=0, bulk=True)
+        (dx_q,) = tangential_derivatives(q, grid, (1,), bulk=True)
+        v[1] = -dx_q
         div = discrete_divergence(v, grid)
         assert np.abs(div).max() < 1e-13 * np.abs(v).max()
 

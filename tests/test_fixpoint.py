@@ -11,7 +11,6 @@ from plate_fsi.timedomain.fixpoint import (
     FixedPointResult,
     NoContraction,
     fixed_point_solve,
-    state_surrogate_norm,
     surrogate_norms,
 )
 from plate_fsi.timedomain.grid import (
@@ -23,11 +22,7 @@ from plate_fsi.timedomain.grid import (
     tangential_derivatives,
     vertical_derivative,
 )
-from plate_fsi.timedomain.nonlin import (
-    nonlinear_divergence,
-    nonlinear_momentum,
-    nonlinear_plate_load,
-)
+from plate_fsi.timedomain.nonlin import nonlinear_divergence, nonlinear_terms
 from plate_fsi.timedomain.stepper import LinearStepper
 
 UNIT = PlateParams(alpha=1.0, beta=0.0, gamma=1.0)
@@ -118,7 +113,7 @@ class TestSmallData:
         assert result.residual > 0.0
 
     def test_one_iteration_is_probed_by_the_second_sweep(
-        self, grid: Grid, monkeypatch: pytest.MonkeyPatch
+        self, grid: Grid, monkeypatch: pytest.MonkeyPatch, one_step
     ) -> None:
         marches = _count_marches(monkeypatch)
         data = default_forcing(grid, 1e-3).materialize(grid)
@@ -129,9 +124,9 @@ class TestSmallData:
         assert result.contraction_ratios == []
         monkeypatch.undo()
 
-        stepper = LinearStepper(UNIT, grid)
-        first = _reference_sweep(stepper, data, grid, None)
-        second = _reference_sweep(stepper, data, grid, first)
+        step = one_step(UNIT, grid)
+        first = _reference_sweep(step, data, grid, None)
+        second = _reference_sweep(step, data, grid, first)
         for got, want in zip(result.trajectory, first):
             assert np.array_equal(got.v, want.v)
         residuals = [_reference_norm(_difference(a, b), grid) for a, b in zip(second, first)]
@@ -169,9 +164,7 @@ class TestNormCalls:
         assert shared == sizes * result.iterations
         assert own == [1] + shared
         monkeypatch.undo()
-        assert result.scale == max(
-            state_surrogate_norm(s, grid) for s in result.trajectory
-        )
+        assert result.scale == max(_state_norm(s, grid) for s in result.trajectory)
         assert result.step_residuals[0] == 0.0
 
 
@@ -189,8 +182,12 @@ def _reference_norm(state: State, grid: Grid) -> float:
     return total
 
 
+def _state_norm(state: State, grid: Grid) -> float:
+    return float(surrogate_norms(Trajectory.of(state), grid)[0])
+
+
 def _reference_sweep(
-    stepper: LinearStepper, data: ProblemData, grid: Grid, source: list[State] | None
+    step, data: ProblemData, grid: Grid, source: list[State] | None
 ) -> list[State]:
     # One Picard sweep level by level, each step on its own data.
     state = State(
@@ -205,10 +202,11 @@ def _reference_sweep(
             f_v, g, f_eta = data.f_v, data.g, data.f_eta
         else:
             frozen = source[k + 1]
-            f_v = data.f_v + nonlinear_momentum(frozen, grid)
+            momentum, _, plate_load = nonlinear_terms(frozen, grid)
+            f_v = data.f_v + momentum
             g = data.g + nonlinear_divergence(frozen, grid)
-            f_eta = data.f_eta + nonlinear_plate_load(frozen, grid)
-        state = stepper.step(state, f_v=f_v, g=g, f_eta=f_eta)
+            f_eta = data.f_eta + plate_load
+        state = step(state, f_v=f_v, g=g, f_eta=f_eta)
         out.append(state)
     return out
 
@@ -228,7 +226,7 @@ class TestChunkedSweep:
         ],
         ids=["n2", "n3"],
     )
-    def test_matches_level_by_level_reference(self, sweep_grid: Grid) -> None:
+    def test_matches_level_by_level_reference(self, sweep_grid: Grid, one_step) -> None:
         grid = sweep_grid
         chunk = next(level_chunks(grid, 1, grid.steps + 1))
         assert 1 < chunk.stop - chunk.start < grid.steps
@@ -237,18 +235,18 @@ class TestChunkedSweep:
         result = fixed_point_solve(UNIT, grid, data)
         assert result.converged
 
-        stepper = LinearStepper(UNIT, grid)
+        step = one_step(UNIT, grid)
         previous = None
         diffs = []
         for _ in range(result.iterations):
-            traj = _reference_sweep(stepper, data, grid, previous)
+            traj = _reference_sweep(step, data, grid, previous)
             norm = max(_reference_norm(s, grid) for s in traj)
             if previous is not None:
                 diffs.append(
                     max(_reference_norm(_difference(a, b), grid) for a, b in zip(traj, previous))
                 )
             previous = traj
-        probe = _reference_sweep(stepper, data, grid, traj)
+        probe = _reference_sweep(step, data, grid, traj)
         residuals = [_reference_norm(_difference(a, b), grid) for a, b in zip(probe, traj)]
 
         assert len(result.trajectory) == len(traj)
@@ -303,19 +301,19 @@ class TestNonFinite:
 
 class TestSurrogateNorm:
     def test_zero_state(self, grid: Grid) -> None:
-        assert state_surrogate_norm(State.zeros(grid), grid) == 0.0
+        assert _state_norm(State.zeros(grid), grid) == 0.0
 
     def test_absolutely_homogeneous(self, grid: Grid, rng: np.random.Generator) -> None:
         data = default_forcing(grid, 1.0).materialize(grid)
         state = State(
             v=data.f_v, p=data.f_v[0], eta=data.f_eta, eta_t=0.5 * data.f_eta
         )
-        base = state_surrogate_norm(state, grid)
+        base = _state_norm(state, grid)
         tripled = State(
             v=3.0 * state.v, p=3.0 * state.p,
             eta=3.0 * state.eta, eta_t=3.0 * state.eta_t,
         )
         assert base > 0.0
-        assert state_surrogate_norm(tripled, grid) == pytest.approx(
+        assert _state_norm(tripled, grid) == pytest.approx(
             3.0 * base, rel=1e-13
         )

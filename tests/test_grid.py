@@ -15,10 +15,7 @@ from plate_fsi.timedomain.grid import (
     _apply_multipliers,
     _multipliers,
     fornberg_weights,
-    tangential_derivative,
     tangential_derivatives,
-    tangential_gradient,
-    tangential_laplacian,
     vertical_derivative,
 )
 
@@ -138,7 +135,6 @@ class TestGrid:
         assert grid2.X == pytest.approx(8.0 * grid2.L)
         assert grid2.steps == 2
         assert grid2.tan_shape == (16,)
-        assert grid2.tan_axes == (-1,)
 
     def test_validation(self) -> None:
         with pytest.raises(ValueError, match="n must be"):
@@ -149,6 +145,12 @@ class TestGrid:
             Grid(L=2.0 * pi, X=2.0 * pi)
         with pytest.raises(ValueError, match="not integral"):
             Grid(T=1.0, dt=0.3)
+
+    @pytest.mark.parametrize("key", ["L", "X", "T", "dt"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_lengths_rejected(self, key: str, value: float) -> None:
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            Grid(**{key: value})
 
     def test_wavenumbers_match_fft_layout(self, grid2: Grid) -> None:
         (xi,) = grid2.wavenumbers()
@@ -177,26 +179,23 @@ class TestTangentialOperators:
         (x,) = grid2.tangential_coordinates()
         k = 3.0 * (2.0 * pi / grid2.L)
         field = np.sin(k * x)
-        np.testing.assert_allclose(
-            tangential_derivative(field, grid2), k * np.cos(k * x), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            tangential_derivative(field, grid2, order=2), -k * k * field, atol=1e-11
-        )
+        first, second = tangential_derivatives(field, grid2, (1, 2))
+        np.testing.assert_allclose(first, k * np.cos(k * x), atol=1e-12)
+        np.testing.assert_allclose(second, -k * k * field, atol=1e-11)
 
     @pytest.mark.parametrize("bulk", [False, True])
     def test_shared_spectrum_derivatives_match_single(
         self, bulk: bool, rng: np.random.Generator
     ) -> None:
-        # order-major, then direction; bit-identical to one call each
+        # order-major, then direction; bit-identical to one call per order
         grid = Grid(n=3, N=8, M=16, T=0.5, dt=0.25)
         shape = (2,) + grid.tan_shape + ((grid.M + 1,) if bulk else ())
         field = rng.normal(size=shape)
         got = list(tangential_derivatives(field, grid, orders=range(1, 4), bulk=bulk))
         want = [
-            tangential_derivative(field, grid, d, order=order, bulk=bulk)
+            deriv
             for order in range(1, 4)
-            for d in range(2)
+            for deriv in tangential_derivatives(field, grid, (order,), bulk=bulk)
         ]
         assert len(got) == len(want)
         for a, b in zip(got, want):
@@ -212,10 +211,8 @@ class TestTangentialOperators:
         field = rng.normal(size=(3,) + grid.tan_shape)
         got = _apply_multipliers(field, grid, _multipliers(grid, (1, 2, 3, 4), laplacian=True))
         single = [
-            tangential_derivative(field, grid, d, order=k)
-            for k in range(1, 5)
-            for d in range(n - 1)
-        ] + [tangential_laplacian(field, grid)]
+            deriv for k in range(1, 5) for deriv in tangential_derivatives(field, grid, (k,))
+        ] + list(_apply_multipliers(field, grid, _multipliers(grid, (), laplacian=True)))
         axes = tuple(range(1, n))
         spec = np.fft.rfftn(field, axes=axes)
         factors = []
@@ -239,30 +236,29 @@ class TestTangentialOperators:
         (x,) = grid2.tangential_coordinates()
         k_nyq = (grid2.N // 2) * (2.0 * pi / grid2.L)
         field = np.cos(k_nyq * x)
-        np.testing.assert_allclose(
-            tangential_derivative(field, grid2), 0.0, atol=1e-12
-        )
+        (deriv,) = tangential_derivatives(field, grid2, (1,))
+        np.testing.assert_allclose(deriv, 0.0, atol=1e-12)
 
     def test_gradient_and_laplacian(self) -> None:
         grid = Grid(n=3, N=8, M=32, T=0.5, dt=0.25)
         x0, x1 = grid.tangential_coordinates()
         base = 2.0 * pi / grid.L
         field = np.sin(base * x0) * np.cos(2.0 * base * x1)
-        grad = tangential_gradient(field, grid)
-        assert grad.shape == (2,) + field.shape
+        *grad, lap = _apply_multipliers(
+            field, grid, _multipliers(grid, (1,), laplacian=True)
+        )
+        assert np.shape(grad) == (2,) + field.shape
         np.testing.assert_allclose(
             grad[0], base * np.cos(base * x0) * np.cos(2.0 * base * x1), atol=1e-12
         )
-        np.testing.assert_allclose(
-            tangential_laplacian(field, grid), -5.0 * base * base * field, atol=1e-11
-        )
+        np.testing.assert_allclose(lap, -5.0 * base * base * field, atol=1e-11)
 
     def test_bulk_fields_keep_vertical_axis(self, grid2: Grid) -> None:
         (x,) = grid2.tangential_coordinates()
         base = 2.0 * pi / grid2.L
         prof = np.exp(-grid2.mesh.nodes)
         bulk = np.sin(base * x)[:, np.newaxis] * prof[np.newaxis, :]
-        out = tangential_derivative(bulk, grid2, bulk=True)
+        (out,) = tangential_derivatives(bulk, grid2, (1,), bulk=True)
         expected = base * np.cos(base * x)[:, np.newaxis] * prof[np.newaxis, :]
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -273,16 +269,17 @@ class TestTangentialOperators:
         # field; the stated layout, not the shape, picks the axes.
         grid = Grid(n=2, N=32, M=31)
         stack = rng.normal(size=(32, 32))
-        got = tangential_derivative(stack, grid)
+        (got,) = tangential_derivatives(stack, grid, (1,))
         for level, row in zip(stack, got):
-            np.testing.assert_array_equal(row, tangential_derivative(level, grid))
+            np.testing.assert_array_equal(row, *tangential_derivatives(level, grid, (1,)))
         # read as one bulk field, the same array is differentiated along axis 0
-        bulk = tangential_derivative(stack, grid, bulk=True)
-        np.testing.assert_array_equal(bulk, tangential_derivative(stack.T, grid).T)
+        (bulk,) = tangential_derivatives(stack, grid, (1,), bulk=True)
+        (transposed,) = tangential_derivatives(stack.T, grid, (1,))
+        np.testing.assert_array_equal(bulk, transposed.T)
 
     def test_shape_mismatch_raises(self, grid2: Grid) -> None:
         with pytest.raises(ValueError, match="tangential grid"):
-            tangential_derivative(np.zeros(7), grid2)
+            tangential_derivatives(np.zeros(7), grid2, (1,))
 
 
 class TestContainers:

@@ -70,6 +70,11 @@ def stepper2(grid2: Grid) -> LinearStepper:
     return LinearStepper(UNIT, grid2)
 
 
+@pytest.fixture(scope="module")
+def step2(grid2: Grid, one_step):
+    return one_step(UNIT, grid2)
+
+
 def _smooth_state(grid: Grid, rng: np.random.Generator) -> State:
     """Band-limited tangential waves times decaying vertical profiles."""
     (x,) = grid.tangential_coordinates()
@@ -217,7 +222,7 @@ class TestBatchedModes:
                 np.testing.assert_array_equal(a[idx], b)
 
     def test_linear_step_equals_stepping_each_mode(
-        self, rng: np.random.Generator
+        self, rng: np.random.Generator, one_step
     ) -> None:
         grid = _skew_grid(3)
         M, shape = grid.M, grid.nyquist_mask().shape
@@ -228,7 +233,7 @@ class TestBatchedModes:
         )
         f_v, g = rng.normal(size=(3,) + bulk), rng.normal(size=bulk)
         f_eta = rng.normal(size=grid.tan_shape)
-        got = LinearStepper(SKEW, grid).step(state, f_v=f_v, g=g, f_eta=f_eta)
+        got = one_step(SKEW, grid)(state, f_v=f_v, g=g, f_eta=f_eta)
 
         # the per-mode loop: one 0-d ModeStepper for every spectral entry
         axes = (1, 2)
@@ -577,26 +582,26 @@ class TestPackedMarch:
 
 class TestLinearStepperConstraints:
     def test_zero_state_zero_data_maps_to_zero(
-        self, grid2: Grid, stepper2: LinearStepper
+        self, grid2: Grid, step2
     ) -> None:
-        out = stepper2.step(State.zeros(grid2))
+        out = step2(State.zeros(grid2))
         out.validate(grid2)
         for field in (out.v, out.p, out.eta, out.eta_t):
             assert np.abs(field).max() == 0.0
 
     def test_outputs_are_real_and_valid(
-        self, grid2: Grid, stepper2: LinearStepper, rng: np.random.Generator
+        self, grid2: Grid, step2, rng: np.random.Generator
     ) -> None:
-        out = stepper2.step(_smooth_state(grid2, rng))
+        out = step2(_smooth_state(grid2, rng))
         for field in (out.v, out.p, out.eta, out.eta_t):
             assert field.dtype == np.float64
         out.validate(grid2)
 
     def test_interface_and_lid_conditions(
-        self, grid2: Grid, stepper2: LinearStepper, rng: np.random.Generator
+        self, grid2: Grid, step2, rng: np.random.Generator
     ) -> None:
         state = _smooth_state(grid2, rng)
-        out = stepper2.step(state, f_eta=np.cos(grid2.tangential_coordinates()[0]))
+        out = step2(state, f_eta=np.cos(grid2.tangential_coordinates()[0]))
         scale = np.abs(out.v).max()
         # No-slip for the tangential components at the plate, rigid lid on top,
         # and the kinematic coupling v_n(0) = eta_t -- all exact solver rows.
@@ -605,29 +610,29 @@ class TestLinearStepperConstraints:
         np.testing.assert_allclose(out.v[1][..., 0], out.eta_t, atol=1e-12 * scale)
 
     def test_divergence_matches_cell_averaged_datum(
-        self, grid2: Grid, stepper2: LinearStepper, rng: np.random.Generator
+        self, grid2: Grid, step2, rng: np.random.Generator
     ) -> None:
         (x,) = grid2.tangential_coordinates()
         xn = grid2.mesh.nodes
         g = (np.cos(x) + 0.5 * np.sin(2.0 * x))[..., np.newaxis] * np.exp(
             -xn / grid2.L
         )
-        out = stepper2.step(_smooth_state(grid2, rng), g=g)
+        out = step2(_smooth_state(grid2, rng), g=g)
         cell_avg = 0.5 * (g[..., :-1] + g[..., 1:])
         np.testing.assert_allclose(
             staggered_divergence(out.v, grid2), cell_avg, atol=1e-10
         )
 
     def test_divergence_free_without_datum(
-        self, grid2: Grid, stepper2: LinearStepper, rng: np.random.Generator
+        self, grid2: Grid, step2, rng: np.random.Generator
     ) -> None:
-        out = stepper2.step(_smooth_state(grid2, rng))
+        out = step2(_smooth_state(grid2, rng))
         div = staggered_divergence(out.v, grid2)
         assert np.abs(div).max() < 1e-10 * np.abs(out.v).max()
 
-    def test_tangential_modes_decouple(self, grid2: Grid, stepper2: LinearStepper) -> None:
+    def test_tangential_modes_decouple(self, grid2: Grid, step2) -> None:
         (x,) = grid2.tangential_coordinates()
-        out = stepper2.step(State.zeros(grid2), f_eta=np.cos(2.0 * pi * x / grid2.L))
+        out = step2(State.zeros(grid2), f_eta=np.cos(2.0 * pi * x / grid2.L))
         eta_spec = np.abs(np.fft.rfft(out.eta))
         assert eta_spec[1] > 0.0
         others = np.delete(eta_spec, 1)
@@ -657,11 +662,11 @@ class TestLinearStepperRun:
         for before, after in zip(energies, energies[1:]):
             assert after <= before + 1e-12 * energies[0]
 
-    def test_three_dimensional_step(self, rng: np.random.Generator) -> None:
+    def test_three_dimensional_step(self, rng: np.random.Generator, one_step) -> None:
         grid = Grid(n=3, N=8, M=16, T=0.25, dt=0.25)
         x, y = grid.tangential_coordinates()
         f_eta = np.cos(x) + np.sin(y)
-        out = LinearStepper(UNIT, grid).step(State.zeros(grid), f_eta=f_eta)
+        out = one_step(UNIT, grid)(State.zeros(grid), f_eta=f_eta)
         out.validate(grid)
         assert np.abs(out.eta).max() > 0.0
         scale = np.abs(out.v).max()
@@ -672,7 +677,7 @@ class TestLinearStepperRun:
 
 
     def test_three_dimensional_step_reduces_to_two_dimensional(
-        self, rng: np.random.Generator
+        self, rng: np.random.Generator, one_step
     ) -> None:
         # Data depending on x_1 alone excite only the modes xi = (xi_1, 0),
         # which must reproduce the 2D modes with v_2 = 0; a swapped
@@ -692,8 +697,8 @@ class TestLinearStepperRun:
         state3 = State(
             v=v3, p=lift(state2.p, 1), eta=lift(state2.eta, 1), eta_t=lift(state2.eta_t, 1)
         )
-        out2 = LinearStepper(UNIT, grid2).step(state2, g=g, f_eta=f_eta)
-        out3 = LinearStepper(UNIT, grid3).step(state3, g=lift(g, 1), f_eta=lift(f_eta, 1))
+        out2 = one_step(UNIT, grid2)(state2, g=g, f_eta=f_eta)
+        out3 = one_step(UNIT, grid3)(state3, g=lift(g, 1), f_eta=lift(f_eta, 1))
 
         v_want = np.zeros_like(out3.v)
         v_want[0], v_want[2] = lift(out2.v[0], 1), lift(out2.v[1], 1)
