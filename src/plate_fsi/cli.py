@@ -9,9 +9,16 @@ compatibility report) and ``index`` (embedding index calculator).
 Configuration comes from an optional flat ``key = value`` file (``#``
 comments allowed) merged with ``--set key=value`` flags, flags winning.
 Every subcommand supports ``--json`` for machine output and ``--check``
-to run only its internal invariant suite.  Exit codes: 0 success,
-1 configuration error, 2 sector failure, 3 residual failure,
-4 no contraction.
+to run only its internal invariant suite, which prints one line that
+starts ``check: ok`` or ``check: FAILED``.  Exit codes, the same for
+every subcommand:
+
+* 0 success;
+* 1 configuration error: one ``config error: ...`` line on stderr,
+  starting with the offending key where there is one;
+* 2 sector too wide (``analyze-symbol``);
+* 3 residual failure, or a failed ``--check``;
+* 4 no contraction (``simulate``).
 """
 
 from __future__ import annotations
@@ -28,10 +35,11 @@ import click
 import numpy as np
 
 from .config import TOL
-from .frequency import NearResonance, build_profile, residual_report, solve_traces
+from .frequency import build_profile, residual_report, solve_traces
 from .indices import embedding_catalog, exponent_thresholds
 from .params import Freq, PlateParams, Sector
 from .polygon import (
+    NewtonPolygon,
     build_polygon,
     check_parabolicity,
     coupled_symbol_terms,
@@ -50,42 +58,24 @@ EXIT_SECTOR = 2
 EXIT_RESIDUAL = 3
 EXIT_NO_CONTRACTION = 4
 
-_SCHEMA: dict[str, type] = {
-    "alpha": float,
-    "beta": float,
-    "gamma": float,
-    "n": int,
-    "p": float,
-    "L": float,
-    "N": int,
-    "X": float,
-    "M": int,
-    "T": float,
-    "dt": float,
-    "amplitude": float,
-    "max_iter": int,
-    "tol": float,
-    "phi": float,
-    "theta": float,
-}
-
-_DEFAULTS: dict[str, object] = {
-    "alpha": 1.0,
-    "beta": 0.0,
-    "gamma": 1.0,
-    "n": 2,
-    "p": 2.0,
-    "L": 2.0 * math.pi,
-    "N": 32,
-    "X": None,
-    "M": 64,
-    "T": 0.5,
-    "dt": 0.5 / 64.0,
-    "amplitude": 1e-3,
-    "max_iter": 25,
-    "tol": 1e-8,
-    "phi": None,
-    "theta": None,
+# key -> (type, default); any other key is rejected
+_KEYS: dict[str, tuple[type, object]] = {
+    "alpha": (float, 1.0),
+    "beta": (float, 0.0),
+    "gamma": (float, 1.0),
+    "n": (int, 2),
+    "p": (float, 2.0),
+    "L": (float, 2.0 * math.pi),
+    "N": (int, 32),
+    "X": (float, None),
+    "M": (int, 64),
+    "T": (float, 0.5),
+    "dt": (float, 0.5 / 64.0),
+    "amplitude": (float, 1e-3),
+    "max_iter": (int, 25),
+    "tol": (float, 1e-8),
+    "phi": (float, None),
+    "theta": (float, None),
 }
 
 
@@ -97,45 +87,34 @@ class ConfigError(ValueError):
         super().__init__(f"{key}: {message}")
 
 
-def _coerce(key: str, raw: str):
-    kind = _SCHEMA[key]
+def _assign(cfg: dict[str, object], item: str, source: str, malformed: str) -> None:
+    """Set one ``key = value`` ``item`` of ``source`` (``config`` or ``set``)."""
+    if "=" not in item:
+        raise ConfigError(source, malformed)
+    key, raw = (part.strip() for part in item.split("=", 1))
+    if key not in _KEYS:
+        raise ConfigError(key, "unknown configuration key")
+    kind = _KEYS[key][0]
     try:
-        return kind(raw)
+        cfg[key] = kind(raw)
     except ValueError:
         raise ConfigError(key, f"cannot parse {raw!r} as {kind.__name__}") from None
 
 
-def _parse_config_file(path: str) -> dict[str, object]:
-    out: dict[str, object] = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError("config", f"cannot read {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if "=" not in body:
-            raise ConfigError("config", f"line {lineno} is not 'key = value': {line!r}")
-        key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in _SCHEMA:
-            raise ConfigError(key, "unknown configuration key")
-        out[key] = _coerce(key, raw)
-    return out
-
-
 def load_config(config_path: str | None, sets: tuple[str, ...]) -> dict[str, object]:
     """Defaults, then the config file, then ``--set`` overrides."""
-    cfg = dict(_DEFAULTS)
+    cfg = {key: default for key, (_, default) in _KEYS.items()}
     if config_path is not None:
-        cfg.update(_parse_config_file(config_path))
+        try:
+            text = Path(config_path).read_text()
+        except OSError as exc:
+            raise ConfigError("config", f"cannot read {config_path}: {exc}") from exc
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            body = line.split("#", 1)[0].strip()
+            if body:
+                _assign(cfg, body, "config", f"line {lineno} is not 'key = value': {line!r}")
     for item in sets:
-        if "=" not in item:
-            raise ConfigError("set", f"--set needs key=value, got {item!r}")
-        key, raw = (part.strip() for part in item.split("=", 1))
-        if key not in _SCHEMA:
-            raise ConfigError(key, "unknown configuration key")
-        cfg[key] = _coerce(key, raw)
+        _assign(cfg, item, "set", f"--set needs key=value, got {item!r}")
     if not math.isfinite(cfg["p"]):
         raise ConfigError("p", f"must be finite, got {cfg['p']!r}")
     return cfg
@@ -172,111 +151,121 @@ def _parse_complex(text: str) -> complex:
         raise ConfigError("lambda", f"cannot parse complex number {text!r}") from None
 
 
-def _emit(payload: dict, as_json: bool) -> None:
-    if as_json:
-        click.echo(json.dumps(payload, sort_keys=True))
-    else:
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _frac(value: Fraction) -> float:
-    return float(value)
-
-
 @click.group()
 def main() -> None:
     """Analysis and simulation tools for the damped-plate FSI system."""
 
 
-def _common(f):
-    f = click.option(
-        "--config", "config_path", type=str, default=None, help="key = value file"
-    )(f)
-    f = click.option(
-        "--set", "sets", multiple=True, help="override one key, e.g. --set alpha=2"
-    )(f)
-    f = click.option("--json", "as_json", is_flag=True, help="machine-readable output")(f)
-    f = click.option("--check", "check_only", is_flag=True, help="run invariants only")(f)
-    return f
+_COMMON = (
+    click.option("--check", "check_only", is_flag=True, help="run invariants only"),
+    click.option("--json", "as_json", is_flag=True, help="machine-readable output"),
+    click.option("--set", "sets", multiple=True, help="override one key, e.g. --set alpha=2"),
+    click.option("--config", "config_path", type=str, default=None, help="key = value file"),
+)
+
+
+def _command(name: str, *options):
+    """Register ``run`` as the subcommand ``name``: the common options, then ``options``.
+
+    ``run(cfg, check_only, as_json, **options)`` gets the loaded
+    configuration and returns ``(output, code)``.  A dict ``output`` is
+    printed as JSON (indented unless ``--json``), a string as it is and
+    ``None`` not at all; then the process exits with ``code``.  A
+    ``ValueError`` from loading the configuration or from ``run`` is a
+    configuration error.
+    """
+
+    def register(run):
+        def command(config_path, sets, as_json, check_only, **kwargs):
+            try:
+                output, code = run(load_config(config_path, sets), check_only, as_json, **kwargs)
+            except ValueError as exc:
+                click.echo(f"config error: {exc}", err=True)
+                sys.exit(EXIT_CONFIG)
+            if isinstance(output, dict):
+                output = json.dumps(output, indent=None if as_json else 2, sort_keys=True)
+            if output is not None:
+                click.echo(output)
+            sys.exit(code)
+
+        command.__doc__ = run.__doc__
+        for option in reversed(_COMMON + options):
+            command = option(command)
+        main.command(name)(command)
+        return run
+
+    return register
+
+
+def _verdict(ok: bool, note: str = "") -> tuple[str, int]:
+    """The one ``--check`` line and its exit code."""
+    line = "check: " + ("ok" if ok else "FAILED")
+    return (f"{line} {note}" if note else line), (EXIT_OK if ok else EXIT_RESIDUAL)
 
 
 # ----------------------------------------------------------------- symbols
 
 
-def _analyze_payload(cfg: dict[str, object]) -> tuple[dict, int]:
+def _polygon_payload(polygon: NewtonPolygon, number) -> dict:
+    """Vertices, edges and relevant weights, coordinates through ``number``."""
+    return {
+        "vertices": [[number(a), number(b)] for a, b in polygon.vertices],
+        "edges": [
+            {"from": [number(v1[0]), number(v1[1])], "to": [number(v2[0]), number(v2[1])], "r": str(r)}
+            for v1, v2, r in polygon.edges
+        ],
+        "relevant_weights": [str(r) for r in relevant_weights(polygon)],
+    }
+
+
+def _sector(key: str, angle: float) -> Sector:
+    try:
+        return Sector(angle)
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from None
+
+
+@_command("analyze-symbol")
+def analyze_symbol(cfg, check_only, as_json):
+    """Newton polygon, sector angles and parabolicity of the coupled symbol."""
     params = _params(cfg)
     phi0 = root_sector_angle(params)
-    phi = float(cfg["phi"]) if cfg["phi"] is not None else phi0 + (math.pi / 2 - phi0) / 2
-    theta = float(cfg["theta"]) if cfg["theta"] is not None else (phi - phi0) / 8
+    phi = cfg["phi"] if cfg["phi"] is not None else phi0 + (math.pi / 2 - phi0) / 2
+    # with phi <= phi0 no default theta exists: the sector is too wide
+    theta = cfg["theta"]
+    if theta is None and phi > phi0:
+        theta = (phi - phi0) / 8
     terms = coupled_symbol_terms(params)
     polygon = build_polygon(terms)
-    report = check_parabolicity(terms, params, Sector(phi), Sector(max(theta, 0.0)))
+    report = check_parabolicity(
+        terms, params, _sector("phi", phi), None if theta is None else _sector("theta", theta)
+    )
     payload = {
         "phi0": phi0,
         "phi": phi,
         "theta": theta,
-        "vertices": [[_frac(a), _frac(b)] for a, b in polygon.vertices],
-        "edges": [
-            {"from": [_frac(v1[0]), _frac(v1[1])], "to": [_frac(v2[0]), _frac(v2[1])], "r": str(r)}
-            for v1, v2, r in polygon.edges
-        ],
-        "relevant_weights": [str(r) for r in relevant_weights(polygon)],
+        **_polygon_payload(polygon, float),
         "parabolicity": report.rows(),
         "sector_too_wide": report.sector_too_wide,
         "pass": report.passed,
     }
+    if check_only:
+        expected = [[6.0, 0.0], [2.0, 2.0], [0.0, 2.5]]
+        return _verdict(payload["vertices"] == expected and report.passed)
     if report.sector_too_wide:
         return payload, EXIT_SECTOR
     return payload, EXIT_OK if report.passed else EXIT_RESIDUAL
 
 
-@main.command("analyze-symbol")
-@_common
-def analyze_symbol(config_path, sets, as_json, check_only):
-    """Newton polygon, sector angles and parabolicity of the coupled symbol."""
-    try:
-        cfg = load_config(config_path, sets)
-        payload, code = _analyze_payload(cfg)
-    except ValueError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    if check_only:
-        expected = [[6.0, 0.0], [2.0, 2.0], [0.0, 2.5]]
-        ok = payload["vertices"] == expected and payload["pass"]
-        click.echo("check: " + ("ok" if ok else "FAILED"))
-        sys.exit(EXIT_OK if ok else EXIT_RESIDUAL)
-    _emit(payload, as_json)
-    sys.exit(code)
-
-
-@main.command("polygon")
-@_common
-def polygon_cmd(config_path, sets, as_json, check_only):
+@_command("polygon")
+def polygon_cmd(cfg, check_only, as_json):
     """Exact Newton-polygon report for the configured parameters."""
-    try:
-        cfg = load_config(config_path, sets)
-        params = _params(cfg)
-        terms = coupled_symbol_terms(params)
-        polygon = build_polygon(terms)
-    except ValueError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    terms = coupled_symbol_terms(_params(cfg))
+    polygon = build_polygon(terms)
     if check_only:
         # hull must be invariant under term order
-        shuffled = list(terms)[::-1]
-        same = build_polygon(shuffled).vertices == polygon.vertices
-        click.echo("check: " + ("ok" if same else "FAILED"))
-        sys.exit(EXIT_OK if same else EXIT_RESIDUAL)
-    payload = {
-        "vertices": [[str(a), str(b)] for a, b in polygon.vertices],
-        "edges": [
-            {"from": [str(v1[0]), str(v1[1])], "to": [str(v2[0]), str(v2[1])], "r": str(r)}
-            for v1, v2, r in polygon.edges
-        ],
-        "relevant_weights": [str(r) for r in relevant_weights(polygon)],
-    }
-    _emit(payload, as_json)
-    sys.exit(EXIT_OK)
+        return _verdict(build_polygon(terms[::-1]).vertices == polygon.vertices)
+    return _polygon_payload(polygon, str), EXIT_OK
 
 
 # ------------------------------------------------------------- solve-linear
@@ -342,72 +331,58 @@ def _default_points(grid_spec: str) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(lams, z_count), np.tile(zs, lam_count)
 
 
-@main.command("solve-linear")
-@_common
-@click.option("--lambda", "lam_text", type=str, default=None, help="single lambda, e.g. 1+0i")
-@click.option("--z", "z_value", type=float, default=None, help="single tangential modulus")
-@click.option("--grid", "grid_spec", type=str, default="8x8", help="lambda x z sweep sizes")
-@click.option("--corrupt-p0", is_flag=True, help="debug: perturb the pressure trace by 1%")
-@click.option("--out", "out_path", type=str, default=None, help="write CSV here instead of stdout")
-def solve_linear(config_path, sets, as_json, check_only, lam_text, z_value, grid_spec, corrupt_p0, out_path):
+@_command(
+    "solve-linear",
+    click.option("--lambda", "lam_text", type=str, default=None, help="single lambda, e.g. 1+0i"),
+    click.option("--z", "z_value", type=float, default=None, help="single tangential modulus"),
+    click.option("--grid", "grid_spec", type=str, default="8x8", help="lambda x z sweep sizes"),
+    click.option("--corrupt-p0", is_flag=True, help="debug: perturb the pressure trace by 1%"),
+    click.option("--out", "out_path", type=str, default=None, help="write CSV here instead of stdout"),
+)
+def solve_linear(cfg, check_only, as_json, lam_text, z_value, grid_spec, corrupt_p0, out_path):
     """Frequency-domain sweep with six-residual verification per point."""
-    try:
-        cfg = load_config(config_path, sets)
-        params = _params(cfg)
-        n = int(cfg["n"])
-        if (lam_text is None) != (z_value is None):
-            raise ConfigError("lambda", "--lambda and --z must be given together")
-        if lam_text is not None:
-            lam, z = _parse_complex(lam_text), float(z_value)
-            if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
-                raise ConfigError("lambda", f"must be finite, got {lam_text!r}")
-            if not math.isfinite(z):
-                raise ConfigError("z", f"must be finite, got {z_value!r}")
-            points = (np.array([lam]), np.array([z]))
-            Freq(*points)  # rejects a negative z while it is still a config error
-        else:
-            points = _default_points(grid_spec)
-    except ValueError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    params = _params(cfg)
+    n = int(cfg["n"])
+    if (lam_text is None) != (z_value is None):
+        raise ConfigError("lambda", "--lambda and --z must be given together")
+    if lam_text is not None:
+        lam, z = _parse_complex(lam_text), float(z_value)
+        if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+            raise ConfigError("lambda", f"must be finite, got {lam_text!r}")
+        if not math.isfinite(z):
+            raise ConfigError("z", f"must be finite, got {z_value!r}")
+        points = (np.array([lam]), np.array([z]))
+        Freq(*points)  # rejects a negative z before the check runs
+    else:
+        points = _default_points(grid_spec)
     if check_only:
-        ok = bool(_linear_rows(params, *_default_points("3x3"), False, n)["pass"].all())
-        click.echo("check: " + ("ok" if ok else "FAILED"))
-        sys.exit(EXIT_OK if ok else EXIT_RESIDUAL)
-    try:
-        # a point so large that its traces overflow is reported below, as
-        # a config error rather than as floating-point warnings
-        with np.errstate(all="ignore"):
-            table = _linear_rows(params, *points, corrupt_p0, n)
-    except NearResonance as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+        return _verdict(bool(_linear_rows(params, *_default_points("3x3"), False, n)["pass"].all()))
+    # a point so large that its traces overflow is reported below, as
+    # a config error rather than as floating-point warnings
+    with np.errstate(all="ignore"):
+        table = _linear_rows(params, *points, corrupt_p0, n)
     finite = np.isfinite([table[c] for c in ("eta_abs", "p0_abs", "residual_max")]).all(axis=0)
     if not finite.all():
         i = int(np.flatnonzero(~finite)[0])
-        click.echo(
-            f"config error: lambda: the traces are not finite at lambda = "
-            f"{complex(points[0][i])}, z = {float(points[1][i])}",
-            err=True,
+        raise ConfigError(
+            "lambda",
+            f"the traces are not finite at lambda = {complex(points[0][i])}, z = {float(points[1][i])}",
         )
-        sys.exit(EXIT_CONFIG)
     all_pass = bool(table["pass"].all())
+    code = EXIT_OK if all_pass else EXIT_RESIDUAL
     if as_json:
         # Plain Python floats and bools, one dict per point.
         rows = zip(*(column.tolist() for column in table.values()))
-        rows = [dict(zip(table, row)) for row in rows]
-        _emit({"rows": rows, "pass": all_pass}, as_json=True)
-    else:
-        # The whole table, point by point, through one format string.
-        row = "%.12g,%.12g,%.12g,%.12g,%.12g,%.6e,%d"
-        values = np.column_stack(list(table.values())).ravel().tolist()
-        body = "\n".join([row] * len(table["z"])) % tuple(values)
-        text = "\n".join(["# schema=1", ",".join(table), body])
-        if out_path is not None:
-            Path(out_path).write_text(text + "\n")
-        else:
-            click.echo(text)
-    sys.exit(EXIT_OK if all_pass else EXIT_RESIDUAL)
+        return {"rows": [dict(zip(table, row)) for row in rows], "pass": all_pass}, code
+    # The whole table, point by point, through one format string.
+    row = "%.12g,%.12g,%.12g,%.12g,%.12g,%.6e,%d"
+    values = np.column_stack(list(table.values())).ravel().tolist()
+    body = "\n".join([row] * len(table["z"])) % tuple(values)
+    text = "\n".join(["# schema=1", ",".join(table), body])
+    if out_path is None:
+        return text, code
+    Path(out_path).write_text(text + "\n")
+    return None, code
 
 
 # ----------------------------------------------------------------- simulate
@@ -487,10 +462,11 @@ def _write_fields_csv(path: Path, grid: Grid, state: State) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-@main.command("simulate")
-@_common
-@click.option("--out", "out_dir", type=str, default="simulate-out", help="output directory")
-def simulate(config_path, sets, as_json, check_only, out_dir):
+@_command(
+    "simulate",
+    click.option("--out", "out_dir", type=str, default="simulate-out", help="output directory"),
+)
+def simulate(cfg, check_only, as_json, out_dir):
     """Nonlinear fixed-point run; writes step CSV, field dump and summary."""
     from .timedomain import (
         LinearStepper,
@@ -501,30 +477,20 @@ def simulate(config_path, sets, as_json, check_only, out_dir):
     )
     from .timedomain.stepper import staggered_divergence
 
-    try:
-        cfg = load_config(config_path, sets)
-        params = _params(cfg)
-        grid = _grid(cfg)
-        data = default_forcing(grid, float(cfg["amplitude"]))
-        data.p_exponent = float(cfg["p"])
-    except ValueError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    params = _params(cfg)
+    grid = _grid(cfg)
+    data = default_forcing(grid, float(cfg["amplitude"]))
+    data.p_exponent = float(cfg["p"])
     if check_only:
-        try:
-            zero = fixed_point_solve(
-                params, grid, ProblemData(p_exponent=float(cfg["p"])), max_iter=2
-            )
-        except ValueError as exc:
-            click.echo(f"config error: {exc}", err=True)
-            sys.exit(EXIT_CONFIG)
+        zero = fixed_point_solve(
+            params, grid, ProblemData(p_exponent=float(cfg["p"])), max_iter=2
+        )
         # one step: the march over a horizon of one time step
         stepper = LinearStepper(params, dataclasses.replace(grid, T=grid.dt))
         forced = stepper.run(State.zeros(grid), data)[1]
         defect = float(np.abs(staggered_divergence(forced.v, grid)).max())
         ok = zero.converged and zero.iterations == 1 and defect <= TOL.solver_tol
-        click.echo(f"check: {'ok' if ok else 'FAILED'} (divergence defect {defect:.2e})")
-        sys.exit(EXIT_OK if ok else EXIT_RESIDUAL)
+        return _verdict(ok, f"(divergence defect {defect:.2e})")
     try:
         result = fixed_point_solve(
             params, grid, data, max_iter=int(cfg["max_iter"]), rel_tol=float(cfg["tol"])
@@ -536,11 +502,7 @@ def simulate(config_path, sets, as_json, check_only, out_dir):
             "contraction_ratios": list(exc.ratios),
             "message": str(exc),
         }
-        _emit(payload, as_json)
-        sys.exit(EXIT_NO_CONTRACTION)
-    except ValueError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+        return payload, EXIT_NO_CONTRACTION
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_steps_csv(out / "steps.csv", grid, result)
@@ -553,8 +515,7 @@ def simulate(config_path, sets, as_json, check_only, out_dir):
         "scale": result.scale,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _emit(summary, as_json)
-    sys.exit(EXIT_OK if result.converged else EXIT_RESIDUAL)
+    return summary, EXIT_OK if result.converged else EXIT_RESIDUAL
 
 
 # ------------------------------------------------------------- check-compat
@@ -593,46 +554,30 @@ def compatible_example(grid: Grid, amplitude: float) -> ProblemData:
     return ProblemData(v0=v, g=g, eta1=eta1)
 
 
-@main.command("check-compat")
-@_common
-def check_compat(config_path, sets, as_json, check_only):
+@_command("check-compat")
+def check_compat(cfg, check_only, as_json):
     """Discrete compatibility report for the built-in data family."""
     from .timedomain import check_compatibility
 
-    try:
-        cfg = load_config(config_path, sets)
-        grid = _grid(cfg)
-        data = compatible_example(grid, float(cfg["amplitude"]))
-        data.p_exponent = float(cfg["p"])
-    except ValueError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    grid = _grid(cfg)
+    data = compatible_example(grid, float(cfg["amplitude"]))
+    data.p_exponent = float(cfg["p"])
     report = check_compatibility(data, grid)
     if check_only:
-        pairing = report["duality-pairing"]
-        ok = pairing.status == "PASS"
-        click.echo("check: " + ("ok" if ok else "FAILED"))
-        sys.exit(EXIT_OK if ok else EXIT_RESIDUAL)
-    _emit(report.as_dict(), as_json)
-    sys.exit(EXIT_OK if report.passed else EXIT_RESIDUAL)
+        return _verdict(report["duality-pairing"].status == "PASS")
+    return report.as_dict(), EXIT_OK if report.passed else EXIT_RESIDUAL
 
 
 # -------------------------------------------------------------------- index
 
 
-@main.command("index")
-@_common
-def index_cmd(config_path, sets, as_json, check_only):
+@_command("index")
+def index_cmd(cfg, check_only, as_json):
     """Sobolev index values, thresholds and the embedding catalog."""
-    try:
-        cfg = load_config(config_path, sets)
-        n = int(cfg["n"])
-        p = float(cfg["p"])
-        thresholds = exponent_thresholds(n)
-        catalog = embedding_catalog(n, p)
-    except ValueError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    n = int(cfg["n"])
+    p = float(cfg["p"])
+    thresholds = exponent_thresholds(n)
+    catalog = embedding_catalog(n, p)
     if check_only:
         ok = True
         for m in range(2, 51):
@@ -641,8 +586,7 @@ def index_cmd(config_path, sets, as_json, check_only):
         for m in (2, 3, 4):
             rows = embedding_catalog(m, Fraction(m + 2, 3))
             ok &= all(row.holds for row in rows)
-        click.echo("check: " + ("ok" if ok else "FAILED"))
-        sys.exit(EXIT_OK if ok else EXIT_RESIDUAL)
+        return _verdict(ok)
     payload = {
         "n": n,
         "p": p,
@@ -650,8 +594,7 @@ def index_cmd(config_path, sets, as_json, check_only):
         "catalog": [row.as_dict() for row in catalog],
         "all_hold": all(row.holds for row in catalog),
     }
-    _emit(payload, as_json)
-    sys.exit(EXIT_OK)
+    return payload, EXIT_OK
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ __all__ = [
     "MixedTerm",
     "NewtonPolygon",
     "PrincipalSymbol",
-    "SamplingSpec",
     "ParabolicityReport",
     "EmptyTermSet",
     "term_points",
@@ -255,15 +254,13 @@ def relevant_weights(polygon: NewtonPolygon) -> list[Fraction]:
     return rs
 
 
-@dataclass(frozen=True)
-class SamplingSpec:
-    """Log-polar sampling grids for the sector non-vanishing check."""
-
-    lam_moduli: int = 64
-    lam_args: int = 33
-    z_moduli: int = 12
-    z_args: int = 5
-    modulus_range: tuple[float, float] = (1e-3, 1e3)
+# Log-polar sampling of the sector non-vanishing check: (moduli, arguments)
+# of the lambda and z grids, both over the same modulus range, and the
+# normalized modulus |P_r| / scale a weight must stay above.
+_LAM_SAMPLES = (64, 33)
+_Z_SAMPLES = (12, 5)
+_MODULUS_RANGE = (1e-3, 1e3)
+_MIN_RATIO = 1e-3
 
 
 @dataclass(frozen=True)
@@ -281,16 +278,16 @@ class ParabolicityReport:
 
     ``sector_too_wide`` flags the degenerate configuration where the requested
     sector half-angle does not clear the plate-root rays; in that case no
-    sampling is attempted and ``passed`` is False.
+    sampling is attempted and ``passed`` is False.  ``theta`` is None when
+    no tangential sector was given.
     """
 
     phi: float
-    theta: float
+    theta: float | None
     phi0: float
     results: tuple[WeightResult, ...]
     root_clearance_ok: bool
     sector_too_wide: bool
-    min_ratio_threshold: float
 
     @property
     def passed(self) -> bool:
@@ -322,10 +319,7 @@ def check_parabolicity(
     terms: Sequence[MixedTerm],
     params: PlateParams,
     phi: Sector,
-    theta: Sector,
-    sampling: SamplingSpec | None = None,
-    min_ratio: float = 1e-3,
-    plate_root_check: bool = True,
+    theta: Sector | None,
 ) -> ParabolicityReport:
     """Sampled non-vanishing of every relevant principal part on the sectors.
 
@@ -336,26 +330,24 @@ def check_parabolicity(
     plate roots (tension-free part) are additionally required to stay outside
     the time sector.  The configuration is rejected outright when
     ``phi <= phi0`` (sector too wide: the root rays enter) or when
-    ``theta >= (phi - phi0) / 4``.
+    ``theta >= (phi - phi0) / 4``.  ``theta`` may be None only for a
+    sector that is too wide, where no tangential sector fits.
     """
-    sampling = sampling or SamplingSpec()
     phi0 = root_sector_angle(params)
     if phi.vertex_angle >= pi / 2 or phi.vertex_angle <= phi0:
         return ParabolicityReport(
             phi=phi.vertex_angle,
-            theta=theta.vertex_angle,
+            theta=None if theta is None else theta.vertex_angle,
             phi0=phi0,
             results=(),
             root_clearance_ok=False,
             sector_too_wide=True,
-            min_ratio_threshold=min_ratio,
         )
     angle_ok = theta.vertex_angle < (phi.vertex_angle - phi0) / 4
 
     lam_sector = Sector(pi - phi.vertex_angle)
-    lo, hi = sampling.modulus_range
-    lam = _sector_grid(lam_sector, sampling.lam_moduli, sampling.lam_args, lo, hi)
-    zz = _sector_grid(theta, sampling.z_moduli, sampling.z_args, lo, hi)
+    lam = _sector_grid(lam_sector, *_LAM_SAMPLES, *_MODULUS_RANGE)
+    zz = _sector_grid(theta, *_Z_SAMPLES, *_MODULUS_RANGE)
     lam_grid = lam[:, None]
     z_grid = zz[None, :]
 
@@ -375,22 +367,21 @@ def check_parabolicity(
                 min_ratio=worst,
                 argmin_lam=complex(lam[i]),
                 argmin_z=complex(zz[j]),
-                passed=worst > min_ratio,
+                passed=worst > _MIN_RATIO,
             )
         )
 
+    # Balanced-scaling principal part vanishes exactly on the rays of the
+    # tension-free plate roots; verify they clear the time sector.
     roots_ok = True
-    if plate_root_check:
-        # Balanced-scaling principal part vanishes exactly on the rays of the
-        # tension-free plate roots; verify they clear the time sector.
-        tension_free = PlateParams(params.alpha, 0.0, params.gamma)
-        boundary = pi - phi.vertex_angle
-        for z in np.geomspace(1e-2, 1e2, 17):
-            for root in plate_roots(tension_free, float(z)):
-                if root == 0:
-                    continue
-                if abs(np.angle(root)) <= boundary:
-                    roots_ok = False
+    tension_free = PlateParams(params.alpha, 0.0, params.gamma)
+    boundary = pi - phi.vertex_angle
+    for z in np.geomspace(1e-2, 1e2, 17):
+        for root in plate_roots(tension_free, float(z)):
+            if root == 0:
+                continue
+            if abs(np.angle(root)) <= boundary:
+                roots_ok = False
     return ParabolicityReport(
         phi=phi.vertex_angle,
         theta=theta.vertex_angle,
@@ -398,7 +389,6 @@ def check_parabolicity(
         results=tuple(results),
         root_clearance_ok=roots_ok and angle_ok,
         sector_too_wide=False,
-        min_ratio_threshold=min_ratio,
     )
 
 

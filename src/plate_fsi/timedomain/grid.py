@@ -241,7 +241,10 @@ class Grid:
     tangential directions with period ``L`` and ``N`` points each.  ``X``
     defaults to ``8 L`` and must be at least ``4 L`` so the lid at
     ``x_n = X`` stays far from the interface.  ``L``, ``X``, ``T`` and ``dt``
-    must be finite and ``T / dt`` integral.
+    must be finite and ``T / dt`` integral, and ``L`` and ``X`` small and
+    large enough that the mesh arithmetic stays finite: the widest vertical
+    stencil at both ends of the mesh, whose weights take the spacings to
+    the fifth power, and the plate's largest multiplier ``|xi|^4``.
     """
 
     n: int = 2
@@ -256,11 +259,13 @@ class Grid:
     def __post_init__(self) -> None:
         if self.n not in (2, 3):
             raise ValueError(f"n must be 2 or 3, got {self.n}")
-        if self.X is None:
-            object.__setattr__(self, "X", 8.0 * self.L)
+        given_X = self.X is not None
         for name in ("L", "X", "T", "dt"):
-            if not isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if value is not None and not isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not given_X:
+            object.__setattr__(self, "X", 8.0 * self.L)
         if self.L <= 0:
             raise ValueError(f"L must be positive, got {self.L}")
         if self.N < 8 or self.N & (self.N - 1):
@@ -272,8 +277,22 @@ class Grid:
         steps = round(self.T / self.dt)
         if steps < 1 or abs(steps * self.dt - self.T) > 1e-9 * self.T:
             raise ValueError(f"T / dt = {self.T / self.dt} is not integral")
+        with np.errstate(all="ignore"):
+            mesh = VerticalMesh(self.X, self.M, self.grading)
+            vertical = [mesh.weights] + [
+                fornberg_weights(mesh.nodes[end], mesh.nodes[span], 2)
+                for end, span in ((0, slice(6)), (-1, slice(-6, None)))
+            ]
+            top = np.float_power((self.n - 1) * np.square(pi * self.N / self.L), 2)
+        # a default X is 8 L: the key to name is the one that was set
+        for name, values in (("X" if given_X else "L", vertical), ("L", [top])):
+            if not all(np.isfinite(v).all() for v in values):
+                raise ValueError(
+                    f"{name} = {getattr(self, name)!r} is out of range: "
+                    "the mesh arithmetic is not finite"
+                )
         object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "mesh", VerticalMesh(self.X, self.M, self.grading))
+        object.__setattr__(self, "mesh", mesh)
         object.__setattr__(self, "_multiplier_cache", {})
 
     @property

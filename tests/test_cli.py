@@ -41,6 +41,40 @@ def runner() -> CliRunner:
     return CliRunner()
 
 
+class TestContract:
+    """What every subcommand shares: config errors and ``--check``."""
+
+    @pytest.mark.parametrize(
+        "command",
+        ["analyze-symbol", "polygon", "solve-linear", "simulate", "check-compat", "index"],
+    )
+    def test_unknown_key_is_config_error(self, runner: CliRunner, command: str) -> None:
+        res = runner.invoke(main, [command, "--set", "bogus=1"])
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("config error: bogus:")
+        assert res.stderr.count("\n") == 1
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze-symbol", "--check"],
+            ["polygon", "--check"],
+            ["solve-linear", "--check"],
+            ["simulate", *REDUCED, "--check"],
+            ["check-compat", *REDUCED, "--check"],
+            ["index", "--check"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_check_mode(self, runner: CliRunner, argv: list[str]) -> None:
+        res = runner.invoke(main, argv)
+        assert res.exit_code == 0
+        assert "check: ok" in res.stdout
+
+
 class TestConfig:
     def test_defaults(self) -> None:
         cfg = load_config(None, ())
@@ -93,11 +127,6 @@ class TestAnalyzeSymbol:
             (payload["phi"] - payload["phi0"]) / 8.0
         )
 
-    def test_check_mode(self, runner: CliRunner) -> None:
-        res = runner.invoke(main, ["analyze-symbol", "--check"])
-        assert res.exit_code == 0
-        assert "check: ok" in res.stdout
-
     def test_sector_beyond_half_pi_exits_2(self, runner: CliRunner) -> None:
         res = runner.invoke(main, ["analyze-symbol", "--set", "phi=1.6"])
         assert res.exit_code == 2
@@ -107,6 +136,30 @@ class TestAnalyzeSymbol:
         assert res.exit_code == 1
         assert "alpha" in res.output
 
+    def test_sector_too_wide_with_default_theta_exits_2(self, runner: CliRunner) -> None:
+        # phi <= phi0 = pi/3 leaves no tangential sector for the default theta
+        res = runner.invoke(main, ["analyze-symbol", "--set", "phi=0.5", "--json"])
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 2
+        payload = json.loads(res.stdout)
+        assert payload["sector_too_wide"] is True
+        assert payload["pass"] is False
+        assert payload["theta"] is None
+
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [("phi", "0"), ("phi", "-1"), ("phi", "4"), ("phi", "nan"),
+         ("theta", "0"), ("theta", "-1"), ("theta", "4")],
+    )
+    def test_angle_out_of_range_names_the_key(
+        self, runner: CliRunner, key: str, value: str
+    ) -> None:
+        res = runner.invoke(main, ["analyze-symbol", "--set", f"{key}={value}"])
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"config error: {key}: vertex angle must lie in (0, pi]")
+
 
 class TestPolygon:
     def test_exact_report(self, runner: CliRunner) -> None:
@@ -115,11 +168,6 @@ class TestPolygon:
         payload = json.loads(res.stdout)
         assert payload["vertices"] == [["6", "0"], ["2", "2"], ["0", "5/2"]]
         assert payload["relevant_weights"] == ["1", "2", "3", "4", "8"]
-
-    def test_check_mode(self, runner: CliRunner) -> None:
-        res = runner.invoke(main, ["polygon", "--check"])
-        assert res.exit_code == 0
-        assert "check: ok" in res.stdout
 
 
 class TestSolveLinear:
@@ -243,11 +291,6 @@ class TestSolveLinear:
         lines = target.read_text().splitlines()
         assert lines[0] == "# schema=1"
         assert len(lines) == 2 + 4
-
-    def test_check_mode(self, runner: CliRunner) -> None:
-        res = runner.invoke(main, ["solve-linear", "--check"])
-        assert res.exit_code == 0
-        assert "check: ok" in res.stdout
 
     def test_corrupted_pressure_trace_fails_every_point(self, runner: CliRunner) -> None:
         res = runner.invoke(
@@ -473,11 +516,6 @@ class TestSimulate:
         assert payload["converged"] is True
         assert payload["residual"] == 0.0
 
-    def test_check_mode(self, runner: CliRunner) -> None:
-        res = runner.invoke(main, ["simulate", *REDUCED, "--check"])
-        assert res.exit_code == 0
-        assert "check: ok" in res.stdout
-
 
 class TestCheckCompat:
     def test_compatible_family_passes(self, runner: CliRunner) -> None:
@@ -526,11 +564,6 @@ class TestCheckCompat:
         assert statuses["no-slip-trace"] == "NOT_REQUIRED"
         assert statuses["kinematic-trace"] == "NOT_REQUIRED"
 
-    def test_check_mode(self, runner: CliRunner) -> None:
-        res = runner.invoke(main, ["check-compat", *REDUCED, "--check"])
-        assert res.exit_code == 0
-        assert "check: ok" in res.stdout
-
 
 class TestNonFiniteConfig:
     @pytest.mark.parametrize(
@@ -566,6 +599,41 @@ class TestNonFiniteConfig:
         assert not (tmp_path / "out").exists()
 
 
+class TestGridLengths:
+    @pytest.mark.parametrize("command", ["check-compat", "simulate"])
+    @pytest.mark.parametrize(
+        ("key", "value", "extra"),
+        [("L", "1e300", []), ("L", "1e200", []), ("L", "1e308", []), ("L", "1e-100", []),
+         ("X", "1e300", []), ("X", "1e308", []),
+         # the vertical mesh on [0, 1] is fine; |xi|^4 at the top mode is not
+         ("L", "1e-100", ["--set", "X=1"])],
+    )
+    def test_out_of_range_length_is_config_error_naming_the_key(
+        self, runner: CliRunner, tmp_path: Path, command: str, key: str, value: str,
+        extra: list[str],
+    ) -> None:
+        argv = [command, "--set", "N=8", "--set", "M=16", "--set", f"{key}={value}", *extra]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "out")]
+        res = runner.invoke(main, argv)
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr == (
+            f"config error: {key} = {float(value)!r} is out of range: "
+            "the mesh arithmetic is not finite\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["1e60", "1e-60"])
+    def test_large_and_small_lengths_in_range_run(self, runner: CliRunner, value: str) -> None:
+        res = runner.invoke(
+            main, ["check-compat", "--set", "N=8", "--set", "M=16", "--set", f"L={value}", "--json"]
+        )
+        assert res.exit_code == 0, res.output
+        assert res.stderr == ""
+
+
 class TestIndex:
     def test_default_report(self, runner: CliRunner) -> None:
         res = runner.invoke(main, ["index", "--json"])
@@ -586,11 +654,6 @@ class TestIndex:
     def test_invalid_dimension_exits_1(self, runner: CliRunner) -> None:
         res = runner.invoke(main, ["index", "--set", "n=1"])
         assert res.exit_code == 1
-
-    def test_check_mode(self, runner: CliRunner) -> None:
-        res = runner.invoke(main, ["index", "--check"])
-        assert res.exit_code == 0
-        assert "check: ok" in res.stdout
 
 
 @pytest.mark.parametrize(
