@@ -50,7 +50,7 @@ from .symbols import root_sector_angle
 # The time-domain layer (and with it scipy) is imported inside the commands
 # that use it, so the other subcommands start without loading it.
 if TYPE_CHECKING:
-    from .timedomain import Grid, ProblemData, State
+    from .timedomain import Grid, ProblemData, Trajectory
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -432,26 +432,26 @@ def _write_steps_csv(path: Path, grid: Grid, result) -> None:
     v_sup, eta_sup = (
         np.abs(f).max(axis=tuple(range(1, f.ndim))).tolist() for f in (traj.v, traj.eta)
     )
-    for k in range(len(traj)):
-        res = result.step_residuals[k] if k < len(result.step_residuals) else 0.0
-        lines.append(f"{k * grid.dt:.12g},{v_sup[k]:.12g},{eta_sup[k]:.12g},{res:.6e}")
+    for k, (v, eta, res) in enumerate(zip(v_sup, eta_sup, result.step_residuals)):
+        lines.append(f"{k * grid.dt:.12g},{v:.12g},{eta:.12g},{res:.6e}")
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_fields_csv(path: Path, grid: Grid, state: State) -> None:
+def _write_fields_csv(path: Path, grid: Grid, traj: Trajectory) -> None:
+    """The last level of ``traj``, one row per (tangential point, node)."""
+    v, p, eta, eta_t = (f[-1] for f in traj.fields())
     tan_names = ["x1"] if grid.n == 2 else ["x1", "x2"]
     v_names = [f"v{i + 1}" for i in range(grid.n)]
     names = tan_names + ["xn"] + v_names + ["p", "eta", "eta_t"]
-    # One row per (tangential point, node), nodes fastest.  Each tangential
-    # point, node and (eta, eta_t) pair is formatted once; per row only the
-    # bulk columns are.
+    # Nodes fastest.  Each tangential point, node and (eta, eta_t) pair is
+    # formatted once; per row only the bulk columns are.
     coords = zip(*(x.ravel().tolist() for x in grid.tangential_coordinates()))
     leads = [("%.12g," * (grid.n - 1)) % point for point in coords]
     nodes = ["%.12g," % x for x in grid.mesh.nodes.tolist()]
-    plate = zip(state.eta.ravel().tolist(), state.eta_t.ravel().tolist())
+    plate = zip(eta.ravel().tolist(), eta_t.ravel().tolist())
     tails = [",%.12g,%.12g" % pair for pair in plate]
     bulk = ",".join(["%.12g"] * (grid.n + 1))
-    columns = (f.ravel().tolist() for f in (*state.v, state.p))
+    columns = (f.ravel().tolist() for f in (*v, p))
     rows = iter([bulk % values for values in zip(*columns)])
     lines = ["# schema=1", ",".join(names)]
     lines += [
@@ -472,7 +472,6 @@ def simulate(cfg, check_only, as_json, out_dir):
         LinearStepper,
         NoContraction,
         ProblemData,
-        State,
         fixed_point_solve,
     )
     from .timedomain.stepper import staggered_divergence
@@ -487,8 +486,8 @@ def simulate(cfg, check_only, as_json, out_dir):
         )
         # one step: the march over a horizon of one time step
         stepper = LinearStepper(params, dataclasses.replace(grid, T=grid.dt))
-        forced = stepper.run(State.zeros(grid), data)[1]
-        defect = float(np.abs(staggered_divergence(forced.v, grid)).max())
+        forced = stepper.run(data).v[1]
+        defect = float(np.abs(staggered_divergence(forced, grid)).max())
         ok = zero.converged and zero.iterations == 1 and defect <= TOL.solver_tol
         return _verdict(ok, f"(divergence defect {defect:.2e})")
     try:
@@ -506,7 +505,7 @@ def simulate(cfg, check_only, as_json, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_steps_csv(out / "steps.csv", grid, result)
-    _write_fields_csv(out / "fields.csv", grid, result.trajectory[-1])
+    _write_fields_csv(out / "fields.csv", grid, result.trajectory)
     summary = {
         "converged": result.converged,
         "iterations": result.iterations,
@@ -544,7 +543,9 @@ def compatible_example(grid: Grid, amplitude: float) -> ProblemData:
     v = np.zeros((grid.n,) + grid.tan_shape + (grid.M + 1,))
     v[0] = (sbp @ stream.reshape(-1, grid.M + 1).T).T.reshape(stream.shape)
     v[grid.n - 1] = -next(iter(tangential_derivatives(stream, grid, (1,), bulk=True)))
-    trace_bump = amplitude * np.cos(2.0 * k * coords[0])[..., np.newaxis] * np.exp(-xn)
+    # zero at the lid, where the last test function of the pairing is one
+    lid = np.exp(-xn) - math.exp(-grid.X)
+    trace_bump = amplitude * np.cos(2.0 * k * coords[0])[..., np.newaxis] * lid
     v[grid.n - 1] += trace_bump
     v[: grid.n - 1, ..., 0] = 0.0
     v[: grid.n - 1, ..., -1] = 0.0

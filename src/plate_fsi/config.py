@@ -1,8 +1,9 @@
 """Global tolerances.
 
 A single module-level :data:`TOL` instance is consulted throughout; tests or
-callers that need different tolerances can replace individual attributes or
-swap the instance.
+callers that need different tolerances replace its attributes.  Swapping the
+instance does not work: the modules that read it bind it by
+``from .config import TOL``.
 """
 
 from __future__ import annotations

@@ -207,8 +207,9 @@ def solve_traces(
     where the tangential coefficients would divide zero by zero.
 
     ``n`` is the spatial dimension (the tangential covector has ``n - 1``
-    components); it defaults to the dimension implied by ``freq.xi_prime``,
-    or to 2.  Broadcasts over the points of ``freq`` and ``f_eta_hat``.
+    components, at least one); it defaults to the dimension implied by
+    ``freq.xi_prime``, or to 2.  Broadcasts over the points of ``freq`` and
+    ``f_eta_hat``.
     """
     lam, z = _points(freq)
     f_eta_hat = np.asarray(f_eta_hat, dtype=complex)
@@ -219,6 +220,8 @@ def solve_traces(
         n = implied
     elif n is None:
         n = 2
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
     xi = freq.direction(n)
 
     d1, w, _, _ = _reduced_denominator(params, lam, z)

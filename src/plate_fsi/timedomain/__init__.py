@@ -8,7 +8,7 @@ system, an inverse-Laplace reference, and the small-data fixed-point driver,
 all on arrays with a leading time-level axis.
 """
 
-from .grid import Grid, ProblemData, State, Trajectory, VerticalMesh
+from .grid import Grid, ProblemData, Trajectory, VerticalMesh
 from .nonlin import nonlinear_divergence, nonlinear_terms
 from .compat import CompatReport, check_compatibility
 from .laplace import ContourFailure, mode_response_reference, talbot_inverse
@@ -25,7 +25,6 @@ __all__ = [
     "NoContraction",
     "ProblemData",
     "SolverSingular",
-    "State",
     "Trajectory",
     "VerticalMesh",
     "check_compatibility",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import TOL
-from .grid import Grid, ProblemData, State, tangential_derivatives
+from .grid import Grid, ProblemData, tangential_derivatives
 from .nonlin import nonlinear_divergence
 
 __all__ = [
@@ -187,14 +187,8 @@ def check_compatibility(data: ProblemData, grid: Grid) -> CompatReport:
     exponent carried by the data.
     """
     data = data.materialize(grid)
-    state0 = State(
-        v=data.v0,
-        p=np.zeros(grid.tan_shape + (grid.M + 1,)),
-        eta=data.eta0,
-        eta_t=data.eta1,
-    )
-    g0 = data.g[0] if data.g.ndim == grid.n + 1 else data.g
-    defect = discrete_divergence(data.v0, grid) - nonlinear_divergence(state0, grid) - g0
+    level0 = data.initial(grid)
+    defect = discrete_divergence(data.v0, grid) - nonlinear_divergence(level0, grid)[0] - data.g
 
     family = test_function_family(grid)
     div_res: list[float] = []
@@ -203,17 +197,21 @@ def check_compatibility(data: ProblemData, grid: Grid) -> CompatReport:
     pair_scale: list[float] = []
     for phi in family:
         div_res.append(abs(_bulk_integral(defect * phi, grid)))
-        div_scale.append(_bulk_integral(np.abs(defect * phi), grid) + _bulk_integral(np.abs(g0 * phi), grid) + _bulk_integral(np.abs(phi), grid))
+        div_scale.append(
+            _bulk_integral(np.abs(defect * phi), grid)
+            + _bulk_integral(np.abs(data.g * phi), grid)
+            + _bulk_integral(np.abs(phi), grid)
+        )
         grad_phi = _gradient_of(phi, grid)
         transport = sum(data.v0[d] * grad_phi[d] for d in range(grid.n))
         terms = (
-            _bulk_integral(g0 * phi, grid),
+            _bulk_integral(data.g * phi, grid),
             _plate_integral(data.eta1 * phi[..., 0], grid),
             _bulk_integral(transport, grid),
         )
         pair_res.append(abs(sum(terms)))
         pair_scale.append(
-            _bulk_integral(np.abs(g0 * phi), grid)
+            _bulk_integral(np.abs(data.g * phi), grid)
             + _plate_integral(np.abs(data.eta1 * phi[..., 0]), grid)
             + _bulk_integral(np.abs(transport), grid)
             + _bulk_integral(np.abs(phi), grid) * max(1.0, float(np.abs(data.v0).max()))

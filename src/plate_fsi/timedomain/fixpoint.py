@@ -36,7 +36,7 @@ import numpy as np
 
 from ..indices import exponent_thresholds
 from ..params import PlateParams
-from .grid import Grid, ProblemData, State, Trajectory
+from .grid import Grid, ProblemData, Trajectory
 from .nonlin import Derivatives, derivatives, nonlinear_terms
 from .stepper import LinearStepper
 
@@ -64,10 +64,9 @@ class FixedPointResult:
     """Outcome of the nonlinear solve.
 
     ``trajectory`` holds every time level including the initial one, as
-    arrays with a leading level axis (indexing it gives one
-    :class:`State`); ``residual`` is the surrogate norm of ``K(w*) - w*``
-    for the returned trajectory, the largest of the per-level
-    ``step_residuals``, and ``scale`` its own trajectory norm.
+    arrays with a leading level axis; ``residual`` is the surrogate norm
+    of ``K(w*) - w*`` for the returned trajectory, the largest of the
+    per-level ``step_residuals``, and ``scale`` its own trajectory norm.
     """
 
     trajectory: Trajectory
@@ -87,9 +86,8 @@ def surrogate_norms(
     The sup of the fields, of the first derivatives of ``v``, of the
     tangential derivatives of ``eta`` up to fourth and of ``eta_t`` up to
     second order, summed in that order for every level, so an entry does
-    not depend on the other levels.  A single state is the one-level
-    ``Trajectory.of(state)``.  ``derivs``, the :func:`derivatives` of
-    ``traj``, are taken here (without the Laplacian) when not given.
+    not depend on the other levels.  ``derivs``, the :func:`derivatives`
+    of ``traj``, are taken here (without the Laplacian) when not given.
     """
     if derivs is None:
         derivs = derivatives(traj, grid, laplacian=False)
@@ -116,7 +114,7 @@ def _finite(traj: Trajectory) -> bool:
 
 
 def _frozen_sweep(
-    stepper: LinearStepper, data: ProblemData, start: State, source: Trajectory
+    stepper: LinearStepper, data: ProblemData, source: Trajectory
 ) -> tuple[Trajectory, list[float], list[float]]:
     """Apply the fixed-point map once with ``source`` frozen.
 
@@ -143,7 +141,7 @@ def _frozen_sweep(
                 gaps.extend(surrogate_norms(gap, grid).tolist())
             yield levels, chunk
 
-    new = Trajectory.collect(compared(stepper.march(start, data, frozen)), len(source))
+    new = Trajectory.collect(compared(stepper.march(data, frozen)), len(source))
     return new, norms, gaps
 
 
@@ -178,16 +176,10 @@ def fixed_point_solve(
         )
     stepper = LinearStepper(params, grid)
     levels = grid.steps + 1
-    start = State(
-        v=data.v0,
-        p=np.zeros(grid.tan_shape + (grid.M + 1,)),
-        eta=data.eta0,
-        eta_t=data.eta1,
-    )
     # Overflow and invalid values arise only on the way out of the finite
     # range, which the finite checks report as NoContraction.
     with np.errstate(over="ignore", invalid="ignore"):
-        source = Trajectory.collect(stepper.march(start, data), levels)
+        source = Trajectory.collect(stepper.march(data), levels)
         if not _finite(source):
             raise NoContraction("iterate 1 left the finite range", [])
         if not any(f.any() for f in source.fields()):
@@ -209,7 +201,7 @@ def fixed_point_solve(
         stall = 0
         for iterations in range(1, max_iter + 1):
             # the sweep from iterate k is the next iterate and the probe of k
-            new, norms, gaps = _frozen_sweep(stepper, data, start, source)
+            new, norms, gaps = _frozen_sweep(stepper, data, source)
             norm = max(start_norm, *norms)
             step_residuals = [0.0] + gaps
             converged = diff is not None and diff <= rel_tol * max(norm, 1e-300)

@@ -27,7 +27,6 @@ import scipy.sparse as sp
 __all__ = [
     "Grid",
     "ProblemData",
-    "State",
     "Trajectory",
     "VerticalMesh",
     "fornberg_weights",
@@ -406,71 +405,20 @@ def tangential_derivatives(
 
 
 @dataclass(eq=False)
-class State:
-    """Unknowns of the transformed system on a :class:`Grid`.
-
-    ``v`` has shape ``(n,) + tan_shape + (M + 1,)``, ``p`` lives on the
-    nodes with shape ``tan_shape + (M + 1,)``, ``eta`` and ``eta_t`` on the
-    tangential grid.  All fields are real in physical space.
-    """
-
-    v: np.ndarray
-    p: np.ndarray
-    eta: np.ndarray
-    eta_t: np.ndarray
-
-    def validate(self, grid: Grid) -> None:
-        bulk = grid.tan_shape + (grid.M + 1,)
-        if self.v.shape != (grid.n,) + bulk:
-            raise ValueError(f"v has shape {self.v.shape}, expected {(grid.n,) + bulk}")
-        if self.p.shape != bulk:
-            raise ValueError(f"p has shape {self.p.shape}, expected {bulk}")
-        for name in ("eta", "eta_t"):
-            arr = getattr(self, name)
-            if arr.shape != grid.tan_shape:
-                raise ValueError(
-                    f"{name} has shape {arr.shape}, expected {grid.tan_shape}"
-                )
-        for name in ("v", "p", "eta", "eta_t"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} contains non-finite entries")
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "State":
-        bulk = grid.tan_shape + (grid.M + 1,)
-        return cls(
-            v=np.zeros((grid.n,) + bulk),
-            p=np.zeros(bulk),
-            eta=np.zeros(grid.tan_shape),
-            eta_t=np.zeros(grid.tan_shape),
-        )
-
-    def copy(self) -> "State":
-        return State(*(f.copy() for f in self.fields()))
-
-    def fields(self) -> tuple[np.ndarray, ...]:
-        return self.v, self.p, self.eta, self.eta_t
-
-
-@dataclass(eq=False)
 class Trajectory:
-    """States of consecutive time levels, each field with a leading level axis.
+    """Unknowns of consecutive time levels, each field with a leading level axis.
 
-    ``v`` has shape ``(levels, n) + tan_shape + (M + 1,)``, ``p``
-    ``(levels,) + tan_shape + (M + 1,)``, ``eta`` and ``eta_t``
-    ``(levels,) + tan_shape``.  An integer index gives the :class:`State` of
-    one level (viewing the arrays), a slice the sub-trajectory.
+    ``v`` has shape ``(levels, n) + tan_shape + (M + 1,)``, ``p``, on the
+    nodes, ``(levels,) + tan_shape + (M + 1,)``, ``eta`` and ``eta_t``
+    ``(levels,) + tan_shape``.  All fields are real in physical space.  A
+    single state is a one-level trajectory; a slice gives the
+    sub-trajectory viewing the arrays.
     """
 
     v: np.ndarray
     p: np.ndarray
     eta: np.ndarray
     eta_t: np.ndarray
-
-    @classmethod
-    def of(cls, state: State) -> "Trajectory":
-        """The one-level trajectory viewing ``state``."""
-        return cls(*(f[np.newaxis] for f in state.fields()))
 
     @classmethod
     def collect(
@@ -491,13 +439,8 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.eta)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Trajectory(*(f[index] for f in self.fields()))
-        return State(*(f[index] for f in self.fields()))
-
-    def __iter__(self) -> Iterator[State]:
-        return (self[k] for k in range(len(self)))
+    def __getitem__(self, levels: slice) -> "Trajectory":
+        return Trajectory(*(f[levels] for f in self.fields()))
 
 
 # Levels per batched chunk: about this many velocity entries, at least one
@@ -543,3 +486,13 @@ class ProblemData:
             eta1=np.zeros(grid.tan_shape) if self.eta1 is None else np.asarray(self.eta1, dtype=float),
             p_exponent=self.p_exponent,
         )
+
+    def initial(self, grid: Grid) -> Trajectory:
+        """Level 0 of the march: ``v0``, zero pressure, ``eta0`` and ``eta1``.
+
+        A one-level trajectory viewing the initial data, zero where a
+        field is missing.
+        """
+        data = self.materialize(grid)
+        p = np.zeros((1,) + grid.tan_shape + (grid.M + 1,))
+        return Trajectory(data.v0[np.newaxis], p, data.eta0[np.newaxis], data.eta1[np.newaxis])

@@ -16,7 +16,6 @@ import numpy as np
 
 from .grid import (
     Grid,
-    State,
     Trajectory,
     _apply_multipliers,
     _multipliers,
@@ -40,10 +39,10 @@ def _d_n(field: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Derivatives:
-    """Derivatives of a state or a stack of levels, each taken once.
+    """Derivatives of a trajectory, each taken once.
 
     Every array keeps the layout of the field it differentiates, level
-    axes included.  ``grad_v`` holds ``d_j v`` for each tangential
+    axis included.  ``grad_v`` holds ``d_j v`` for each tangential
     direction ``j`` and ``dn_v`` the vertical derivative of ``v``.
     ``eta`` holds the tangential derivatives of ``eta`` of orders 1 to 4,
     ``eta_t`` those of ``eta_t`` of orders 1 and 2, order by order and
@@ -59,29 +58,27 @@ class Derivatives:
     lap_eta: np.ndarray | None
 
 
-def derivatives(
-    state: State | Trajectory, grid: Grid, laplacian: bool = True
-) -> Derivatives:
+def derivatives(traj: Trajectory, grid: Grid, laplacian: bool = True) -> Derivatives:
     """The derivatives that the surrogate norm and the quadratic terms read.
 
     ``eta`` up to fourth and ``eta_t`` up to second order, and with
     ``laplacian`` the Laplacian of ``eta``, which only the quadratic terms
     read.  The spectra of ``v``, ``eta`` and ``eta_t`` are taken once each.
     """
-    eta = _apply_multipliers(state.eta, grid, _multipliers(grid, (1, 2, 3, 4), laplacian))
+    eta = _apply_multipliers(traj.eta, grid, _multipliers(grid, (1, 2, 3, 4), laplacian))
     return Derivatives(
-        grad_v=tuple(tangential_derivatives(state.v, grid, (1,), bulk=True)),
-        dn_v=_d_n(state.v, grid),
+        grad_v=tuple(tangential_derivatives(traj.v, grid, (1,), bulk=True)),
+        dn_v=_d_n(traj.v, grid),
         eta=tuple(eta[: 4 * (grid.n - 1)]),
-        eta_t=tuple(tangential_derivatives(state.eta_t, grid, (1, 2))),
+        eta_t=tuple(tangential_derivatives(traj.eta_t, grid, (1, 2))),
         lap_eta=eta[-1] if laplacian else None,
     )
 
 
 def nonlinear_terms(
-    state: State | Trajectory, grid: Grid, derivs: Derivatives | None = None
+    traj: Trajectory, grid: Grid, derivs: Derivatives | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Momentum, divergence and plate-load corrections of a state or a stack.
+    """Momentum, divergence and plate-load corrections of each level of ``traj``.
 
     * momentum: every term the flattening moves out of the Stokes operator,
       ``(eta_t - lap' eta) d_n v - 2 (grad' eta . grad') d_n v + |grad' eta|^2
@@ -91,21 +88,20 @@ def nonlinear_terms(
       shear of the tangential flow on the tilted plate plus the tilt
       correction of the normal-stress trace.
 
-    Each vanishes to second order at the zero state.  The fields of
-    ``state`` may carry leading level axes (a :class:`Trajectory`), which
-    every result keeps.  ``derivs``, the :func:`derivatives` of ``state``
-    with the Laplacian, are taken here when not given.
+    Each vanishes to second order at the zero state.  Every result keeps
+    the level axis.  ``derivs``, the :func:`derivatives` of ``traj`` with
+    the Laplacian, are taken here when not given.
     """
     n = grid.n
     tan = range(n - 1)
     if derivs is None:
-        derivs = derivatives(state, grid)
+        derivs = derivatives(traj, grid)
 
     def components_first(field: np.ndarray) -> np.ndarray:
-        # component axis first, as in a single state; level axes follow it
+        # component axis first, the level axis after it
         return np.moveaxis(np.asarray(field), -(n + 1), 0)
 
-    v = components_first(state.v)
+    v = components_first(traj.v)
     grad_v = [components_first(g) for g in derivs.grad_v]
     dn_v = components_first(derivs.dn_v)
     grad_dn_v = [
@@ -114,10 +110,10 @@ def nonlinear_terms(
     ]
     grad_eta = np.stack(derivs.eta[: n - 1])
     dnn_v = _d_n(v, grid, order=2)
-    dn_p = _d_n(state.p, grid)
+    dn_p = _d_n(traj.p, grid)
 
     # (d_t eta - lap' eta) d_n v
-    coef = (state.eta_t - derivs.lap_eta)[..., np.newaxis]
+    coef = (traj.eta_t - derivs.lap_eta)[..., np.newaxis]
     momentum = coef * dn_v
 
     # -2 (grad' eta . grad') d_n v  and  |grad' eta|^2 d_nn v
@@ -145,24 +141,24 @@ def nonlinear_terms(
         divergence += grad_eta[d][..., np.newaxis] * dn_v[d]
 
     # grad' v_n(0) is the interface trace of grad' v_n
-    plate_load = np.zeros(np.shape(state.eta))
+    plate_load = np.zeros(traj.eta.shape)
     for d in tan:
         plate_load -= grad_eta[d] * dn_v[d][..., 0]
         plate_load -= grad_eta[d] * grad_v[d][n - 1][..., 0]
     return np.moveaxis(momentum, 0, -(n + 1)), divergence, plate_load
 
 
-def nonlinear_divergence(state: State, grid: Grid) -> np.ndarray:
-    """Divergence correction ``grad' eta . d_n v'``, a bulk scalar field.
+def nonlinear_divergence(traj: Trajectory, grid: Grid) -> np.ndarray:
+    """Divergence correction ``grad' eta . d_n v'``, a bulk scalar field per level.
 
     Only this term is evaluated, with the operations of
     :func:`nonlinear_terms`, so it equals that function's divergence bit
     for bit and stays quiet where the other terms would overflow.
     """
     n = grid.n
-    tangential = np.moveaxis(np.asarray(state.v), -(n + 1), 0)[: n - 1]
+    tangential = np.moveaxis(traj.v, 1, 0)[: n - 1]
     dn_v = _d_n(tangential, grid)
-    divergence = np.zeros(np.shape(state.p))
-    for grad_eta, dn_v_d in zip(tangential_derivatives(state.eta, grid, (1,)), dn_v):
+    divergence = np.zeros(traj.p.shape)
+    for grad_eta, dn_v_d in zip(tangential_derivatives(traj.eta, grid, (1,)), dn_v):
         divergence += grad_eta[..., np.newaxis] * dn_v_d
     return divergence

@@ -42,7 +42,7 @@ from numpy.typing import ArrayLike
 from scipy.sparse.linalg import onenormest, splu
 
 from ..params import PlateParams
-from .grid import Grid, ProblemData, State, Trajectory, VerticalMesh, level_chunks
+from .grid import Grid, ProblemData, Trajectory, VerticalMesh, level_chunks
 from .grid import _apply_multipliers, _multipliers
 
 __all__ = [
@@ -233,7 +233,7 @@ class LinearStepper:
     array in the mode solver's unknown layout, transforms it to
     tangential modes once, advances all modes with one
     :class:`ModeStepper` (Nyquist modes are projected out) and transforms
-    the whole solution back once.  The returned states carry the pressure
+    the whole solution back once.  The returned levels carry the pressure
     interpolated from the staggered midpoints to the nodes.
 
     The mode solver factorizes the modes with ``xi_1 >= 0`` only.  In 3D
@@ -285,12 +285,15 @@ class LinearStepper:
         )
         return np.moveaxis(nodes, -2, lead)
 
-    def _pack(self, state: State) -> np.ndarray:
-        """``tan_shape + (size - M,)``: the velocity, ``eta`` and ``eta_t`` columns."""
+    def _pack(self, level: Trajectory) -> np.ndarray:
+        """``tan_shape + (size - M,)``: the velocity, ``eta`` and ``eta_t`` columns.
+
+        ``level`` is a one-level trajectory.
+        """
         packed = np.empty(self.grid.tan_shape + (self._i_p + 2,))
-        self._velocity(packed)[...] = state.v
-        packed[..., -2] = state.eta
-        packed[..., -1] = state.eta_t
+        self._velocity(packed)[...] = level.v[0]
+        packed[..., -2] = level.eta[0]
+        packed[..., -1] = level.eta_t[0]
         return packed
 
     def _unpack(self, new: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -351,14 +354,14 @@ class LinearStepper:
 
     def march(
         self,
-        state: State,
         data: ProblemData,
         extra: Callable[[slice], tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
     ) -> Iterator[tuple[slice, Trajectory]]:
-        """March from ``state`` over the grid horizon, one chunk of levels at a time.
+        """March from the data's initial state over the grid horizon, by chunks of levels.
 
-        Yields ``(levels, chunk)``: first the initial state as level 0, then
-        the chunks of :func:`level_chunks`.  ``data`` must be materialized.
+        Yields ``(levels, chunk)``: first ``data.initial(grid)`` as level 0,
+        then the chunks of :func:`level_chunks`.  ``data`` must be
+        materialized.
         ``extra(levels)``, if given, returns ``(f_v, g, f_eta)`` with a
         leading axis over ``levels``, added to the data's forcing of those
         levels and transformed once per chunk; without it the forcing is
@@ -367,8 +370,9 @@ class LinearStepper:
         once per chunk.
         """
         grid, i_p = self.grid, self._i_p
-        yield slice(0, 1), Trajectory.of(state)
-        packed = self._pack(state)
+        start = data.initial(grid)
+        yield slice(0, 1), start
+        packed = self._pack(start)
         if extra is None:
             constant = self._forcing(data)
         for levels in level_chunks(grid, 1, grid.steps + 1):
@@ -377,7 +381,7 @@ class LinearStepper:
                 forcing = np.broadcast_to(constant, (count,) + constant.shape[1:])
             else:
                 forcing = self._forcing(data, extra(levels))
-            v = np.empty((count,) + np.shape(state.v))
+            v = np.empty((count,) + start.v.shape[1:])
             eta = np.empty((count,) + grid.tan_shape)
             psi = np.empty((count,) + grid.tan_shape)
             p_mid = np.empty((count,) + grid.tan_shape + (grid.M,))
@@ -389,14 +393,14 @@ class LinearStepper:
             p = grid.mesh.midpoints_to_nodes(p_mid)
             yield levels, Trajectory(v=v, p=p, eta=eta, eta_t=psi)
 
-    def run(self, state: State, data: ProblemData) -> Trajectory:
-        """March constant-in-time data over the grid horizon.
+    def run(self, data: ProblemData) -> Trajectory:
+        """March constant-in-time data from their initial state over the grid horizon.
 
         Returns the trajectory including a copy of the initial state,
         ``grid.steps + 1`` levels.
         """
         data = data.materialize(self.grid)
-        return Trajectory.collect(self.march(state, data), self.grid.steps + 1)
+        return Trajectory.collect(self.march(data), self.grid.steps + 1)
 
 
 def staggered_divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
@@ -422,21 +426,22 @@ def staggered_divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.irfftn(out, s=grid.tan_shape, axes=axes)
 
 
-def total_energy(state: State, grid: Grid, params: PlateParams) -> float:
-    """Quadratic energy: kinetic fluid part plus plate kinetic and elastic.
+def total_energy(traj: Trajectory, grid: Grid, params: PlateParams) -> np.ndarray:
+    """Quadratic energy of each level: kinetic fluid part plus plate kinetic and elastic.
 
     ``(1/2) int |v|^2 + (1/2) int' eta_t^2 + alpha |lap' eta|^2
     + beta |grad' eta|^2``; meaningful as a Lyapunov diagnostic for
     ``beta >= 0``.
     """
     cell = (grid.L / grid.N) ** (grid.n - 1)
-    kinetic = 0.5 * float(np.sum(grid.mesh.integrate(np.sum(state.v**2, axis=0)))) * cell
-    *grad, lap = _apply_multipliers(state.eta, grid, _multipliers(grid, (1,), laplacian=True))
-    plate = 0.5 * float(
-        np.sum(
-            state.eta_t**2
-            + params.alpha * lap**2
-            + params.beta * np.sum(np.stack(grad) ** 2, axis=0)
-        )
+    tan = tuple(range(1, grid.n))
+    v2 = grid.mesh.integrate(np.sum(traj.v**2, axis=1))
+    kinetic = 0.5 * np.sum(v2, axis=tan) * cell
+    *grad, lap = _apply_multipliers(traj.eta, grid, _multipliers(grid, (1,), laplacian=True))
+    plate = 0.5 * np.sum(
+        traj.eta_t**2
+        + params.alpha * lap**2
+        + params.beta * np.sum(np.stack(grad) ** 2, axis=0),
+        axis=tan,
     ) * cell
     return kinetic + plate

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from plate_fsi.timedomain.grid import ProblemData, State
+from plate_fsi.timedomain.grid import ProblemData, Trajectory
 from plate_fsi.timedomain.stepper import LinearStepper
 
 settings.register_profile(
@@ -28,17 +28,23 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture(scope="session")
 def one_step():
-    """``one_step(params, grid)`` gives ``step(state, f_v=None, g=None, f_eta=None)``.
+    """``one_step(params, grid)`` gives ``step(start, f_v=None, g=None, f_eta=None)``.
 
-    One implicit Euler step from ``state`` under the given data: the march
-    over a horizon of one ``dt``, its stepper built once.
+    One implicit Euler step from the one-level trajectory ``start`` under
+    the given data: the march over a horizon of one ``dt`` from the
+    initial data ``start`` holds, its stepper built once.  Returns the new
+    level as a one-level trajectory.
     """
 
     def build(params, grid):
         stepper = LinearStepper(params, dataclasses.replace(grid, T=grid.dt))
 
-        def step(state: State, f_v=None, g=None, f_eta=None) -> State:
-            return stepper.run(state, ProblemData(f_v=f_v, g=g, f_eta=f_eta))[1]
+        def step(start: Trajectory, f_v=None, g=None, f_eta=None) -> Trajectory:
+            data = ProblemData(
+                f_v=f_v, g=g, f_eta=f_eta,
+                v0=start.v[0], eta0=start.eta[0], eta1=start.eta_t[0],
+            )
+            return stepper.run(data)[1:]
 
         return step
 

@@ -378,7 +378,7 @@ def test_criterion_08_nonlinearity_order() -> None:
     k = 2.0 * pi / grid.L
     slopes = []
     for _ in range(5):
-        from plate_fsi.timedomain.grid import State
+        from plate_fsi.timedomain.grid import Trajectory
 
         def wave() -> np.ndarray:
             return (
@@ -391,16 +391,14 @@ def test_criterion_08_nonlinearity_order() -> None:
         v = np.empty((2,) + bulk)
         v[0] = wave()[..., np.newaxis] * np.exp(-xn / grid.L)
         v[1] = wave()[..., np.newaxis] * np.exp(-2.0 * xn / grid.L)
-        w = State(
-            v=v,
-            p=wave()[..., np.newaxis] * np.exp(-xn / grid.L),
-            eta=0.1 * wave(),
-            eta_t=0.1 * wave(),
-        )
+        p = wave()[..., np.newaxis] * np.exp(-xn / grid.L)
+        eta = 0.1 * wave()
+        eta_t = 0.1 * wave()
+        w = Trajectory(*(f[np.newaxis] for f in (v, p, eta, eta_t)))
         scales = np.array([1.0, 0.5, 0.25, 0.125])
         norms = []
         for s in scales:
-            scaled = State(v=s * w.v, p=s * w.p, eta=s * w.eta, eta_t=s * w.eta_t)
+            scaled = Trajectory(*(s * f for f in w.fields()))
             momentum, _, plate_load = nonlinear_terms(scaled, grid)
             norms.append(
                 float(np.abs(momentum).max())

@@ -25,7 +25,7 @@ from plate_fsi.cli import (
 from plate_fsi.config import TOL
 from plate_fsi.frequency import build_profile, residual_report, solve_traces
 from plate_fsi.params import Freq, PlateParams
-from plate_fsi.timedomain.grid import Grid, State
+from plate_fsi.timedomain.grid import Grid, Trajectory
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -208,6 +208,15 @@ class TestSolveLinear:
         res = runner.invoke(main, ["solve-linear", "--grid", "8"])
         assert res.exit_code == 1
         assert "grid" in res.output
+
+    @pytest.mark.parametrize("n", ["1", "0"])
+    def test_dimension_below_two_is_config_error(self, runner: CliRunner, n: str) -> None:
+        for argv in (["solve-linear"], ["solve-linear", "--check"]):
+            res = runner.invoke(main, [*argv, "--set", f"n={n}"])
+            assert isinstance(res.exception, SystemExit), res.exception
+            assert res.exit_code == 1
+            assert res.stdout == ""
+            assert res.stderr == f"config error: n must be >= 2, got {n}\n"
 
     def test_negative_z_is_config_error(self, runner: CliRunner) -> None:
         res = runner.invoke(main, ["solve-linear", "--lambda", "1+0i", "--z", "-1"])
@@ -449,13 +458,11 @@ class TestSimulate:
     ) -> None:
         grid = Grid(n=n, N=8, M=16, T=0.25, dt=0.25)
         bulk = grid.tan_shape + (grid.M + 1,)
-        state = State(
-            v=rng.normal(size=(n,) + bulk),
-            p=rng.normal(size=bulk),
-            eta=rng.normal(size=grid.tan_shape),
-            eta_t=rng.normal(size=grid.tan_shape),
-        )
-        _write_fields_csv(tmp_path / "fields.csv", grid, state)
+        v, p = rng.normal(size=(n,) + bulk), rng.normal(size=bulk)
+        eta, eta_t = rng.normal(size=grid.tan_shape), rng.normal(size=grid.tan_shape)
+        # a zero level in front: the writer dumps the last level
+        traj = Trajectory(*(np.stack([np.zeros_like(f), f]) for f in (v, p, eta, eta_t)))
+        _write_fields_csv(tmp_path / "fields.csv", grid, traj)
         coords = [x.ravel() for x in grid.tangential_coordinates()]
         tan_names = ["x1", "x2"][: n - 1]
         names = tan_names + ["xn"] + [f"v{i + 1}" for i in range(n)] + ["p", "eta", "eta_t"]
@@ -464,8 +471,8 @@ class TestSimulate:
             tan = np.unravel_index(i, grid.tan_shape)
             for j, xn in enumerate(grid.mesh.nodes):
                 values = [c[i] for c in coords] + [xn]
-                values += [state.v[(k, *tan, j)] for k in range(n)] + [state.p[(*tan, j)]]
-                values += [state.eta[tan], state.eta_t[tan]]
+                values += [v[(k, *tan, j)] for k in range(n)] + [p[(*tan, j)]]
+                values += [eta[tan], eta_t[tan]]
                 lines.append(",".join("%.12g" % float(x) for x in values))
         got = (tmp_path / "fields.csv").read_text().split("\n")
         assert got[-1] == "" and len(got) == len(lines) + 1
@@ -529,6 +536,19 @@ class TestCheckCompat:
             "no-slip-trace",
             "kinematic-trace",
         ]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_short_strip_passes(self, runner: CliRunner, n: int) -> None:
+        # At L = 1 the lid X = 8 is close enough that the trace bump must
+        # vanish there for the duality pairing to close.
+        res = runner.invoke(
+            main, ["check-compat", *REDUCED, "--set", "L=1", "--set", f"n={n}", "--json"]
+        )
+        assert res.exit_code == 0, res.stdout
+        payload = json.loads(res.stdout)
+        assert payload["passed"] is True
+        pairing = next(i for i in payload["items"] if i["name"] == "duality-pairing")
+        assert pairing["value"] < 1e-15
 
     @pytest.mark.parametrize("amplitude", ["1e308", "inf", "nan"])
     def test_non_finite_data_is_config_error(

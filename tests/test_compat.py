@@ -144,11 +144,3 @@ class TestDivergenceDefect:
         report = check_compatibility(ProblemData(v0=v0, eta1=None), grid)
         assert isinstance(report, CompatReport)
         assert len(report.items) == 4
-
-    def test_time_dependent_divergence_uses_initial_slice(self, grid: Grid) -> None:
-        data = compatible_example(grid, 0.5)
-        stacked = np.stack([data.g, 7.0 + 0.0 * data.g])
-        report = check_compatibility(
-            ProblemData(v0=data.v0, g=stacked, eta1=data.eta1), grid
-        )
-        assert report["divergence-data"].status == "PASS"

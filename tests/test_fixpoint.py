@@ -16,7 +16,6 @@ from plate_fsi.timedomain.fixpoint import (
 from plate_fsi.timedomain.grid import (
     Grid,
     ProblemData,
-    State,
     Trajectory,
     level_chunks,
     tangential_derivatives,
@@ -100,9 +99,25 @@ class TestSmallData:
     def test_trajectory_is_valid(
         self, grid: Grid, small_result: FixedPointResult
     ) -> None:
-        assert len(small_result.trajectory) == grid.steps + 1
-        for state in small_result.trajectory:
-            state.validate(grid)
+        traj = small_result.trajectory
+        levels = grid.steps + 1
+        bulk = grid.tan_shape + (grid.M + 1,)
+        shapes = ((grid.n,) + bulk, bulk, grid.tan_shape, grid.tan_shape)
+        for field, shape in zip(traj.fields(), shapes):
+            assert field.shape == (levels,) + shape
+            assert np.isfinite(field).all()
+
+    def test_one_step_residual_per_level(
+        self, grid: Grid, small_result: FixedPointResult
+    ) -> None:
+        # the converged path, the path stopped by max_iter, the zero-data path
+        assert small_result.converged
+        for result in (
+            small_result,
+            fixed_point_solve(UNIT, grid, default_forcing(grid, 1e-3), max_iter=1),
+            fixed_point_solve(UNIT, grid, ProblemData()),
+        ):
+            assert len(result.step_residuals) == len(result.trajectory) == grid.steps + 1
 
     def test_max_iter_reached_reports_unconverged(self, grid: Grid) -> None:
         result = fixed_point_solve(
@@ -127,7 +142,7 @@ class TestSmallData:
         step = one_step(UNIT, grid)
         first = _reference_sweep(step, data, grid, None)
         second = _reference_sweep(step, data, grid, first)
-        for got, want in zip(result.trajectory, first):
+        for got, want in zip(_levels(result.trajectory), first):
             assert np.array_equal(got.v, want.v)
         residuals = [_reference_norm(_difference(a, b), grid) for a, b in zip(second, first)]
         assert result.step_residuals == residuals
@@ -164,12 +179,17 @@ class TestNormCalls:
         assert shared == sizes * result.iterations
         assert own == [1] + shared
         monkeypatch.undo()
-        assert result.scale == max(_state_norm(s, grid) for s in result.trajectory)
+        assert result.scale == max(_state_norm(s, grid) for s in _levels(result.trajectory))
         assert result.step_residuals[0] == 0.0
 
 
-def _reference_norm(state: State, grid: Grid) -> float:
-    # The per-level surrogate norm as written before levels were batched.
+def _levels(traj: Trajectory) -> list[Trajectory]:
+    """Every level of ``traj`` as a one-level trajectory."""
+    return [traj[k: k + 1] for k in range(len(traj))]
+
+
+def _reference_norm(state: Trajectory, grid: Grid) -> float:
+    # The surrogate norm of one level as written before levels were batched.
     total = float(np.abs(state.v).max()) + float(np.abs(state.p).max())
     for deriv in tangential_derivatives(state.v, grid, orders=(1,), bulk=True):
         total += float(np.abs(deriv).max())
@@ -182,20 +202,17 @@ def _reference_norm(state: State, grid: Grid) -> float:
     return total
 
 
-def _state_norm(state: State, grid: Grid) -> float:
-    return float(surrogate_norms(Trajectory.of(state), grid)[0])
+def _state_norm(state: Trajectory, grid: Grid) -> float:
+    (norm,) = surrogate_norms(state, grid)
+    return float(norm)
 
 
 def _reference_sweep(
-    step, data: ProblemData, grid: Grid, source: list[State] | None
-) -> list[State]:
-    # One Picard sweep level by level, each step on its own data.
-    state = State(
-        v=data.v0.copy(),
-        p=np.zeros(grid.tan_shape + (grid.M + 1,)),
-        eta=data.eta0.copy(),
-        eta_t=data.eta1.copy(),
-    )
+    step, data: ProblemData, grid: Grid, source: list[Trajectory] | None
+) -> list[Trajectory]:
+    # One Picard sweep level by level, each step on its own data; every
+    # level is a one-level trajectory.
+    state = data.initial(grid)
     out = [state]
     for k in range(grid.steps):
         if source is None:
@@ -203,16 +220,16 @@ def _reference_sweep(
         else:
             frozen = source[k + 1]
             momentum, _, plate_load = nonlinear_terms(frozen, grid)
-            f_v = data.f_v + momentum
-            g = data.g + nonlinear_divergence(frozen, grid)
-            f_eta = data.f_eta + plate_load
+            f_v = data.f_v + momentum[0]
+            g = data.g + nonlinear_divergence(frozen, grid)[0]
+            f_eta = data.f_eta + plate_load[0]
         state = step(state, f_v=f_v, g=g, f_eta=f_eta)
         out.append(state)
     return out
 
 
-def _difference(a: State, b: State) -> State:
-    return State(*(fa - fb for fa, fb in zip(a.fields(), b.fields())))
+def _difference(a: Trajectory, b: Trajectory) -> Trajectory:
+    return Trajectory(*(fa - fb for fa, fb in zip(a.fields(), b.fields())))
 
 
 class TestChunkedSweep:
@@ -250,7 +267,7 @@ class TestChunkedSweep:
         residuals = [_reference_norm(_difference(a, b), grid) for a, b in zip(probe, traj)]
 
         assert len(result.trajectory) == len(traj)
-        for got, want in zip(result.trajectory, traj):
+        for got, want in zip(_levels(result.trajectory), traj):
             for name in ("v", "p", "eta", "eta_t"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert result.contraction_ratios == [b / a for a, b in zip(diffs, diffs[1:])]
@@ -275,7 +292,7 @@ class TestChunkedSweep:
             eta_t=np.broadcast_to(rng.normal(size=levels), (16,) + tan),
         )
         assert surrogate_norms(traj, grid).tolist() == [
-            _reference_norm(s, grid) for s in traj
+            _reference_norm(s, grid) for s in _levels(traj)
         ]
 
 
@@ -301,18 +318,15 @@ class TestNonFinite:
 
 class TestSurrogateNorm:
     def test_zero_state(self, grid: Grid) -> None:
-        assert _state_norm(State.zeros(grid), grid) == 0.0
+        assert _state_norm(ProblemData().initial(grid), grid) == 0.0
 
     def test_absolutely_homogeneous(self, grid: Grid, rng: np.random.Generator) -> None:
         data = default_forcing(grid, 1.0).materialize(grid)
-        state = State(
-            v=data.f_v, p=data.f_v[0], eta=data.f_eta, eta_t=0.5 * data.f_eta
+        state = Trajectory(
+            *(f[np.newaxis] for f in (data.f_v, data.f_v[0], data.f_eta, 0.5 * data.f_eta))
         )
         base = _state_norm(state, grid)
-        tripled = State(
-            v=3.0 * state.v, p=3.0 * state.p,
-            eta=3.0 * state.eta, eta_t=3.0 * state.eta_t,
-        )
+        tripled = Trajectory(*(3.0 * f for f in state.fields()))
         assert base > 0.0
         assert _state_norm(tripled, grid) == pytest.approx(
             3.0 * base, rel=1e-13

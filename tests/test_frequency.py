@@ -110,6 +110,11 @@ class TestSolveTraces:
         with pytest.raises(ValueError, match="contradicts"):
             solve_traces(UNIT, freq, 1.0, n=2)
 
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_dimension_below_two_raises(self, n: int) -> None:
+        with pytest.raises(ValueError, match=f"^n must be >= 2, got {n}$"):
+            solve_traces(UNIT, Freq(lam=1.0, z=1.0), 1.0, n=n)
+
     def test_trace_identities(self, rng) -> None:
         # Kinematic trace phi_n = lam eta, and the divergence pairing
         # i xi' . phi' = -z phi_n, both to 1e-12 relative.

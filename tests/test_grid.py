@@ -1,4 +1,4 @@
-"""Meshes, spectral/finite-difference operators, and container validation."""
+"""Meshes, spectral/finite-difference operators, and the data containers."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import pytest
 from plate_fsi.timedomain.grid import (
     Grid,
     ProblemData,
-    State,
     VerticalMesh,
     _apply_multipliers,
     _multipliers,
@@ -283,24 +282,16 @@ class TestTangentialOperators:
 
 
 class TestContainers:
-    def test_state_zeros_validate(self, grid2: Grid) -> None:
-        state = State.zeros(grid2)
-        state.validate(grid2)
-        clone = state.copy()
-        clone.v[0, 0, 0] = 1.0
-        assert state.v[0, 0, 0] == 0.0
-
-    def test_state_shape_errors_name_the_field(self, grid2: Grid) -> None:
-        state = State.zeros(grid2)
-        state.p = state.p[..., :-1]
-        with pytest.raises(ValueError, match="p has shape"):
-            state.validate(grid2)
-
-    def test_state_rejects_non_finite(self, grid2: Grid) -> None:
-        state = State.zeros(grid2)
-        state.eta[0] = np.nan
-        with pytest.raises(ValueError, match="eta"):
-            state.validate(grid2)
+    def test_initial_is_one_level_of_the_data(self, grid2: Grid) -> None:
+        bulk = grid2.tan_shape + (grid2.M + 1,)
+        eta1 = np.ones(grid2.tan_shape)
+        level = ProblemData(eta1=eta1).initial(grid2)
+        shapes = ((2,) + bulk, bulk, grid2.tan_shape, grid2.tan_shape)
+        assert [f.shape for f in level.fields()] == [(1,) + shape for shape in shapes]
+        assert not (level.v.any() or level.p.any() or level.eta.any())
+        # level 0 views the data; the march copies it into its trajectory
+        assert np.shares_memory(level.eta_t, eta1)
+        np.testing.assert_array_equal(level.eta_t[0], eta1)
 
     def test_problem_data_materialize(self, grid2: Grid) -> None:
         eta0 = np.ones(grid2.tan_shape)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from plate_fsi.timedomain.grid import Grid, State, Trajectory, tangential_derivatives
+from plate_fsi.timedomain.grid import Grid, ProblemData, Trajectory, tangential_derivatives
 from plate_fsi.timedomain.nonlin import derivatives, nonlinear_divergence, nonlinear_terms
 
 
@@ -14,22 +14,37 @@ def grid() -> Grid:
     return Grid(n=2, N=32, M=48, T=0.5, dt=0.25)
 
 
-def _random_state(grid: Grid, rng) -> State:
-    # Band-limited tangential content, smooth decaying vertical profiles.
+def _level(v, p, eta, eta_t) -> Trajectory:
+    """The one-level trajectory of the fields of one state."""
+    return Trajectory(*(np.asarray(f)[np.newaxis] for f in (v, p, eta, eta_t)))
+
+
+def _random_state(grid: Grid, rng) -> Trajectory:
+    # One level: band-limited tangential content, smooth decaying vertical
+    # profiles.
     (x,) = grid.tangential_coordinates()
     base = 2.0 * np.pi / grid.L
     prof = np.exp(-grid.mesh.nodes)
-    state = State.zeros(grid)
+    v = np.zeros((grid.n,) + grid.tan_shape + (grid.M + 1,))
     for comp in range(grid.n):
         wave = sum(
             rng.normal() * np.sin((k + 1) * base * x + rng.uniform(0, np.pi))
             for k in range(3)
         )
-        state.v[comp] = wave[..., np.newaxis] * prof
-    state.p = rng.normal() * np.cos(base * x)[..., np.newaxis] * prof
-    state.eta = 0.3 * np.sin(base * x) + 0.1 * np.cos(2 * base * x)
-    state.eta_t = 0.2 * np.cos(base * x)
-    return state
+        v[comp] = wave[..., np.newaxis] * prof
+    p = rng.normal() * np.cos(base * x)[..., np.newaxis] * prof
+    eta = 0.3 * np.sin(base * x) + 0.1 * np.cos(2 * base * x)
+    eta_t = 0.2 * np.cos(base * x)
+    return _level(v, p, eta, eta_t)
+
+
+def _tilted_plate(grid: Grid) -> Trajectory:
+    """``eta = sin(k x)`` under ``v' = x_n``, everything else zero."""
+    (x,) = grid.tangential_coordinates()
+    k = 2.0 * np.pi / grid.L
+    v = np.zeros((grid.n,) + grid.tan_shape + (grid.M + 1,))
+    v[0] = grid.mesh.nodes
+    return ProblemData(v0=v, eta0=np.sin(k * x)).initial(grid)
 
 
 class TestManufacturedValues:
@@ -38,10 +53,7 @@ class TestManufacturedValues:
         # grad' eta * d_n v' = k cos(k x), uniformly in x_n.
         (x,) = grid.tangential_coordinates()
         k = 2.0 * np.pi / grid.L
-        state = State.zeros(grid)
-        state.eta = np.sin(k * x)
-        state.v[0] = np.broadcast_to(grid.mesh.nodes, state.v[0].shape).copy()
-        out = nonlinear_divergence(state, grid)
+        out = nonlinear_divergence(_tilted_plate(grid), grid)
         expected = (k * np.cos(k * x))[..., np.newaxis]
         np.testing.assert_allclose(out, np.broadcast_to(expected, out.shape), atol=1e-12)
 
@@ -50,31 +62,29 @@ class TestManufacturedValues:
         # = -k cos(k x); the normal trace vanishes, so no tilt part.
         (x,) = grid.tangential_coordinates()
         k = 2.0 * np.pi / grid.L
-        state = State.zeros(grid)
-        state.eta = np.sin(k * x)
-        state.v[0] = np.broadcast_to(grid.mesh.nodes, state.v[0].shape).copy()
-        out = nonlinear_terms(state, grid)[2]
-        np.testing.assert_allclose(out, -k * np.cos(k * x), atol=1e-12)
+        out = nonlinear_terms(_tilted_plate(grid), grid)[2]
+        np.testing.assert_allclose(out, (-k * np.cos(k * x))[np.newaxis], atol=1e-12)
 
     def test_flat_interface_reduces_to_convection(self, grid: Grid, rng) -> None:
-        state = _random_state(grid, rng)
-        state.eta = np.zeros(grid.tan_shape)
-        state.eta_t = np.zeros(grid.tan_shape)
-        out = nonlinear_terms(state, grid)[0]
+        moving = _random_state(grid, rng)
+        flat = np.zeros_like(moving.eta)
+        state = Trajectory(v=moving.v, p=moving.p, eta=flat, eta_t=flat)
+        out = nonlinear_terms(state, grid)[0][0]
+        v = state.v[0]
         dn_v = np.stack(
             [
-                grid.mesh.diff_matrix(1, 4) @ state.v[c].reshape(-1, grid.M + 1).T
+                grid.mesh.diff_matrix(1, 4) @ v[c].reshape(-1, grid.M + 1).T
                 for c in range(grid.n)
             ]
-        ).transpose(0, 2, 1).reshape(state.v.shape)
-        (dx_v,) = tangential_derivatives(state.v, grid, (1,), bulk=True)
-        expected = -state.v[0][np.newaxis] * dx_v - state.v[1][np.newaxis] * dn_v
+        ).transpose(0, 2, 1).reshape(v.shape)
+        (dx_v,) = tangential_derivatives(v, grid, (1,), bulk=True)
+        expected = -v[0][np.newaxis] * dx_v - v[1][np.newaxis] * dn_v
         np.testing.assert_allclose(out, expected, atol=1e-12 * np.abs(expected).max())
         np.testing.assert_allclose(nonlinear_divergence(state, grid), 0.0, atol=1e-15)
         np.testing.assert_allclose(nonlinear_terms(state, grid)[2], 0.0, atol=1e-15)
 
     def test_zero_state_maps_to_zero(self, grid: Grid) -> None:
-        state = State.zeros(grid)
+        state = ProblemData().initial(grid)
         momentum, _, plate_load = nonlinear_terms(state, grid)
         assert not momentum.any()
         assert not nonlinear_divergence(state, grid).any()
@@ -96,7 +106,7 @@ def _wave_sum(*waves):
     return sum(value), sum(rate), [sum(parts) for parts in zip(*grad)], sum(lap)
 
 
-def _manufactured_flow(grid: Grid, t: float = 0.5) -> tuple[State, np.ndarray]:
+def _manufactured_flow(grid: Grid, t: float = 0.5) -> tuple[Trajectory, np.ndarray]:
     """A smooth flow ``u, p`` over the graph of ``eta`` and its momentum term.
 
     ``u_c = a_c(x', t) b_c(x_n)`` and ``p = P(x') Q(x_n)`` on the moving
@@ -161,8 +171,7 @@ def _manufactured_flow(grid: Grid, t: float = 0.5) -> tuple[State, np.ndarray]:
         convection = sum(u[j] * ga * b for j, ga in enumerate(grad_a)) + u[-1] * a * db
         physical = a_t * b - (lap_a * b + a * ddb) + convection + grad_p
         momentum.append(dt_v - lap_v + grad_q - physical)
-    state = State(v=np.stack(u), p=P * Q, eta=eta[0], eta_t=eta[1])
-    return state, np.stack(momentum)
+    return _level(np.stack(u), P * Q, eta[0], eta[1]), np.stack(momentum)
 
 
 class TestManufacturedMomentum:
@@ -180,14 +189,14 @@ class TestManufacturedMomentum:
         for M in (64, 128):
             grid = Grid(n=n, N=32, M=M)
             state, exact = _manufactured_flow(grid)
-            got = nonlinear_terms(state, grid)[0]
+            got = nonlinear_terms(state, grid)[0][0]
             errors.append(float(np.abs(got - exact).max() / np.abs(exact).max()))
         assert errors[1] < 1e-3
         assert np.log2(errors[0] / errors[1]) >= 3.5
 
 
 class TestQuadraticHomogeneity:
-    def _norm(self, state: State, grid: Grid) -> float:
+    def _norm(self, state: Trajectory, grid: Grid) -> float:
         momentum, _, plate_load = nonlinear_terms(state, grid)
         return float(
             np.abs(momentum).max()
@@ -195,10 +204,8 @@ class TestQuadraticHomogeneity:
             + np.abs(plate_load).max()
         )
 
-    def _scaled(self, state: State, s: float) -> State:
-        return State(
-            v=s * state.v, p=s * state.p, eta=s * state.eta, eta_t=s * state.eta_t
-        )
+    def _scaled(self, state: Trajectory, s: float) -> Trajectory:
+        return Trajectory(*(s * f for f in state.fields()))
 
     def test_log_log_slope_is_two(self, grid: Grid, rng) -> None:
         state = _random_state(grid, rng)
@@ -227,7 +234,8 @@ class TestBatchedLevels:
     @pytest.mark.parametrize("n", [2, 3])
     def test_stack_equals_single_states(self, n: int, rng) -> None:
         # The shared-spectrum evaluation of a stack of levels is, level by
-        # level, bit for bit the evaluation of each single state.
+        # level, bit for bit the evaluation of each single state, a
+        # one-level trajectory.
         grid = Grid(n=n, N=8, M=20, T=0.5, dt=0.25)
         tan, bulk = grid.tan_shape, grid.tan_shape + (grid.M + 1,)
         stack = Trajectory(
@@ -240,11 +248,12 @@ class TestBatchedLevels:
         assert momentum.shape == stack.v.shape
         assert divergence.shape == stack.p.shape
         assert plate_load.shape == stack.eta.shape
-        for k, state in enumerate(stack):
+        for k in range(len(stack)):
+            state = stack[k: k + 1]
             single = nonlinear_terms(state, grid)
-            np.testing.assert_array_equal(momentum[k], single[0])
-            np.testing.assert_array_equal(divergence[k], nonlinear_divergence(state, grid))
-            np.testing.assert_array_equal(plate_load[k], single[2])
+            np.testing.assert_array_equal(momentum[k], single[0][0])
+            np.testing.assert_array_equal(divergence[k], nonlinear_divergence(state, grid)[0])
+            np.testing.assert_array_equal(plate_load[k], single[2][0])
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_divergence_alone_equals_shared_terms(self, n: int, rng) -> None:
@@ -252,11 +261,11 @@ class TestBatchedLevels:
         # divergence that nonlinear_terms computes with the other two.
         grid = Grid(n=n, N=8, M=20, T=0.5, dt=0.25)
         tan, bulk = grid.tan_shape, grid.tan_shape + (grid.M + 1,)
-        state = State(
-            v=rng.normal(size=(n,) + bulk),
-            p=rng.normal(size=bulk),
-            eta=rng.normal(size=tan),
-            eta_t=rng.normal(size=tan),
+        state = _level(
+            rng.normal(size=(n,) + bulk),
+            rng.normal(size=bulk),
+            rng.normal(size=tan),
+            rng.normal(size=tan),
         )
         np.testing.assert_array_equal(
             nonlinear_divergence(state, grid), nonlinear_terms(state, grid)[1]

@@ -15,7 +15,6 @@ from plate_fsi.timedomain import stepper as stepper_module
 from plate_fsi.timedomain.grid import (
     Grid,
     ProblemData,
-    State,
     Trajectory,
     VerticalMesh,
     level_chunks,
@@ -75,8 +74,8 @@ def step2(grid2: Grid, one_step):
     return one_step(UNIT, grid2)
 
 
-def _smooth_state(grid: Grid, rng: np.random.Generator) -> State:
-    """Band-limited tangential waves times decaying vertical profiles."""
+def _smooth_state(grid: Grid, rng: np.random.Generator) -> Trajectory:
+    """One level of band-limited tangential waves times decaying vertical profiles."""
     (x,) = grid.tangential_coordinates()
     xn = grid.mesh.nodes
     k = 2.0 * pi / grid.L
@@ -92,12 +91,25 @@ def _smooth_state(grid: Grid, rng: np.random.Generator) -> State:
     v = np.empty((grid.n,) + bulk)
     for d in range(grid.n):
         v[d] = wave()[..., np.newaxis] * np.exp(-(d + 1) * xn / grid.L)
-    return State(
-        v=v,
-        p=wave()[..., np.newaxis] * np.exp(-xn / grid.L),
-        eta=0.1 * wave(),
-        eta_t=0.1 * wave(),
-    )
+    p = wave()[..., np.newaxis] * np.exp(-xn / grid.L)
+    eta = 0.1 * wave()
+    eta_t = 0.1 * wave()
+    return Trajectory(*(f[np.newaxis] for f in (v, p, eta, eta_t)))
+
+
+def _initial_data(level: Trajectory) -> ProblemData:
+    """Unforced data whose initial state is the one-level ``level``."""
+    return ProblemData(v0=level.v[0], eta0=level.eta[0], eta1=level.eta_t[0])
+
+
+def _assert_valid_level(traj: Trajectory, grid: Grid) -> None:
+    """``traj`` is one level of finite real fields in the grid's layout."""
+    bulk = grid.tan_shape + (grid.M + 1,)
+    shapes = ((grid.n,) + bulk, bulk, grid.tan_shape, grid.tan_shape)
+    for field, shape in zip(traj.fields(), shapes):
+        assert field.shape == (1,) + shape
+        assert field.dtype == np.float64
+        assert np.isfinite(field).all()
 
 
 class TestModeStepper:
@@ -227,20 +239,20 @@ class TestBatchedModes:
         grid = _skew_grid(3)
         M, shape = grid.M, grid.nyquist_mask().shape
         bulk = grid.tan_shape + (M + 1,)
-        state = State(
-            v=rng.normal(size=(3,) + bulk), p=np.zeros(bulk),
-            eta=rng.normal(size=grid.tan_shape), eta_t=rng.normal(size=grid.tan_shape),
+        data = ProblemData(
+            v0=rng.normal(size=(3,) + bulk),
+            eta0=rng.normal(size=grid.tan_shape), eta1=rng.normal(size=grid.tan_shape),
         )
         f_v, g = rng.normal(size=(3,) + bulk), rng.normal(size=bulk)
         f_eta = rng.normal(size=grid.tan_shape)
-        got = one_step(SKEW, grid)(state, f_v=f_v, g=g, f_eta=f_eta)
+        got = one_step(SKEW, grid)(data.initial(grid), f_v=f_v, g=g, f_eta=f_eta)
 
         # the per-mode loop: one 0-d ModeStepper for every spectral entry
         axes = (1, 2)
-        v_spec, fv_spec = (np.fft.rfftn(f, axes=axes) for f in (state.v, f_v))
+        v_spec, fv_spec = (np.fft.rfftn(f, axes=axes) for f in (data.v0, f_v))
         g_spec = np.fft.rfftn(g, axes=(0, 1))
         eta_spec, psi_spec, fe_spec = (
-            np.fft.rfftn(f) for f in (state.eta, state.eta_t, f_eta)
+            np.fft.rfftn(f) for f in (data.eta0, data.eta1, f_eta)
         )
         v_out = np.zeros((3,) + shape + (M + 1,), dtype=complex)
         p_out = np.zeros(shape + (M,), dtype=complex)
@@ -254,11 +266,11 @@ class TestBatchedModes:
                 fv_spec[vec], g_spec[idx], fe_spec[idx],
             )
         tan = grid.tan_shape
-        np.testing.assert_array_equal(got.v, np.fft.irfftn(v_out, s=tan, axes=axes))
+        np.testing.assert_array_equal(got.v[0], np.fft.irfftn(v_out, s=tan, axes=axes))
         p_mid = np.fft.irfftn(p_out, s=tan, axes=(0, 1))
-        np.testing.assert_array_equal(got.p, grid.mesh.midpoints_to_nodes(p_mid))
-        np.testing.assert_array_equal(got.eta, np.fft.irfftn(eta_out, s=tan, axes=(0, 1)))
-        np.testing.assert_array_equal(got.eta_t, np.fft.irfftn(psi_out, s=tan, axes=(0, 1)))
+        np.testing.assert_array_equal(got.p[0], grid.mesh.midpoints_to_nodes(p_mid))
+        np.testing.assert_array_equal(got.eta[0], np.fft.irfftn(eta_out, s=tan, axes=(0, 1)))
+        np.testing.assert_array_equal(got.eta_t[0], np.fft.irfftn(psi_out, s=tan, axes=(0, 1)))
 
     def test_plate_row_rounds_as_scalar_arithmetic(
         self, rng: np.random.Generator, monkeypatch: pytest.MonkeyPatch
@@ -391,30 +403,38 @@ class TestLinearMarchOracle:
     marched ``eta_hat(T)`` of each is the single-mode response that
     :func:`mode_response_reference` inverts from the Laplace domain.  At a
     fixed fine vertical mesh the error is implicit Euler's, first order in
-    ``dt``.  In 3D the loads cover a mirrored pair ``(1, 1)``, ``(-1, 1)``
-    and modes next to either Nyquist row.
+    ``dt``.  At a fixed ``dt`` the error against the same march on a much
+    finer mesh is the vertical discretization's, second order in ``M``.
+    In 3D the loads cover a mirrored pair ``(1, 1)``, ``(-1, 1)`` and
+    modes next to either Nyquist row.
     """
 
     T, M = 0.5, 512
     STEPS = (8, 16, 32, 64)
+    MESHES, FINE = (128, 256, 512), 2048
     LOADS = {2: [(1,), (3,)], 3: [(1, 1), (-1, 1), (3, 0), (1, 3)]}
 
     @classmethod
-    def _errors(cls, n: int) -> dict[tuple[int, ...], list[float]]:
+    def _response(cls, n: int, M: int, steps: int) -> dict[tuple[int, ...], complex]:
+        """``eta_hat(T)`` of each loaded mode, marched on ``M`` cells in ``steps`` steps."""
         loads = cls.LOADS[n]
-        errors: dict[tuple[int, ...], list[float]] = {k: [] for k in loads}
+        grid = Grid(n=n, N=8, M=M, T=cls.T, dt=cls.T / steps)
+        x = grid.tangential_coordinates()
+        f_eta = sum(np.cos(sum(ki * xi for ki, xi in zip(k, x))) for k in loads)
+        run = LinearStepper(SKEW, grid).run(ProblemData(f_eta=f_eta))
+        # a unit cosine puts N^(n-1) / 2 on each of its two modes
+        eta_hat = np.fft.rfftn(run.eta[-1]) / (grid.N ** (n - 1) / 2)
+        return {k: eta_hat[tuple(ki % grid.N for ki in k)] for k in loads}
+
+    @classmethod
+    def _errors(cls, n: int) -> dict[tuple[int, ...], list[float]]:
+        errors: dict[tuple[int, ...], list[float]] = {k: [] for k in cls.LOADS[n]}
         for steps in cls.STEPS:
-            grid = Grid(n=n, N=8, M=cls.M, T=cls.T, dt=cls.T / steps)
-            x = grid.tangential_coordinates()
-            f_eta = sum(np.cos(sum(ki * xi for ki, xi in zip(k, x))) for k in loads)
-            run = LinearStepper(SKEW, grid).run(State.zeros(grid), ProblemData(f_eta=f_eta))
-            # a unit cosine puts N^(n-1) / 2 on each of its two modes
-            eta_hat = np.fft.rfftn(run.eta[-1]) / (grid.N ** (n - 1) / 2)
-            for k in loads:
+            got = cls._response(n, cls.M, steps)
+            for k, errs in errors.items():
                 z = float(np.sqrt(sum(ki * ki for ki in k)))
                 exact = mode_response_reference(SKEW, z, lambda lam: 1.0 / lam, [cls.T])[0]
-                got = eta_hat[tuple(ki % grid.N for ki in k)]
-                errors[k].append(abs(got - exact) / abs(exact))
+                errs.append(abs(got[k] - exact) / abs(exact))
         return errors
 
     # Measured orders between successive halvings of dt: 0.965, 0.990,
@@ -432,6 +452,24 @@ class TestLinearMarchOracle:
             # the mirrored pair is one factorized block solved twice
             for a, b in zip(errors[(1, 1)], errors[(-1, 1)]):
                 assert a == pytest.approx(b, rel=1e-9)
+
+    # Measured orders between M = 128, 256 and 512 at dt = T / 8: 1.844,
+    # 1.985 for k = 1 and 1.672, 1.899 for k = 3 in 2D; in 3D 1.795, 1.961
+    # for (+-1, 1), 1.672, 1.899 for (3, 0) and 1.674, 1.901 for (1, 3).
+    # Finest errors 1.7e-4 to 3.2e-4.
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_second_order_in_M(self, n: int) -> None:
+        steps = self.STEPS[0]
+        fine = self._response(n, self.FINE, steps)
+        errors: dict[tuple[int, ...], list[float]] = {k: [] for k in fine}
+        for M in self.MESHES:
+            got = self._response(n, M, steps)
+            for k, errs in errors.items():
+                errs.append(abs(got[k] - fine[k]) / abs(fine[k]))
+        for k, errs in errors.items():
+            orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
+            assert orders[0] >= 1.6 and 1.85 <= orders[-1] <= 2.1, (k, errs, orders)
+            assert errs[-1] < 4e-4, (k, errs)
 
 
 class _PerFieldMarch:
@@ -486,10 +524,11 @@ class _PerFieldMarch:
         eta, psi = self.from_modes(np.stack([eta_new, psi_new]))
         return v, eta, psi, p_mid
 
-    def march(self, state: State, data: ProblemData, extra=None):
+    def march(self, data: ProblemData, extra=None):
         grid = self.grid
-        yield slice(0, 1), Trajectory.of(state)
-        now = state.v, state.eta, state.eta_t
+        start = data.initial(grid)
+        yield slice(0, 1), start
+        now = start.v[0], start.eta[0], start.eta_t[0]
         constant = self.forcing_modes(data.f_v, data.g, data.f_eta)
         for levels in level_chunks(grid, 1, grid.steps + 1):
             count = levels.stop - levels.start
@@ -511,7 +550,7 @@ class _PerFieldMarch:
 
 
 def _march_case(n: int, rng: np.random.Generator):
-    """A grid whose march has several multi-level chunks, random data and state."""
+    """A grid whose march has several multi-level chunks, random data."""
     if n == 2:
         # 7 levels per chunk: chunks of 7, 7 and 2 levels
         grid = Grid(n=2, N=32, M=64, L=7.3, X=40.0, T=0.48, dt=0.03)
@@ -519,12 +558,10 @@ def _march_case(n: int, rng: np.random.Generator):
         # 10 levels per chunk: chunks of 10 and 6 levels
         grid = Grid(n=3, N=8, M=16, L=7.3, X=40.0, T=0.48, dt=0.03)
     tan, bulk = grid.tan_shape, grid.tan_shape + (grid.M + 1,)
-    state = State(
-        v=rng.normal(size=(n,) + bulk), p=np.zeros(bulk),
-        eta=rng.normal(size=tan), eta_t=rng.normal(size=tan),
-    )
+    v0, eta0, eta1 = rng.normal(size=(n,) + bulk), rng.normal(size=tan), rng.normal(size=tan)
     data = ProblemData(
-        f_v=rng.normal(size=(n,) + bulk), g=rng.normal(size=bulk), f_eta=rng.normal(size=tan)
+        f_v=rng.normal(size=(n,) + bulk), g=rng.normal(size=bulk), f_eta=rng.normal(size=tan),
+        v0=v0, eta0=eta0, eta1=eta1,
     ).materialize(grid)
 
     def extra(levels: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -536,7 +573,7 @@ def _march_case(n: int, rng: np.random.Generator):
             draw.normal(size=count + tan),
         )
 
-    return grid, state, data, extra
+    return grid, data, extra
 
 
 class TestPackedMarch:
@@ -547,13 +584,13 @@ class TestPackedMarch:
     def test_equals_per_field_march(
         self, n: int, frozen: bool, rng: np.random.Generator
     ) -> None:
-        grid, state, data, extra = _march_case(n, rng)
+        grid, data, extra = _march_case(n, rng)
         chunks = list(level_chunks(grid, 1, grid.steps + 1))
         assert len(chunks) > 1 and all(c.stop - c.start > 1 for c in chunks)
         extra = extra if frozen else None
         levels = grid.steps + 1
-        got = Trajectory.collect(LinearStepper(SKEW, grid).march(state, data, extra), levels)
-        want = Trajectory.collect(_PerFieldMarch(SKEW, grid).march(state, data, extra), levels)
+        got = Trajectory.collect(LinearStepper(SKEW, grid).march(data, extra), levels)
+        want = Trajectory.collect(_PerFieldMarch(SKEW, grid).march(data, extra), levels)
         for name, a, b in zip(("v", "p", "eta", "eta_t"), got.fields(), want.fields()):
             assert a.shape == b.shape, name
             assert np.array_equal(a, b), name
@@ -562,7 +599,7 @@ class TestPackedMarch:
     def test_one_transform_each_way_per_step(
         self, frozen: bool, rng: np.random.Generator, monkeypatch: pytest.MonkeyPatch
     ) -> None:
-        grid, state, data, extra = _march_case(3, rng)
+        grid, data, extra = _march_case(3, rng)
         stepper = LinearStepper(SKEW, grid)
         calls: Counter[str] = Counter()
         for name in ("rfftn", "irfftn", "fftn", "ifftn", "rfft", "irfft", "fft", "ifft"):
@@ -573,7 +610,7 @@ class TestPackedMarch:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
-        march = stepper.march(state, data, extra if frozen else None)
+        march = stepper.march(data, extra if frozen else None)
         Trajectory.collect(march, grid.steps + 1)
         # the forcing is transformed once per chunk, or once when constant
         chunks = len(list(level_chunks(grid, 1, grid.steps + 1))) if frozen else 1
@@ -584,8 +621,8 @@ class TestLinearStepperConstraints:
     def test_zero_state_zero_data_maps_to_zero(
         self, grid2: Grid, step2
     ) -> None:
-        out = step2(State.zeros(grid2))
-        out.validate(grid2)
+        out = step2(ProblemData().initial(grid2))
+        _assert_valid_level(out, grid2)
         for field in (out.v, out.p, out.eta, out.eta_t):
             assert np.abs(field).max() == 0.0
 
@@ -593,21 +630,20 @@ class TestLinearStepperConstraints:
         self, grid2: Grid, step2, rng: np.random.Generator
     ) -> None:
         out = step2(_smooth_state(grid2, rng))
-        for field in (out.v, out.p, out.eta, out.eta_t):
-            assert field.dtype == np.float64
-        out.validate(grid2)
+        _assert_valid_level(out, grid2)
 
     def test_interface_and_lid_conditions(
         self, grid2: Grid, step2, rng: np.random.Generator
     ) -> None:
         state = _smooth_state(grid2, rng)
         out = step2(state, f_eta=np.cos(grid2.tangential_coordinates()[0]))
-        scale = np.abs(out.v).max()
+        v = out.v[0]
+        scale = np.abs(v).max()
         # No-slip for the tangential components at the plate, rigid lid on top,
         # and the kinematic coupling v_n(0) = eta_t -- all exact solver rows.
-        np.testing.assert_allclose(out.v[0][..., 0], 0.0, atol=1e-12 * scale)
-        np.testing.assert_allclose(out.v[:, ..., -1], 0.0, atol=1e-12 * scale)
-        np.testing.assert_allclose(out.v[1][..., 0], out.eta_t, atol=1e-12 * scale)
+        np.testing.assert_allclose(v[0][..., 0], 0.0, atol=1e-12 * scale)
+        np.testing.assert_allclose(v[:, ..., -1], 0.0, atol=1e-12 * scale)
+        np.testing.assert_allclose(v[1][..., 0], out.eta_t[0], atol=1e-12 * scale)
 
     def test_divergence_matches_cell_averaged_datum(
         self, grid2: Grid, step2, rng: np.random.Generator
@@ -620,24 +656,24 @@ class TestLinearStepperConstraints:
         out = step2(_smooth_state(grid2, rng), g=g)
         cell_avg = 0.5 * (g[..., :-1] + g[..., 1:])
         np.testing.assert_allclose(
-            staggered_divergence(out.v, grid2), cell_avg, atol=1e-10
+            staggered_divergence(out.v[0], grid2), cell_avg, atol=1e-10
         )
 
     def test_divergence_free_without_datum(
         self, grid2: Grid, step2, rng: np.random.Generator
     ) -> None:
         out = step2(_smooth_state(grid2, rng))
-        div = staggered_divergence(out.v, grid2)
+        div = staggered_divergence(out.v[0], grid2)
         assert np.abs(div).max() < 1e-10 * np.abs(out.v).max()
 
     def test_tangential_modes_decouple(self, grid2: Grid, step2) -> None:
         (x,) = grid2.tangential_coordinates()
-        out = step2(State.zeros(grid2), f_eta=np.cos(2.0 * pi * x / grid2.L))
-        eta_spec = np.abs(np.fft.rfft(out.eta))
+        out = step2(ProblemData().initial(grid2), f_eta=np.cos(2.0 * pi * x / grid2.L))
+        eta_spec = np.abs(np.fft.rfft(out.eta[0]))
         assert eta_spec[1] > 0.0
         others = np.delete(eta_spec, 1)
         assert others.max() < 1e-13 * eta_spec[1]
-        v_spec = np.abs(np.fft.rfft(out.v, axis=1))
+        v_spec = np.abs(np.fft.rfft(out.v[0], axis=1))
         assert v_spec[:, [0, *range(2, grid2.N // 2 + 1)], :].max() < 1e-13 * v_spec.max()
 
 
@@ -645,19 +681,19 @@ class TestLinearStepperRun:
     def test_trajectory_length_and_initial_copy(
         self, grid2: Grid, stepper2: LinearStepper, rng: np.random.Generator
     ) -> None:
-        state = _smooth_state(grid2, rng)
-        traj = stepper2.run(state, ProblemData())
+        data = _initial_data(_smooth_state(grid2, rng))
+        traj = stepper2.run(data)
         assert len(traj) == grid2.steps + 1
-        assert traj[0] is not state
-        np.testing.assert_array_equal(traj[0].eta, state.eta)
+        assert not np.shares_memory(traj.eta, data.eta0)
+        np.testing.assert_array_equal(traj.eta[0], data.eta0)
 
     def test_energy_decays_without_forcing(
         self, grid2: Grid, stepper2: LinearStepper, rng: np.random.Generator
     ) -> None:
-        traj = stepper2.run(_smooth_state(grid2, rng), ProblemData())
+        traj = stepper2.run(_initial_data(_smooth_state(grid2, rng)))
         # The first step projects the raw initial state onto the discrete
         # constraints; from then on the implicit step dissipates energy.
-        energies = [total_energy(s, grid2, UNIT) for s in traj[1:]]
+        energies = total_energy(traj[1:], grid2, UNIT).tolist()
         assert energies[0] > 0.0
         for before, after in zip(energies, energies[1:]):
             assert after <= before + 1e-12 * energies[0]
@@ -666,13 +702,14 @@ class TestLinearStepperRun:
         grid = Grid(n=3, N=8, M=16, T=0.25, dt=0.25)
         x, y = grid.tangential_coordinates()
         f_eta = np.cos(x) + np.sin(y)
-        out = one_step(UNIT, grid)(State.zeros(grid), f_eta=f_eta)
-        out.validate(grid)
+        out = one_step(UNIT, grid)(ProblemData().initial(grid), f_eta=f_eta)
+        _assert_valid_level(out, grid)
         assert np.abs(out.eta).max() > 0.0
-        scale = np.abs(out.v).max()
-        np.testing.assert_allclose(out.v[:2, ..., 0], 0.0, atol=1e-12 * scale)
-        np.testing.assert_allclose(out.v[2][..., 0], out.eta_t, atol=1e-12 * scale)
-        div = staggered_divergence(out.v, grid)
+        v = out.v[0]
+        scale = np.abs(v).max()
+        np.testing.assert_allclose(v[:2, ..., 0], 0.0, atol=1e-12 * scale)
+        np.testing.assert_allclose(v[2][..., 0], out.eta_t[0], atol=1e-12 * scale)
+        div = staggered_divergence(v, grid)
         assert np.abs(div).max() < 1e-10 * max(scale, 1e-30)
 
 
@@ -692,21 +729,22 @@ class TestLinearStepperRun:
         def lift(field: np.ndarray, axis: int) -> np.ndarray:
             return np.repeat(np.expand_dims(field, axis), grid3.N, axis=axis)
 
-        v3 = np.zeros((3,) + grid3.tan_shape + (grid3.M + 1,))
-        v3[0], v3[2] = lift(state2.v[0], 1), lift(state2.v[1], 1)
-        state3 = State(
-            v=v3, p=lift(state2.p, 1), eta=lift(state2.eta, 1), eta_t=lift(state2.eta_t, 1)
+        # fields carry the level axis in front: the second tangential axis is 2
+        v3 = np.zeros((1, 3) + grid3.tan_shape + (grid3.M + 1,))
+        v3[:, 0], v3[:, 2] = lift(state2.v[:, 0], 2), lift(state2.v[:, 1], 2)
+        state3 = Trajectory(
+            v=v3, p=lift(state2.p, 2), eta=lift(state2.eta, 2), eta_t=lift(state2.eta_t, 2)
         )
         out2 = one_step(UNIT, grid2)(state2, g=g, f_eta=f_eta)
         out3 = one_step(UNIT, grid3)(state3, g=lift(g, 1), f_eta=lift(f_eta, 1))
 
         v_want = np.zeros_like(out3.v)
-        v_want[0], v_want[2] = lift(out2.v[0], 1), lift(out2.v[1], 1)
+        v_want[:, 0], v_want[:, 2] = lift(out2.v[:, 0], 2), lift(out2.v[:, 1], 2)
         for got, want in (
             (out3.v, v_want),
-            (out3.p, lift(out2.p, 1)),
-            (out3.eta, lift(out2.eta, 1)),
-            (out3.eta_t, lift(out2.eta_t, 1)),
+            (out3.p, lift(out2.p, 2)),
+            (out3.eta, lift(out2.eta, 2)),
+            (out3.eta_t, lift(out2.eta_t, 2)),
         ):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
@@ -737,14 +775,12 @@ class TestResolventOracle:
 
 class TestTotalEnergy:
     def test_zero_state_has_zero_energy(self, grid2: Grid) -> None:
-        assert total_energy(State.zeros(grid2), grid2, UNIT) == 0.0
+        assert total_energy(ProblemData().initial(grid2), grid2, UNIT).tolist() == [0.0]
 
     def test_energy_is_quadratic(self, grid2: Grid, rng: np.random.Generator) -> None:
         state = _smooth_state(grid2, rng)
-        doubled = State(
-            v=2.0 * state.v, p=2.0 * state.p,
-            eta=2.0 * state.eta, eta_t=2.0 * state.eta_t,
-        )
-        base = total_energy(state, grid2, UNIT)
+        doubled = Trajectory(*(2.0 * f for f in state.fields()))
+        (base,) = total_energy(state, grid2, UNIT)
         assert base > 0.0
-        assert total_energy(doubled, grid2, UNIT) == pytest.approx(4.0 * base, rel=1e-12)
+        (energy,) = total_energy(doubled, grid2, UNIT)
+        assert energy == pytest.approx(4.0 * base, rel=1e-12)
