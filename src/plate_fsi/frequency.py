@@ -52,7 +52,6 @@ __all__ = [
     "response_denominator",
     "solve_displacement",
     "solve_traces",
-    "uniqueness_probe",
 ]
 
 
@@ -395,12 +394,6 @@ class FieldProfile:
             self._row(index, basis, out[index, ...], scratch)
         return out
 
-    def velocity(self, x) -> np.ndarray:
-        return self.components(x)[:-1]
-
-    def pressure(self, x):
-        return self.components(x)[-1]
-
     def derivative(self) -> "FieldProfile":
         """Profile of the x-derivative (closed form, same basis)."""
         return FieldProfile(
@@ -643,12 +636,3 @@ def residual_report(
         )
     )
     return ResidualReport(rows=rows, rel_tol=TOL.residual_rel)
-
-
-def uniqueness_probe(params: PlateParams, freq: Freq) -> bool:
-    """Zero forcing must produce the zero solution (trivial kernel)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateTangentialFrequency)
-        traces = solve_traces(params, freq, 0j)
-    profile = build_profile(params, freq, traces)
-    return bool(np.all(traces.is_zero & profile.is_zero))

@@ -127,17 +127,6 @@ class AnisoSpace:
         weighted_dim = sum(w * d for w, d in zip(self.weight, self.dims))
         return (self.s - Fraction(weighted_dim) / self.p) / lcm(*self.weight)
 
-    def describe(self) -> str:
-        """Short human-readable form, e.g. ``H^{2,(2,1)}_p dims=(1,3)``."""
-        letter = {
-            Scale.BESSEL_POTENTIAL: "H",
-            Scale.BESOV: "B",
-            Scale.SOBOLEV_SLOBODECKII: "W",
-            Scale.LEBESGUE: "L",
-        }[self.scale]
-        weight = ",".join(str(w) for w in self.weight)
-        return f"{letter}^[{self.s},({weight})]_[p={self.p}] dims={self.dims}"
-
 
 def sobolev_index(space: AnisoSpace) -> Fraction:
     """Return the scaling index of ``space`` as an exact rational."""

@@ -184,7 +184,8 @@ def check_compatibility(data: ProblemData, grid: Grid) -> CompatReport:
 
     Never raises on incompatible data; every condition becomes one
     :class:`CompatItem`.  Trace conditions are gated on the integrability
-    exponent carried by the data.
+    exponent carried by the data.  A field of the wrong shape raises
+    ``ValueError`` (:meth:`ProblemData.materialize`).
     """
     data = data.materialize(grid)
     level0 = data.initial(grid)

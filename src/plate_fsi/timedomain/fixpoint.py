@@ -17,26 +17,26 @@ norms the contraction argument actually uses while staying cheap to
 evaluate on grid functions.
 
 Iterates are :class:`Trajectory` records, arrays with a leading time
-axis.  Each sweep after the first, linear one freezes the previous
+axis, and each sweep is one :meth:`LinearStepper.run` returning the next
+one.  Each sweep after the first, linear one freezes the previous
 iterate and runs in chunks of levels (:func:`level_chunks`): a source
 chunk is differentiated once, and those derivatives give both its
 surrogate norms and its quadratic terms; the forcing of the chunk is
-transformed once, and each new chunk is compared with its source as the
-march yields it.  So the sweep from iterate ``k`` is iterate ``k + 1``
-and, when ``k`` has converged or is the last allowed, its probe: the
-per-level gaps are the step residuals.
+transformed once.  The new iterate is then compared with its source
+over the same chunks.  So the sweep from iterate ``k`` is iterate
+``k + 1`` and, when ``k`` has converged or is the last allowed, its
+probe: the per-level gaps are the step residuals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
 from ..indices import exponent_thresholds
 from ..params import PlateParams
-from .grid import Grid, ProblemData, Trajectory
+from .grid import Grid, ProblemData, Trajectory, level_chunks
 from .nonlin import Derivatives, derivatives, nonlinear_terms
 from .stepper import LinearStepper
 
@@ -121,12 +121,10 @@ def _frozen_sweep(
     Returns the new iterate and, for the levels after the initial one,
     the surrogate norm of ``source`` and the gap ``new - source`` in that
     norm.  Each chunk of source levels is differentiated once for both its
-    norm and its quadratic terms; each new chunk is compared as the march
-    yields it.
+    norm and its quadratic terms; the gaps are taken over the same chunks.
     """
     grid = stepper.grid
     norms: list[float] = []
-    gaps: list[float] = []
 
     def frozen(levels: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         chunk = source[levels]
@@ -134,14 +132,11 @@ def _frozen_sweep(
         norms.extend(surrogate_norms(chunk, grid, derivs).tolist())
         return nonlinear_terms(chunk, grid, derivs)
 
-    def compared(chunks: Iterator[tuple[slice, Trajectory]]):
-        for levels, chunk in chunks:
-            if levels.start:
-                gap = _difference(chunk, source[levels])
-                gaps.extend(surrogate_norms(gap, grid).tolist())
-            yield levels, chunk
-
-    new = Trajectory.collect(compared(stepper.march(data, frozen)), len(source))
+    new = stepper.run(data, frozen)
+    gaps: list[float] = []
+    for levels in level_chunks(grid):
+        gap = _difference(new[levels], source[levels])
+        gaps.extend(surrogate_norms(gap, grid).tolist())
     return new, norms, gaps
 
 
@@ -175,11 +170,10 @@ def fixed_point_solve(
             f"threshold {threshold} for n = {grid.n}"
         )
     stepper = LinearStepper(params, grid)
-    levels = grid.steps + 1
     # Overflow and invalid values arise only on the way out of the finite
     # range, which the finite checks report as NoContraction.
     with np.errstate(over="ignore", invalid="ignore"):
-        source = Trajectory.collect(stepper.march(data), levels)
+        source = stepper.run(data)
         if not _finite(source):
             raise NoContraction("iterate 1 left the finite range", [])
         if not any(f.any() for f in source.fields()):
@@ -191,7 +185,7 @@ def fixed_point_solve(
                 residual=0.0,
                 scale=1.0,
                 converged=True,
-                step_residuals=[0.0] * levels,
+                step_residuals=[0.0] * len(source),
             )
         # level 0 is the initial state in every iterate: the same norm,
         # no gap

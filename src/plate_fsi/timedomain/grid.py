@@ -420,19 +420,6 @@ class Trajectory:
     eta: np.ndarray
     eta_t: np.ndarray
 
-    @classmethod
-    def collect(
-        cls, chunks: Iterable[tuple[slice, "Trajectory"]], levels: int
-    ) -> "Trajectory":
-        """Assemble ``levels`` levels from ``(slice, chunk)`` pairs that cover them."""
-        out = None
-        for where, chunk in chunks:
-            if out is None:
-                out = cls(*(np.empty((levels,) + f.shape[1:]) for f in chunk.fields()))
-            for dst, src in zip(out.fields(), chunk.fields()):
-                dst[where] = src
-        return out
-
     def fields(self) -> tuple[np.ndarray, ...]:
         return self.v, self.p, self.eta, self.eta_t
 
@@ -448,10 +435,11 @@ class Trajectory:
 _CHUNK_ENTRIES = 2**15
 
 
-def level_chunks(grid: Grid, start: int, stop: int) -> Iterator[slice]:
-    """Consecutive slices covering the levels ``start .. stop - 1``."""
+def level_chunks(grid: Grid) -> Iterator[slice]:
+    """Consecutive slices covering the levels after the initial one, ``1 .. steps``."""
     size = max(1, _CHUNK_ENTRIES // (grid.n * grid.N ** (grid.n - 1) * (grid.M + 1)))
-    for k in range(start, stop, size):
+    stop = grid.steps + 1
+    for k in range(1, stop, size):
         yield slice(k, min(k + size, stop))
 
 
@@ -475,17 +463,30 @@ class ProblemData:
     p_exponent: float = 2.0
 
     def materialize(self, grid: Grid) -> "ProblemData":
-        """Return a copy with every ``None`` replaced by zeros of right shape."""
+        """Return a copy with every ``None`` replaced by zeros of the right shape.
+
+        A given field must have exactly its shape on ``grid``: ``(n,) + tan
+        + (M + 1,)`` for ``f_v`` and ``v0``, ``tan + (M + 1,)`` for ``g``
+        and ``tan`` for ``f_eta``, ``eta0`` and ``eta1``; otherwise
+        ``ValueError`` names the field.
+        """
         bulk = grid.tan_shape + (grid.M + 1,)
-        return ProblemData(
-            f_v=np.zeros((grid.n,) + bulk) if self.f_v is None else np.asarray(self.f_v, dtype=float),
-            g=np.zeros(bulk) if self.g is None else np.asarray(self.g, dtype=float),
-            f_eta=np.zeros(grid.tan_shape) if self.f_eta is None else np.asarray(self.f_eta, dtype=float),
-            v0=np.zeros((grid.n,) + bulk) if self.v0 is None else np.asarray(self.v0, dtype=float),
-            eta0=np.zeros(grid.tan_shape) if self.eta0 is None else np.asarray(self.eta0, dtype=float),
-            eta1=np.zeros(grid.tan_shape) if self.eta1 is None else np.asarray(self.eta1, dtype=float),
-            p_exponent=self.p_exponent,
-        )
+        shapes = {
+            "f_v": (grid.n,) + bulk,
+            "g": bulk,
+            "f_eta": grid.tan_shape,
+            "v0": (grid.n,) + bulk,
+            "eta0": grid.tan_shape,
+            "eta1": grid.tan_shape,
+        }
+        fields = {}
+        for name, shape in shapes.items():
+            value = getattr(self, name)
+            value = np.zeros(shape) if value is None else np.asarray(value, dtype=float)
+            if value.shape != shape:
+                raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
+            fields[name] = value
+        return ProblemData(**fields, p_exponent=self.p_exponent)
 
     def initial(self, grid: Grid) -> Trajectory:
         """Level 0 of the march: ``v0``, zero pressure, ``eta0`` and ``eta1``.

@@ -34,7 +34,7 @@ kinematic coupling ``v_n(0) = eta_t`` at the plate, a rigid lid at
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -352,55 +352,47 @@ class LinearStepper:
             flat[modes[kept]] = column[kept]
         return np.fft.irfftn(self._spectrum, s=grid.tan_shape, axes=tuple(range(grid.n - 1)))
 
-    def march(
+    def run(
         self,
         data: ProblemData,
         extra: Callable[[slice], tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
-    ) -> Iterator[tuple[slice, Trajectory]]:
-        """March from the data's initial state over the grid horizon, by chunks of levels.
+    ) -> Trajectory:
+        """March from the data's initial state over the grid horizon.
 
-        Yields ``(levels, chunk)``: first ``data.initial(grid)`` as level 0,
-        then the chunks of :func:`level_chunks`.  ``data`` must be
-        materialized.
-        ``extra(levels)``, if given, returns ``(f_v, g, f_eta)`` with a
-        leading axis over ``levels``, added to the data's forcing of those
-        levels and transformed once per chunk; without it the forcing is
-        constant and transformed once.  Every step transforms its packed
-        unknowns once each way; the pressure is interpolated to the nodes
-        once per chunk.
+        Returns ``grid.steps + 1`` levels: a copy of ``data.initial(grid)``,
+        then one level per step, marched in the chunks of
+        :func:`level_chunks`.  ``extra(levels)``, if given, is called once
+        per chunk, in order, before the chunk is marched; it returns
+        ``(f_v, g, f_eta)`` with a leading axis over ``levels``, added to
+        the data's forcing of those levels and transformed once per chunk.
+        Without it the forcing is constant and transformed once.  Every
+        step transforms its packed unknowns once each way and writes its
+        level in place; the pressure is interpolated to the nodes once per
+        chunk.
         """
         grid, i_p = self.grid, self._i_p
+        data = data.materialize(grid)
         start = data.initial(grid)
-        yield slice(0, 1), start
+        out = Trajectory(*(np.empty((grid.steps + 1,) + f.shape[1:]) for f in start.fields()))
+        for level, first in zip(out.fields(), start.fields()):
+            level[0] = first[0]
         packed = self._pack(start)
         if extra is None:
             constant = self._forcing(data)
-        for levels in level_chunks(grid, 1, grid.steps + 1):
+        for levels in level_chunks(grid):
             count = levels.stop - levels.start
             if extra is None:
                 forcing = np.broadcast_to(constant, (count,) + constant.shape[1:])
             else:
                 forcing = self._forcing(data, extra(levels))
-            v = np.empty((count,) + start.v.shape[1:])
-            eta = np.empty((count,) + grid.tan_shape)
-            psi = np.empty((count,) + grid.tan_shape)
             p_mid = np.empty((count,) + grid.tan_shape + (grid.M,))
-            for j in range(count):
+            for j, k in enumerate(range(levels.start, levels.stop)):
                 new = self._advance(packed, forcing[j])
-                v[j], p_mid[j], eta[j], psi[j] = self._unpack(new)
+                out.v[k], p_mid[j], out.eta[k], out.eta_t[k] = self._unpack(new)
                 packed[..., :i_p] = new[..., :i_p]
                 packed[..., -2:] = new[..., -2:]
-            p = grid.mesh.midpoints_to_nodes(p_mid)
-            yield levels, Trajectory(v=v, p=p, eta=eta, eta_t=psi)
-
-    def run(self, data: ProblemData) -> Trajectory:
-        """March constant-in-time data from their initial state over the grid horizon.
-
-        Returns the trajectory including a copy of the initial state,
-        ``grid.steps + 1`` levels.
-        """
-        data = data.materialize(self.grid)
-        return Trajectory.collect(self.march(data), self.grid.steps + 1)
+            out.p[levels] = grid.mesh.midpoints_to_nodes(p_mid)
+        return out
 
 
 def staggered_divergence(v: np.ndarray, grid: Grid) -> np.ndarray:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from plate_fsi.cli import compatible_example
+from plate_fsi.params import PlateParams
 from plate_fsi.timedomain.compat import (
     CompatReport,
     check_compatibility,
@@ -15,6 +16,7 @@ from plate_fsi.timedomain.compat import (
 )
 from plate_fsi.timedomain.compat import test_function_family as function_family
 from plate_fsi.timedomain.grid import Grid, ProblemData, tangential_derivatives
+from plate_fsi.timedomain.stepper import LinearStepper
 
 ITEM_NAMES = ["divergence-data", "duality-pairing", "no-slip-trace", "kinematic-trace"]
 
@@ -144,3 +146,24 @@ class TestDivergenceDefect:
         report = check_compatibility(ProblemData(v0=v0, eta1=None), grid)
         assert isinstance(report, CompatReport)
         assert len(report.items) == 4
+
+
+class TestDataShapes:
+    """A divergence datum with a level axis is rejected, not broadcast."""
+
+    MESSAGE = r"^g has shape \(2, 16, 33\), expected \(16, 33\)$"
+
+    @pytest.fixture
+    def levelled(self, grid: Grid) -> ProblemData:
+        data = compatible_example(grid, 0.5)
+        data.g = np.stack([data.g, 7.0 + 0.0 * data.g])
+        return data
+
+    def test_check_compatibility_rejects(self, grid: Grid, levelled: ProblemData) -> None:
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            check_compatibility(levelled, grid)
+
+    def test_march_rejects(self, grid: Grid, levelled: ProblemData) -> None:
+        stepper = LinearStepper(PlateParams(alpha=1.0, beta=0.0, gamma=1.0), grid)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            stepper.run(levelled)

@@ -61,13 +61,13 @@ class TestGating:
 
 def _count_marches(monkeypatch: pytest.MonkeyPatch) -> list[int]:
     marches: list[int] = []
-    march = LinearStepper.march
+    run = LinearStepper.run
 
     def counting(self, *args, **kwargs):
         marches.append(1)
-        return march(self, *args, **kwargs)
+        return run(self, *args, **kwargs)
 
-    monkeypatch.setattr(LinearStepper, "march", counting)
+    monkeypatch.setattr(LinearStepper, "run", counting)
     return marches
 
 
@@ -175,7 +175,7 @@ class TestNormCalls:
         result = fixpoint.fixed_point_solve(UNIT, grid, default_forcing(grid, 1e-3))
         assert result.iterations >= 2
         # one sweep per iteration follows the linear one, the last the probe
-        sizes = [c.stop - c.start for c in level_chunks(grid, 1, grid.steps + 1)]
+        sizes = [c.stop - c.start for c in level_chunks(grid)]
         assert shared == sizes * result.iterations
         assert own == [1] + shared
         monkeypatch.undo()
@@ -245,7 +245,7 @@ class TestChunkedSweep:
     )
     def test_matches_level_by_level_reference(self, sweep_grid: Grid, one_step) -> None:
         grid = sweep_grid
-        chunk = next(level_chunks(grid, 1, grid.steps + 1))
+        chunk = next(level_chunks(grid))
         assert 1 < chunk.stop - chunk.start < grid.steps
         assert grid.steps % (chunk.stop - chunk.start) != 0
         data = default_forcing(grid, 1e-3).materialize(grid)

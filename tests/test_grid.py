@@ -293,6 +293,13 @@ class TestContainers:
         assert np.shares_memory(level.eta_t, eta1)
         np.testing.assert_array_equal(level.eta_t[0], eta1)
 
+    @pytest.mark.parametrize("name", ["f_v", "g", "f_eta", "v0", "eta0", "eta1"])
+    def test_materialize_rejects_a_level_axis(self, grid2: Grid, name: str) -> None:
+        shape = getattr(ProblemData().materialize(grid2), name).shape
+        data = ProblemData(**{name: np.zeros((2,) + shape)})
+        with pytest.raises(ValueError, match=rf"^{name} has shape \(2, .*\), expected \("):
+            data.materialize(grid2)
+
     def test_problem_data_materialize(self, grid2: Grid) -> None:
         eta0 = np.ones(grid2.tan_shape)
         data = ProblemData(eta0=eta0, p_exponent=2.5).materialize(grid2)

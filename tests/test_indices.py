@@ -62,11 +62,6 @@ class TestSobolevIndex:
         assert smoother.index() > base.index()
         assert wider.index() > base.index()
 
-    def test_describe_mentions_scale_and_data(self) -> None:
-        text = _face(1, 3, 2).describe()
-        assert text.startswith("H^")
-        assert "p=2" in text
-
 
 class TestAnisoSpaceValidation:
     def test_p_must_exceed_one_off_lebesgue(self) -> None:

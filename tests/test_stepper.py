@@ -524,13 +524,14 @@ class _PerFieldMarch:
         eta, psi = self.from_modes(np.stack([eta_new, psi_new]))
         return v, eta, psi, p_mid
 
-    def march(self, data: ProblemData, extra=None):
+    def run(self, data: ProblemData, extra=None) -> Trajectory:
         grid = self.grid
+        data = data.materialize(grid)
         start = data.initial(grid)
-        yield slice(0, 1), start
+        chunks = [start]
         now = start.v[0], start.eta[0], start.eta_t[0]
         constant = self.forcing_modes(data.f_v, data.g, data.f_eta)
-        for levels in level_chunks(grid, 1, grid.steps + 1):
+        for levels in level_chunks(grid):
             count = levels.stop - levels.start
             if extra is None:
                 forcing = [constant] * count
@@ -546,7 +547,8 @@ class _PerFieldMarch:
                 p_mid.append(p)
             v, eta, psi = (np.stack(f) for f in zip(*fields))
             p = grid.mesh.midpoints_to_nodes(self.from_modes(np.stack(p_mid), tail=1))
-            yield levels, Trajectory(v=v, p=p, eta=eta, eta_t=psi)
+            chunks.append(Trajectory(v=v, p=p, eta=eta, eta_t=psi))
+        return Trajectory(*(np.concatenate(f) for f in zip(*(c.fields() for c in chunks))))
 
 
 def _march_case(n: int, rng: np.random.Generator):
@@ -585,12 +587,11 @@ class TestPackedMarch:
         self, n: int, frozen: bool, rng: np.random.Generator
     ) -> None:
         grid, data, extra = _march_case(n, rng)
-        chunks = list(level_chunks(grid, 1, grid.steps + 1))
+        chunks = list(level_chunks(grid))
         assert len(chunks) > 1 and all(c.stop - c.start > 1 for c in chunks)
         extra = extra if frozen else None
-        levels = grid.steps + 1
-        got = Trajectory.collect(LinearStepper(SKEW, grid).march(data, extra), levels)
-        want = Trajectory.collect(_PerFieldMarch(SKEW, grid).march(data, extra), levels)
+        got = LinearStepper(SKEW, grid).run(data, extra)
+        want = _PerFieldMarch(SKEW, grid).run(data, extra)
         for name, a, b in zip(("v", "p", "eta", "eta_t"), got.fields(), want.fields()):
             assert a.shape == b.shape, name
             assert np.array_equal(a, b), name
@@ -610,10 +611,9 @@ class TestPackedMarch:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
-        march = stepper.march(data, extra if frozen else None)
-        Trajectory.collect(march, grid.steps + 1)
+        stepper.run(data, extra if frozen else None)
         # the forcing is transformed once per chunk, or once when constant
-        chunks = len(list(level_chunks(grid, 1, grid.steps + 1))) if frozen else 1
+        chunks = len(list(level_chunks(grid))) if frozen else 1
         assert calls == Counter(rfftn=grid.steps + chunks, irfftn=grid.steps)
 
 
