@@ -27,7 +27,6 @@ import dataclasses
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -35,21 +34,13 @@ import click
 import numpy as np
 
 from .config import TOL
-from .frequency import build_profile, residual_report, solve_traces
-from .indices import embedding_catalog, exponent_thresholds
 from .params import Freq, PlateParams, Sector
-from .polygon import (
-    NewtonPolygon,
-    build_polygon,
-    check_parabolicity,
-    coupled_symbol_terms,
-    relevant_weights,
-)
-from .symbols import root_sector_angle
 
-# The time-domain layer (and with it scipy) is imported inside the commands
-# that use it, so the other subcommands start without loading it.
+# Each layer is imported inside the commands that use it, so a subcommand
+# loads only its own layer; the time-domain layer also brings in scipy.
+# The imports follow the docstrings, which click shows as the help text.
 if TYPE_CHECKING:
+    from .polygon import NewtonPolygon
     from .timedomain import Grid, ProblemData, Trajectory
 
 EXIT_OK = 0
@@ -208,6 +199,8 @@ def _verdict(ok: bool, note: str = "") -> tuple[str, int]:
 
 def _polygon_payload(polygon: NewtonPolygon, number) -> dict:
     """Vertices, edges and relevant weights, coordinates through ``number``."""
+    from .polygon import relevant_weights
+
     return {
         "vertices": [[number(a), number(b)] for a, b in polygon.vertices],
         "edges": [
@@ -228,6 +221,9 @@ def _sector(key: str, angle: float) -> Sector:
 @_command("analyze-symbol")
 def analyze_symbol(cfg, check_only, as_json):
     """Newton polygon, sector angles and parabolicity of the coupled symbol."""
+    from .polygon import build_polygon, check_parabolicity, coupled_symbol_terms
+    from .symbols import root_sector_angle
+
     params = _params(cfg)
     phi0 = root_sector_angle(params)
     phi = cfg["phi"] if cfg["phi"] is not None else phi0 + (math.pi / 2 - phi0) / 2
@@ -260,6 +256,8 @@ def analyze_symbol(cfg, check_only, as_json):
 @_command("polygon")
 def polygon_cmd(cfg, check_only, as_json):
     """Exact Newton-polygon report for the configured parameters."""
+    from .polygon import build_polygon, coupled_symbol_terms
+
     terms = coupled_symbol_terms(_params(cfg))
     polygon = build_polygon(terms)
     if check_only:
@@ -290,6 +288,8 @@ def _linear_rows(
     belonging to point ``i``.  The frequency layer is called once per
     block of :data:`_BLOCK` points.
     """
+    from .frequency import build_profile, residual_report, solve_traces
+
     blocks = []
     for start in range(0, lam.size, _BLOCK):
         freq = Freq(lam=lam[start:start + _BLOCK], z=z[start:start + _BLOCK])
@@ -438,28 +438,31 @@ def _write_steps_csv(path: Path, grid: Grid, result) -> None:
 
 
 def _write_fields_csv(path: Path, grid: Grid, traj: Trajectory) -> None:
-    """The last level of ``traj``, one row per (tangential point, node)."""
+    """The last level of ``traj``, one row per (tangential point, node).
+
+    The file is written one tangential point at a time, so the text of
+    only one point is held at once.
+    """
     v, p, eta, eta_t = (f[-1] for f in traj.fields())
     tan_names = ["x1"] if grid.n == 2 else ["x1", "x2"]
     v_names = [f"v{i + 1}" for i in range(grid.n)]
     names = tan_names + ["xn"] + v_names + ["p", "eta", "eta_t"]
-    # Nodes fastest.  Each tangential point, node and (eta, eta_t) pair is
-    # formatted once; per row only the bulk columns are.
+    # Nodes fastest.  Each tangential point's coordinates and (eta, eta_t)
+    # pair are formatted once, into one format string for all its rows;
+    # one % then fills in the point's bulk values, node by node.
     coords = zip(*(x.ravel().tolist() for x in grid.tangential_coordinates()))
-    leads = [("%.12g," * (grid.n - 1)) % point for point in coords]
-    nodes = ["%.12g," % x for x in grid.mesh.nodes.tolist()]
     plate = zip(eta.ravel().tolist(), eta_t.ravel().tolist())
-    tails = [",%.12g,%.12g" % pair for pair in plate]
     bulk = ",".join(["%.12g"] * (grid.n + 1))
-    columns = (f.ravel().tolist() for f in (*v, p))
-    rows = iter([bulk % values for values in zip(*columns)])
-    lines = ["# schema=1", ",".join(names)]
-    lines += [
-        lead + node + next(rows) + tail
-        for lead, tail in zip(leads, tails)
-        for node in nodes
-    ]
-    path.write_text("\n".join(lines) + "\n")
+    rows = ["%.12g," % x + bulk for x in grid.mesh.nodes.tolist()]
+    # (point, node * field): v1..vn, p of each node side by side
+    values = np.stack([*v, p], axis=-1).reshape(eta.size, -1)
+    coord_format = "%.12g," * (grid.n - 1)
+    with path.open("w") as out:
+        out.write("# schema=1\n" + ",".join(names) + "\n")
+        for point, pair, block in zip(coords, plate, values):
+            lead = coord_format % point
+            tail = ",%.12g,%.12g\n" % pair
+            out.write((lead + (tail + lead).join(rows) + tail) % tuple(block.tolist()))
 
 
 @_command(
@@ -575,6 +578,10 @@ def check_compat(cfg, check_only, as_json):
 @_command("index")
 def index_cmd(cfg, check_only, as_json):
     """Sobolev index values, thresholds and the embedding catalog."""
+    from fractions import Fraction
+
+    from .indices import embedding_catalog, exponent_thresholds
+
     n = int(cfg["n"])
     p = float(cfg["p"])
     thresholds = exponent_thresholds(n)

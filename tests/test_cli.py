@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,13 @@ from plate_fsi.params import Freq, PlateParams
 from plate_fsi.timedomain.grid import Grid, Trajectory
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Values at the edges of "%.12g": signed zero, subnormal, extreme exponents,
+# the switch from fixed to exponent form at 12 digits, and non-finite ones.
+EDGE_VALUES = [
+    -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 123456789012345.0,
+    123456789012.0, 1234567890123.0, 1e-4, 1e-5, -2.5e-7, 3e16, np.inf, -np.inf, np.nan,
+]
 
 # Reduced resolution so every invocation stays fast; the acceptance suite
 # exercises the default configuration.
@@ -460,6 +468,10 @@ class TestSimulate:
         bulk = grid.tan_shape + (grid.M + 1,)
         v, p = rng.normal(size=(n,) + bulk), rng.normal(size=bulk)
         eta, eta_t = rng.normal(size=grid.tan_shape), rng.normal(size=grid.tan_shape)
+        # Edge values at the start of each field, so that one % per point
+        # is seen to format them as the per-value "%.12g" below does.
+        for field, edges in zip((*v, p, eta, eta_t), [EDGE_VALUES, EDGE_VALUES[::-1]] * 3):
+            field.flat[: len(edges)] = edges[: field.size]
         # a zero level in front: the writer dumps the last level
         traj = Trajectory(*(np.stack([np.zeros_like(f), f]) for f in (v, p, eta, eta_t)))
         _write_fields_csv(tmp_path / "fields.csv", grid, traj)
@@ -478,6 +490,22 @@ class TestSimulate:
         assert got[-1] == "" and len(got) == len(lines) + 1
         # the first differing row, not a diff of the whole file
         assert next((pair for pair in zip(got, lines) if pair[0] != pair[1]), None) is None
+
+    def test_fields_csv_memory_is_bounded(self, tmp_path: Path, rng: np.random.Generator) -> None:
+        # One sim3d-sized level: 66,560 rows, about 9 MB of text.  The
+        # writer holds one tangential point's rows, not the whole table.
+        grid = Grid(n=3, N=32, M=64, T=0.125, dt=0.125)
+        bulk = grid.tan_shape + (grid.M + 1,)
+        shapes = [(3,) + bulk, bulk, grid.tan_shape, grid.tan_shape]
+        traj = Trajectory(*(rng.normal(size=(1,) + shape) for shape in shapes))
+        tracemalloc.start()
+        try:
+            _write_fields_csv(tmp_path / "fields.csv", grid, traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured: 2.2 MB, most of it the level's (point, node, field) copy
+        assert peak < 8 * 2**20
 
     def test_subcritical_exponent_exits_1(
         self, runner: CliRunner, tmp_path: Path
@@ -685,8 +713,19 @@ class TestIndex:
         # needs scipy.interpolate.
         (["simulate", "--json", "--set", "N=8", "--set", "M=16", "--set", "T=0.0625"],
          "scipy.interpolate"),
+        # Each command imports only its own layer.
+        (["index", "--json"], "plate_fsi.frequency"),
+        (["index", "--json"], "plate_fsi.polygon"),
+        (["polygon", "--json"], "plate_fsi.frequency"),
+        (["polygon", "--json"], "plate_fsi.indices"),
+        (["solve-linear", "--grid", "2x2", "--json"], "plate_fsi.polygon"),
+        (["solve-linear", "--grid", "2x2", "--json"], "plate_fsi.indices"),
     ],
-    ids=["index", "solve-linear", "simulate"],
+    ids=[
+        "index", "solve-linear", "simulate",
+        "index-frequency", "index-polygon", "polygon-frequency", "polygon-indices",
+        "solve-linear-polygon", "solve-linear-indices",
+    ],
 )
 def test_command_leaves_module_unloaded(
     argv: list[str], absent: str, tmp_path: Path
