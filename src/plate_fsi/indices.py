@@ -31,7 +31,6 @@ class Scale(enum.Enum):
     """Function-space scale of an :class:`AnisoSpace`."""
 
     BESSEL_POTENTIAL = "BesselPotential"
-    BESOV = "Besov"
     SOBOLEV_SLOBODECKII = "SobolevSlobodeckii"
     LEBESGUE = "Lebesgue"
 
@@ -81,8 +80,6 @@ class AnisoSpace:
     p:
         Integrability exponent (rational).  Must exceed 1 except on the
         Lebesgue scale, where ``p >= 1`` is allowed.
-    q:
-        Optional fine index on the Besov scale.
     """
 
     scale: Scale
@@ -90,14 +87,11 @@ class AnisoSpace:
     weight: tuple[int, ...]
     dims: tuple[int, ...]
     p: Fraction
-    q: Fraction | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scale", Scale(self.scale))
         object.__setattr__(self, "s", _as_fraction(self.s, "s"))
         object.__setattr__(self, "p", _as_fraction(self.p, "p"))
-        if self.q is not None:
-            object.__setattr__(self, "q", _as_fraction(self.q, "q"))
         object.__setattr__(self, "weight", tuple(int(w) for w in self.weight))
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if len(self.weight) != len(self.dims):
@@ -222,8 +216,6 @@ class CatalogRow:
     name: str
     term: str
     rule: CatalogRule
-    factors: tuple[AnisoSpace, ...]
-    target: AnisoSpace
     factor_indices: tuple[Fraction, ...]
     target_index: Fraction
     result: str
@@ -271,8 +263,6 @@ def _evaluate_row(
         name=name,
         term=term,
         rule=rule,
-        factors=factors,
-        target=target,
         factor_indices=indices,
         target_index=ind_target,
         result=result,

@@ -124,7 +124,6 @@ def _upper_right_hull(points: set[Point]) -> list[Point]:
 class NewtonPolygon:
     """Upper-right Newton polygon of a mixed-order symbol."""
 
-    points: frozenset[Point]
     vertices: tuple[Point, ...]  # sorted by decreasing b
     edges: tuple[tuple[Point, Point, Fraction], ...]
     on_edge: frozenset[Point]  # collinear non-vertex points, per design
@@ -166,7 +165,6 @@ def build_polygon(terms: Sequence[MixedTerm]) -> NewtonPolygon:
             if cross == 0 and within:
                 on_edge.add(p)
     return NewtonPolygon(
-        points=frozenset(raw),
         vertices=tuple(vertices),
         edges=tuple(edges),
         on_edge=frozenset(on_edge),
@@ -278,12 +276,9 @@ class ParabolicityReport:
 
     ``sector_too_wide`` flags the degenerate configuration where the requested
     sector half-angle does not clear the plate-root rays; in that case no
-    sampling is attempted and ``passed`` is False.  ``theta`` is None when
-    no tangential sector was given.
+    sampling is attempted and ``passed`` is False.
     """
 
-    phi: float
-    theta: float | None
     phi0: float
     results: tuple[WeightResult, ...]
     root_clearance_ok: bool
@@ -336,8 +331,6 @@ def check_parabolicity(
     phi0 = root_sector_angle(params)
     if phi.vertex_angle >= pi / 2 or phi.vertex_angle <= phi0:
         return ParabolicityReport(
-            phi=phi.vertex_angle,
-            theta=None if theta is None else theta.vertex_angle,
             phi0=phi0,
             results=(),
             root_clearance_ok=False,
@@ -383,8 +376,6 @@ def check_parabolicity(
             if abs(np.angle(root)) <= boundary:
                 roots_ok = False
     return ParabolicityReport(
-        phi=phi.vertex_angle,
-        theta=theta.vertex_angle,
         phi0=phi0,
         results=tuple(results),
         root_clearance_ok=roots_ok and angle_ok,

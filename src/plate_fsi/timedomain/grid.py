@@ -253,7 +253,6 @@ class Grid:
     X: float | None = None
     T: float = 1.0
     dt: float = 1.0 / 64.0
-    grading: float = 2.0
 
     def __post_init__(self) -> None:
         if self.n not in (2, 3):
@@ -277,7 +276,7 @@ class Grid:
         if steps < 1 or abs(steps * self.dt - self.T) > 1e-9 * self.T:
             raise ValueError(f"T / dt = {self.T / self.dt} is not integral")
         with np.errstate(all="ignore"):
-            mesh = VerticalMesh(self.X, self.M, self.grading)
+            mesh = VerticalMesh(self.X, self.M)
             vertical = [mesh.weights] + [
                 fornberg_weights(mesh.nodes[end], mesh.nodes[span], 2)
                 for end, span in ((0, slice(6)), (-1, slice(-6, None)))

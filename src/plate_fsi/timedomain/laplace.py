@@ -14,11 +14,14 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ..config import TOL
 from ..frequency import response_denominator
 from ..params import PlateParams
 
 __all__ = ["ContourFailure", "mode_response_reference", "talbot_inverse"]
+
+# Node doubling must move the value by less than this, relative to
+# max(|value|, 1).
+SELFCONV_TOL = 1e-8
 
 
 class ContourFailure(RuntimeError):
@@ -58,15 +61,15 @@ def talbot_inverse(
     scale grows like ``nodes / t``; singularities further out than that
     are not enclosed and show up as a self-convergence failure.  The
     value from the doubled node count is returned after the two agree to
-    the configured relative tolerance, otherwise :class:`ContourFailure`
-    is raised.
+    the relative tolerance :data:`SELFCONV_TOL`, otherwise
+    :class:`ContourFailure` is raised.
     """
     if t <= 0.0:
         raise ValueError("contour inversion needs t > 0")
     coarse = _quadrature(transform, t, nodes)
     fine = _quadrature(transform, t, 2 * nodes)
     scale = max(abs(fine), abs(coarse), 1e-300)
-    if abs(fine - coarse) > TOL.contour_selfconv * max(scale, 1.0):
+    if abs(fine - coarse) > SELFCONV_TOL * max(scale, 1.0):
         raise ContourFailure(
             f"node doubling moved the value by {abs(fine - coarse):.3e} "
             f"(scale {scale:.3e}) at t={t}; increase nodes or reduce t"

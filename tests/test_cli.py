@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -23,7 +24,6 @@ from plate_fsi.cli import (
     load_config,
     main,
 )
-from plate_fsi.config import TOL
 from plate_fsi.frequency import build_profile, residual_report, solve_traces
 from plate_fsi.params import Freq, PlateParams
 from plate_fsi.timedomain.grid import Grid, Trajectory
@@ -43,19 +43,36 @@ REDUCED = [
     "--set", "N=16", "--set", "M=32", "--set", "T=0.25", "--set", "dt=0.03125",
 ]
 
+COMMANDS = ["analyze-symbol", "polygon", "solve-linear", "simulate", "check-compat", "index"]
+
 
 @pytest.fixture()
 def runner() -> CliRunner:
     return CliRunner()
 
 
+@pytest.fixture()
+def corrupt_p0(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Perturb every pressure trace of the frequency layer by 1 %.
+
+    ``solve-linear`` imports ``solve_traces`` when it runs, so it picks
+    up the patched function.
+    """
+    import plate_fsi.frequency as frequency
+
+    solve = frequency.solve_traces
+
+    def corrupted(*args, **kwargs):
+        traces = solve(*args, **kwargs)
+        return dataclasses.replace(traces, p0_hat=traces.p0_hat * 1.01)
+
+    monkeypatch.setattr(frequency, "solve_traces", corrupted)
+
+
 class TestContract:
     """What every subcommand shares: config errors and ``--check``."""
 
-    @pytest.mark.parametrize(
-        "command",
-        ["analyze-symbol", "polygon", "solve-linear", "simulate", "check-compat", "index"],
-    )
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_unknown_key_is_config_error(self, runner: CliRunner, command: str) -> None:
         res = runner.invoke(main, [command, "--set", "bogus=1"])
         assert isinstance(res.exception, SystemExit), res.exception
@@ -74,6 +91,17 @@ class TestContract:
             ["simulate", *REDUCED, "--check"],
             ["check-compat", *REDUCED, "--check"],
             ["index", "--check"],
+            # The divergence defect is rounding relative to sup|v| / h0:
+            # 1.6e-9 (2D) and 1.2e-10 (3D) at this amplitude, 1.5e-15 and
+            # 5.6e-16 of that scale.
+            pytest.param(
+                ["simulate", "--check", "--set", "amplitude=1e7"], id="simulate-amplitude-1e7"
+            ),
+            pytest.param(
+                ["simulate", "--check", "--set", "amplitude=1e7",
+                 "--set", "n=3", "--set", "N=8", "--set", "M=16"],
+                id="simulate-3d-amplitude-1e7",
+            ),
         ],
         ids=lambda argv: argv[0],
     )
@@ -81,6 +109,60 @@ class TestContract:
         res = runner.invoke(main, argv)
         assert res.exit_code == 0
         assert "check: ok" in res.stdout
+
+    @pytest.mark.parametrize("p", ["1", "-1"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_exponent_at_most_one_is_config_error(
+        self, runner: CliRunner, tmp_path: Path, command: str, p: str
+    ) -> None:
+        # The Lp theory behind every layer needs 1 < p < inf.
+        argv = [command, "--set", f"p={p}"]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "out")]
+        res = runner.invoke(main, argv)
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr == f"config error: p: must be > 1, got {float(p)!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--set", "N=8", "--set", "M=16", "--set", "T=0.0625", "--out", "sub"],
+            ["solve-linear", "--grid", "2x2", "--out", "x.csv"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_out_is_config_error(
+        self, runner: CliRunner, tmp_path: Path, argv: list[str]
+    ) -> None:
+        # the output goes below a plain file
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        res = runner.invoke(main, [*argv[:-1], str(blocker / argv[-1])])
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("config error: out:")
+        assert res.stderr.count("\n") == 1
+
+    def test_option_surface(self) -> None:
+        # A new option shows up here as a diff of this table.
+        common = ["--check", "--json", "--set", "--config"]
+        expected = {
+            "analyze-symbol": common,
+            "polygon": common,
+            "solve-linear": common + ["--lambda", "--z", "--grid", "--out"],
+            "simulate": common + ["--out"],
+            "check-compat": common,
+            "index": common,
+        }
+        options = {
+            name: [opt for param in command.params for opt in param.opts]
+            for name, command in main.commands.items()
+        }
+        assert options == expected
 
 
 class TestConfig:
@@ -295,8 +377,9 @@ class TestSolveLinear:
         assert res.exit_code == 0, res.output
         assert json.loads(res.stdout)["pass"] is True
 
+    @pytest.mark.usefixtures("corrupt_p0")
     def test_corrupted_pressure_trace_exits_3(self, runner: CliRunner) -> None:
-        res = runner.invoke(main, ["solve-linear", "--corrupt-p0", "--grid", "2x2"])
+        res = runner.invoke(main, ["solve-linear", "--grid", "2x2"])
         assert res.exit_code == 3
 
     def test_out_file(self, runner: CliRunner, tmp_path: Path) -> None:
@@ -309,10 +392,9 @@ class TestSolveLinear:
         assert lines[0] == "# schema=1"
         assert len(lines) == 2 + 4
 
+    @pytest.mark.usefixtures("corrupt_p0")
     def test_corrupted_pressure_trace_fails_every_point(self, runner: CliRunner) -> None:
-        res = runner.invoke(
-            main, ["solve-linear", "--corrupt-p0", "--grid", "3x3", "--json"]
-        )
+        res = runner.invoke(main, ["solve-linear", "--grid", "3x3", "--json"])
         assert res.exit_code == 3
         payload = json.loads(res.stdout)
         assert len(payload["rows"]) == 9
@@ -332,15 +414,14 @@ class TestSolveLinear:
     @pytest.mark.parametrize("corrupt", [False, True])
     @pytest.mark.parametrize("n", [2, 3])
     def test_csv_matches_row_by_row_formatter(
-        self, runner: CliRunner, n: int, corrupt: bool
+        self, runner: CliRunner, request: pytest.FixtureRequest, n: int, corrupt: bool
     ) -> None:
-        flags = ["--corrupt-p0"] if corrupt else []
-        res = runner.invoke(
-            main, ["solve-linear", "--grid", "8x8", "--set", f"n={n}", *flags]
-        )
+        if corrupt:
+            request.getfixturevalue("corrupt_p0")
+        res = runner.invoke(main, ["solve-linear", "--grid", "8x8", "--set", f"n={n}"])
         assert res.exit_code == (3 if corrupt else 0)
         params = PlateParams(alpha=1.0, beta=0.0, gamma=1.0)
-        table = _linear_rows(params, *_default_points("8x8"), corrupt, n)
+        table = _linear_rows(params, *_default_points("8x8"), n)
         lines = ["# schema=1", ",".join(table)]
         lines += [
             f"{re_lam:.12g},{im_lam:.12g},{z:.12g},{eta_abs:.12g},{p0_abs:.12g},"
@@ -357,7 +438,7 @@ class TestSolveLinear:
         params = PlateParams(alpha=1.0, beta=0.0, gamma=1.0)
         lam, z = _default_points("17x17")
         assert lam.size > _BLOCK
-        table = _linear_rows(params, lam, z, False, 2)
+        table = _linear_rows(params, lam, z, 2)
         assert table["pass"].all()
         for i in (0, _BLOCK - 1, _BLOCK, lam.size - 1):
             freq = Freq(lam=complex(lam[i]), z=float(z[i]))
@@ -367,7 +448,7 @@ class TestSolveLinear:
             )
             assert table["eta_abs"][i] == pytest.approx(abs(traces.eta_hat), rel=1e-14)
             assert table["p0_abs"][i] == pytest.approx(abs(traces.p0_hat), rel=1e-14)
-            assert table["residual_max"][i] <= TOL.residual_rel
+            assert table["residual_max"][i] <= report.rel_tol
             assert report.passed
 
 

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from plate_fsi.config import TOL
 from plate_fsi.params import Freq, PlateParams
 from plate_fsi.frequency import (
     _LOG_GRID,
     DegenerateTangentialFrequency,
     NearResonance,
+    RESIDUAL_REL_TOL,
     ResidualReport,
     ResidualRow,
     TraceSolution,
@@ -543,7 +543,7 @@ def _stacked_residual_report(params, freq, profile, f_eta_hat) -> ResidualReport
             ("plate-balance", balance, balance_scale),
         )
     )
-    return ResidualReport(rows=rows, rel_tol=TOL.residual_rel)
+    return ResidualReport(rows=rows, rel_tol=RESIDUAL_REL_TOL)
 
 
 def _assert_same_bits(params, freq, profile, f_eta_hat=1.0) -> ResidualReport:
