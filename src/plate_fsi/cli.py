@@ -128,15 +128,21 @@ def _params(cfg: dict[str, object]) -> PlateParams:
 def _grid(cfg: dict[str, object]) -> Grid:
     from .timedomain import Grid
 
-    return Grid(
-        n=int(cfg["n"]),
-        L=float(cfg["L"]),
-        N=int(cfg["N"]),
-        M=int(cfg["M"]),
-        X=None if cfg["X"] is None else float(cfg["X"]),
-        T=float(cfg["T"]),
-        dt=float(cfg["dt"]),
-    )
+    try:
+        return Grid(
+            n=int(cfg["n"]),
+            L=float(cfg["L"]),
+            N=int(cfg["N"]),
+            M=int(cfg["M"]),
+            X=None if cfg["X"] is None else float(cfg["X"]),
+            T=float(cfg["T"]),
+            dt=float(cfg["dt"]),
+        )
+    except ValueError as exc:
+        # the one grid message that does not start with its key
+        if str(exc).startswith("T / dt"):
+            raise ConfigError("dt", str(exc)) from None
+        raise
 
 
 def _parse_complex(text: str) -> complex:
@@ -491,12 +497,21 @@ def simulate(cfg, check_only, as_json, out_dir):
         ProblemData,
         fixed_point_solve,
     )
+    from .indices import exponent_thresholds
     from .timedomain.stepper import staggered_divergence
 
     params = _params(cfg)
     grid = _grid(cfg)
     data = default_forcing(grid, float(cfg["amplitude"]))
     data.p_exponent = float(cfg["p"])
+    # the fixed-point theory needs the quadratic terms controlled
+    threshold = exponent_thresholds(grid.n).quadratic
+    if data.p_exponent < float(threshold):
+        raise ConfigError(
+            "p",
+            f"{data.p_exponent!r} is below the quadratic embedding threshold "
+            f"{threshold} for n = {grid.n}",
+        )
     if check_only:
         zero = fixed_point_solve(
             params, grid, ProblemData(p_exponent=float(cfg["p"])), max_iter=2
@@ -508,9 +523,12 @@ def simulate(cfg, check_only, as_json, out_dir):
         scale = max(1.0, float(np.abs(forced).max()) / grid.mesh.spacings[0])
         ok = zero.converged and zero.iterations == 1 and defect <= DIVERGENCE_DEFECT_BOUND * scale
         return _verdict(ok, f"(divergence defect {defect:.2e})")
+    tol = float(cfg["tol"])
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigError("tol", f"must be finite and nonnegative, got {tol!r}")
     try:
         result = fixed_point_solve(
-            params, grid, data, max_iter=int(cfg["max_iter"]), rel_tol=float(cfg["tol"])
+            params, grid, data, max_iter=int(cfg["max_iter"]), rel_tol=tol
         )
     except NoContraction as exc:
         payload = {

@@ -82,18 +82,45 @@ class CompatReport:
         return {"passed": self.passed, "items": [i.as_dict() for i in self.items]}
 
 
+def _bspline_basis(knots: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cubic B-spline basis on ``knots`` at ``x``, shape (len(x), len(knots) - 4).
+
+    Each point's four nonzero values come from the Cox-de Boor recursion
+    (de Boor, *A Practical Guide to Splines*, ch. IX) on the knot interval
+    ``t[l] <= x < t[l + 1]``, ``l`` clipped to the base interval so that its
+    right end belongs to the last one.  The recursion runs in FITPACK's
+    order of operations, so the values equal scipy's ``BSpline`` bit for bit.
+    """
+    k = 3
+    count = knots.size - k - 1
+    ell = np.clip(np.searchsorted(knots, x, side="right") - 1, k, count - 1)
+    h = np.zeros((k + 1, x.size))
+    h[0] = 1.0
+    for j in range(1, k + 1):
+        hh = h[:j].copy()
+        h[0] = 0.0
+        for m in range(1, j + 1):
+            xb, xa = knots[ell + m], knots[ell + m - j]
+            same = xb == xa
+            w = hh[m - 1] / np.where(same, 1.0, xb - xa)
+            h[m - 1] = np.where(same, h[m - 1], h[m - 1] + w * (xb - x))
+            h[m] = np.where(same, 0.0, w * (x - xa))
+    out = np.zeros((x.size, count))
+    rows = np.arange(x.size)
+    for a in range(k + 1):
+        out[rows, ell - k + a] = h[a]
+    return out
+
+
 def _vertical_family(grid: Grid, count: int) -> np.ndarray:
     """Clamped cubic B-spline basis sampled on the mesh, shape (count, M + 1).
 
     The clamped end makes the first function equal to one at the interface,
     so the family exercises boundary terms.
     """
-    from scipy.interpolate import BSpline
-
     breaks = np.linspace(0.0, grid.X, count - 2)
     knots = np.concatenate([[0.0] * 3, breaks, [grid.X] * 3])
-    design = BSpline.design_matrix(grid.mesh.nodes, knots, 3).toarray()
-    return design.T
+    return _bspline_basis(knots, grid.mesh.nodes).T
 
 
 def _tangential_family(grid: Grid, count: int, axis: int) -> np.ndarray:
@@ -101,18 +128,21 @@ def _tangential_family(grid: Grid, count: int, axis: int) -> np.ndarray:
 
     Each bump varies only along ``axis``; evaluating on the full tangential
     grid keeps the tensor products in :func:`test_function_family` plain
-    elementwise multiplications.
+    elementwise multiplications.  The bump is the middle function of the
+    basis on its five knots padded by three more at each end, one unit
+    outside, and vanishes off its support.
     """
-    from scipy.interpolate import BSpline
-
     x = grid.tangential_coordinates()[axis]
     width = grid.L / 8.0
-    bump = BSpline.basis_element(np.arange(-2.0, 3.0) * width, extrapolate=False)
+    support = np.arange(-2.0, 3.0) * width
+    knots = np.concatenate([[support[0] - 1.0] * 3, support, [support[-1] + 1.0] * 3])
     out = np.empty((count,) + grid.tan_shape)
     for i in range(count):
         center = i * grid.L / count
-        shift = (x - center + grid.L / 2.0) % grid.L - grid.L / 2.0
-        out[i] = np.nan_to_num(bump(shift))
+        shift = ((x - center + grid.L / 2.0) % grid.L - grid.L / 2.0).ravel()
+        inside = (shift >= support[0]) & (shift <= support[-1])
+        bump = np.where(inside, _bspline_basis(knots, shift)[:, 3], 0.0)
+        out[i] = bump.reshape(grid.tan_shape)
     return out
 
 

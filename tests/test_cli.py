@@ -619,7 +619,32 @@ class TestSimulate:
         assert isinstance(res.exception, SystemExit), res.exception
         assert res.exit_code == 1
         assert res.stdout == ""
-        assert res.stderr.startswith("config error: rel_tol must be finite and nonnegative")
+        assert res.stderr.startswith("config error: tol: must be finite and nonnegative")
+
+    @pytest.mark.parametrize(
+        ("command", "key", "value", "message"),
+        [
+            ("simulate", "p", "1.2", "1.2 is below the quadratic embedding threshold 4/3 for n = 2"),
+            ("simulate --check", "p", "1.2",
+             "1.2 is below the quadratic embedding threshold 4/3 for n = 2"),
+            ("simulate", "dt", "0.1", "T / dt = 2.5 is not integral"),
+            ("check-compat", "dt", "0.1", "T / dt = 2.5 is not integral"),
+        ],
+        ids=["simulate-p", "simulate-check-p", "simulate-dt", "check-compat-dt"],
+    )
+    def test_time_domain_config_error_starts_with_its_key(
+        self, runner: CliRunner, tmp_path: Path, command: str, key: str, value: str,
+        message: str,
+    ) -> None:
+        argv = [*command.split(), *REDUCED, "--set", f"{key}={value}"]
+        if argv[0] == "simulate":
+            argv += ["--out", str(tmp_path / "out")]
+        res = runner.invoke(main, argv)
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr == f"config error: {key}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_zero_tolerance_reaches_an_exact_fixed_point(
         self, runner: CliRunner, tmp_path: Path
@@ -785,15 +810,39 @@ class TestIndex:
         assert res.exit_code == 1
 
 
+def _fresh_interpreter(script: str) -> list[str]:
+    """Run ``script`` in a fresh interpreter, so modules imported by other
+    tests do not count, and return the lines it prints."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def _loaded(prefix: str) -> str:
+    """Script line printing the loaded modules named ``prefix`` or below it."""
+    return f"print(sorted(m for m in sys.modules if (m + '.').startswith({prefix + '.'!r})))\n"
+
+
 @pytest.mark.parametrize(
     ("argv", "absent"),
     [
         (["index", "--json"], "scipy"),
         (["solve-linear", "--grid", "2x2", "--json"], "scipy"),
-        # The time-domain layer needs scipy.sparse, but only check-compat
+        (["polygon", "--json"], "scipy"),
+        (["analyze-symbol", "--json"], "scipy"),
+        # The time-domain layer needs scipy.sparse for its vertical
+        # stencils; only simulate needs the sparse LU, and no command
         # needs scipy.interpolate.
         (["simulate", "--json", "--set", "N=8", "--set", "M=16", "--set", "T=0.0625"],
          "scipy.interpolate"),
+        (["check-compat", "--json"], "scipy.interpolate"),
+        (["check-compat", "--json"], "scipy.sparse.linalg"),
         # Each command imports only its own layer.
         (["index", "--json"], "plate_fsi.frequency"),
         (["index", "--json"], "plate_fsi.polygon"),
@@ -803,7 +852,8 @@ class TestIndex:
         (["solve-linear", "--grid", "2x2", "--json"], "plate_fsi.indices"),
     ],
     ids=[
-        "index", "solve-linear", "simulate",
+        "index", "solve-linear", "polygon", "analyze-symbol", "simulate",
+        "check-compat-interpolate", "check-compat-sparse-linalg",
         "index-frequency", "index-polygon", "polygon-frequency", "polygon-indices",
         "solve-linear-polygon", "solve-linear-indices",
     ],
@@ -811,7 +861,6 @@ class TestIndex:
 def test_command_leaves_module_unloaded(
     argv: list[str], absent: str, tmp_path: Path
 ) -> None:
-    # A fresh interpreter, so modules imported by other tests do not count.
     if argv[0] == "simulate":
         argv = argv + ["--out", str(tmp_path / "run")]
     script = (
@@ -820,16 +869,12 @@ def test_command_leaves_module_unloaded(
         "try:\n"
         f"    main({argv!r})\n"
         "except SystemExit as exc:\n"
-        "    code = exc.code\n"
-        f"loaded = [m for m in sys.modules if (m + '.').startswith({absent + '.'!r})]\n"
-        "print(code, sorted(loaded))\n"
+        "    print(exc.code)\n"
+        + _loaded(absent)
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert _fresh_interpreter(script)[-2:] == ["0", "[]"]
+
+
+def test_time_domain_import_leaves_sparse_lu_unloaded() -> None:
+    script = "import sys\nimport plate_fsi.timedomain\n" + _loaded("scipy.sparse.linalg")
+    assert _fresh_interpreter(script) == ["[]"]

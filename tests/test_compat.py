@@ -11,6 +11,8 @@ from plate_fsi.cli import compatible_example
 from plate_fsi.params import PlateParams
 from plate_fsi.timedomain.compat import (
     CompatReport,
+    _tangential_family,
+    _vertical_family,
     check_compatibility,
     discrete_divergence,
 )
@@ -55,6 +57,47 @@ class TestFamily:
         assert len(family) == 32
         for phi in family:
             assert phi.shape == (8, 8, 17)
+
+
+def _scipy_vertical_family(grid: Grid, count: int) -> np.ndarray:
+    from scipy.interpolate import BSpline
+
+    breaks = np.linspace(0.0, grid.X, count - 2)
+    knots = np.concatenate([[0.0] * 3, breaks, [grid.X] * 3])
+    return BSpline.design_matrix(grid.mesh.nodes, knots, 3).toarray().T
+
+
+def _scipy_tangential_family(grid: Grid, count: int, axis: int) -> np.ndarray:
+    from scipy.interpolate import BSpline
+
+    x = grid.tangential_coordinates()[axis]
+    width = grid.L / 8.0
+    bump = BSpline.basis_element(np.arange(-2.0, 3.0) * width, extrapolate=False)
+    out = np.empty((count,) + grid.tan_shape)
+    for i in range(count):
+        center = i * grid.L / count
+        shift = (x - center + grid.L / 2.0) % grid.L - grid.L / 2.0
+        out[i] = np.nan_to_num(bump(shift))
+    return out
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [Grid(n=2), Grid(n=3, N=16, M=32), Grid(n=2, N=16, M=48, L=3.7, X=40.0)],
+    ids=["2d-default", "3d-N16-M32", "2d-L3.7-X40"],
+)
+def test_family_equals_scipy_bsplines(grid: Grid) -> None:
+    """The numpy recursion reproduces scipy's B-splines bit for bit."""
+    for count in (4, 8):
+        np.testing.assert_array_equal(
+            _vertical_family(grid, count), _scipy_vertical_family(grid, count)
+        )
+    for axis in range(grid.n - 1):
+        for count in (2, 4):
+            np.testing.assert_array_equal(
+                _tangential_family(grid, count, axis),
+                _scipy_tangential_family(grid, count, axis),
+            )
 
 
 class TestDiscreteDivergence:

@@ -96,6 +96,17 @@ class TestSmallData:
     def test_self_consistency_residual(self, small_result: FixedPointResult) -> None:
         assert small_result.residual <= 1e-6 * small_result.scale
 
+    @pytest.mark.parametrize("amplitude", [1e-4, 1e-3, 1e-2])
+    def test_first_ratio_is_linear_in_the_amplitude(self, grid: Grid, amplitude: float) -> None:
+        # The correction is quadratic and the surrogate norm homogeneous,
+        # so doubling the data doubles the first contraction ratio.
+        first, doubled = (
+            fixed_point_solve(UNIT, grid, default_forcing(grid, a)).contraction_ratios[0]
+            for a in (amplitude, 2.0 * amplitude)
+        )
+        # measured on this grid: doubled / (2 first) - 1 = 4.9e-5, -3.8e-5, -3.7e-4
+        assert doubled == pytest.approx(2.0 * first, rel=1e-3)
+
     def test_trajectory_is_valid(
         self, grid: Grid, small_result: FixedPointResult
     ) -> None:
