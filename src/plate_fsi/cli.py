@@ -41,7 +41,7 @@ from .params import Freq, PlateParams, Sector
 # The imports follow the docstrings, which click shows as the help text.
 if TYPE_CHECKING:
     from .polygon import NewtonPolygon
-    from .timedomain import Grid, ProblemData, Trajectory
+    from .timedomain.grid import Grid, ProblemData, Trajectory
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -126,7 +126,7 @@ def _params(cfg: dict[str, object]) -> PlateParams:
 
 
 def _grid(cfg: dict[str, object]) -> Grid:
-    from .timedomain import Grid
+    from .timedomain.grid import Grid
 
     try:
         return Grid(
@@ -408,7 +408,7 @@ def default_forcing(grid: Grid, amplitude: float) -> ProblemData:
     the amplitude is of order ten.  Raises :class:`ConfigError`, without
     a floating-point warning, when the forcing is not finite.
     """
-    from .timedomain import ProblemData
+    from .timedomain.grid import ProblemData
 
     k = 2.0 * math.pi / grid.L
     prof = np.exp(-grid.mesh.nodes)
@@ -491,14 +491,10 @@ def _write_fields_csv(path: Path, grid: Grid, traj: Trajectory) -> None:
 )
 def simulate(cfg, check_only, as_json, out_dir):
     """Nonlinear fixed-point run; writes step CSV, field dump and summary."""
-    from .timedomain import (
-        LinearStepper,
-        NoContraction,
-        ProblemData,
-        fixed_point_solve,
-    )
     from .indices import exponent_thresholds
-    from .timedomain.stepper import staggered_divergence
+    from .timedomain.fixpoint import NoContraction, fixed_point_solve
+    from .timedomain.grid import ProblemData
+    from .timedomain.stepper import LinearStepper, staggered_divergence
 
     params = _params(cfg)
     grid = _grid(cfg)
@@ -565,9 +561,8 @@ def compatible_example(grid: Grid, amplitude: float) -> ProblemData:
     Raises :class:`ConfigError`, without a floating-point warning, when
     the data are not finite.
     """
-    from .timedomain import ProblemData
     from .timedomain.compat import discrete_divergence
-    from .timedomain.grid import tangential_derivatives
+    from .timedomain.grid import ProblemData, tangential_derivatives
 
     k = 2.0 * math.pi / grid.L
     xn = grid.mesh.nodes
@@ -596,7 +591,7 @@ def compatible_example(grid: Grid, amplitude: float) -> ProblemData:
 @_command("check-compat")
 def check_compat(cfg, check_only, as_json):
     """Discrete compatibility report for the built-in data family."""
-    from .timedomain import check_compatibility
+    from .timedomain.compat import check_compatibility
 
     grid = _grid(cfg)
     data = compatible_example(grid, float(cfg["amplitude"]))

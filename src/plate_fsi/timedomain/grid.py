@@ -270,8 +270,10 @@ class Grid:
             raise ValueError(f"N must be a power of two >= 8, got {self.N}")
         if self.X < 4.0 * self.L:
             raise ValueError(f"X = {self.X} is below the minimum 4 L = {4 * self.L}")
-        if self.dt <= 0 or self.T <= 0:
-            raise ValueError("T and dt must be positive")
+        for name in ("T", "dt"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         steps = round(self.T / self.dt)
         if steps < 1 or abs(steps * self.dt - self.T) > 1e-9 * self.T:
             raise ValueError(f"T / dt = {self.T / self.dt} is not integral")
@@ -327,40 +329,6 @@ class Grid:
         return mask
 
 
-def _apply_multipliers(
-    field: np.ndarray, grid: Grid, factors: np.ndarray, bulk: bool = False
-) -> Iterable[np.ndarray]:
-    """Multiply the tangential spectrum of a real field by each of ``factors``.
-
-    The caller states the layout: a plate field ends with the tangential
-    axes, a bulk field with the tangential axes and then the vertical one.
-    Any leading axes (vector components, time levels) are batch axes.  The
-    spectrum is taken once; ``factors`` stacks the multipliers along its
-    first axis, each of the spectral tangential shape.  A plate field's
-    products are inverted by one transform, with the factor axis in
-    front; a bulk field's one factor at a time, so that no stack of bulk
-    results is held.
-    """
-    field = np.asarray(field, dtype=float)
-    stop = field.ndim - int(bulk)
-    axes = tuple(range(stop - (grid.n - 1), stop))
-    if axes[0] < 0 or field.shape[axes[0]: stop] != grid.tan_shape:
-        layout = "bulk" if bulk else "plate"
-        raise ValueError(
-            f"{layout} field shape {field.shape} does not contain the tangential "
-            f"grid {grid.tan_shape} in the expected axes"
-        )
-    spec = np.fft.rfftn(field, axes=axes)
-    if bulk:
-        return (
-            np.fft.irfftn(spec * factor[..., np.newaxis], s=grid.tan_shape, axes=axes)
-            for factor in factors
-        )
-    stacked = factors[(slice(None),) + (np.newaxis,) * axes[0]]
-    shifted = tuple(axis + 1 for axis in axes)
-    return tuple(np.fft.irfftn(spec * stacked, s=grid.tan_shape, axes=shifted))
-
-
 def _multipliers(grid: Grid, orders: tuple[int, ...], laplacian: bool = False) -> np.ndarray:
     """Stacked spectral multipliers, built once per grid.
 
@@ -391,16 +359,43 @@ def _multipliers(grid: Grid, orders: tuple[int, ...], laplacian: bool = False) -
 
 
 def tangential_derivatives(
-    field: np.ndarray, grid: Grid, orders: Iterable[int], bulk: bool = False
+    field: np.ndarray,
+    grid: Grid,
+    orders: Iterable[int],
+    bulk: bool = False,
+    laplacian: bool = False,
 ) -> Iterable[np.ndarray]:
     """Spectral ``(d/dx_j)^order`` for each of ``orders``, then each direction ``j``.
 
-    ``bulk`` says whether ``field`` ends with the vertical axis; leading
-    axes are batch axes.  The spectrum is taken once.  Odd orders zero the
-    Nyquist modes, so real fields stay exactly real and derivatives see the
-    same truncation as the mode solver.
+    With ``laplacian`` the tangential Laplacian follows, as the last
+    result.  ``bulk`` says whether ``field`` ends with the vertical axis,
+    after the tangential ones; leading axes (vector components, time
+    levels) are batch axes.  The spectrum is taken once.  A plate field's
+    results are inverted by one transform, with the derivative axis in
+    front, and returned as a tuple; a bulk field's are inverted one at a
+    time as they are iterated, so that no stack of bulk results is held.
+    Odd orders zero the Nyquist modes, so real fields stay exactly real
+    and derivatives see the same truncation as the mode solver.
     """
-    return _apply_multipliers(field, grid, _multipliers(grid, tuple(orders)), bulk)
+    factors = _multipliers(grid, tuple(orders), laplacian)
+    field = np.asarray(field, dtype=float)
+    stop = field.ndim - int(bulk)
+    axes = tuple(range(stop - (grid.n - 1), stop))
+    if axes[0] < 0 or field.shape[axes[0]: stop] != grid.tan_shape:
+        layout = "bulk" if bulk else "plate"
+        raise ValueError(
+            f"{layout} field shape {field.shape} does not contain the tangential "
+            f"grid {grid.tan_shape} in the expected axes"
+        )
+    spec = np.fft.rfftn(field, axes=axes)
+    if bulk:
+        return (
+            np.fft.irfftn(spec * factor[..., np.newaxis], s=grid.tan_shape, axes=axes)
+            for factor in factors
+        )
+    stacked = factors[(slice(None),) + (np.newaxis,) * axes[0]]
+    shifted = tuple(axis + 1 for axis in axes)
+    return tuple(np.fft.irfftn(spec * stacked, s=grid.tan_shape, axes=shifted))
 
 
 @dataclass(eq=False)

@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    Grid,
-    Trajectory,
-    _apply_multipliers,
-    _multipliers,
-    tangential_derivatives,
-    vertical_derivative,
-)
+from .grid import Grid, Trajectory, tangential_derivatives, vertical_derivative
 
 __all__ = [
     "Derivatives",
@@ -65,7 +58,7 @@ def derivatives(traj: Trajectory, grid: Grid, laplacian: bool = True) -> Derivat
     ``laplacian`` the Laplacian of ``eta``, which only the quadratic terms
     read.  The spectra of ``v``, ``eta`` and ``eta_t`` are taken once each.
     """
-    eta = _apply_multipliers(traj.eta, grid, _multipliers(grid, (1, 2, 3, 4), laplacian))
+    eta = tangential_derivatives(traj.eta, grid, (1, 2, 3, 4), laplacian=laplacian)
     return Derivatives(
         grad_v=tuple(tangential_derivatives(traj.v, grid, (1,), bulk=True)),
         dn_v=_d_n(traj.v, grid),

@@ -42,8 +42,14 @@ from numpy.typing import ArrayLike
 from scipy.sparse.linalg import onenormest, splu
 
 from ..params import PlateParams
-from .grid import Grid, ProblemData, Trajectory, VerticalMesh, level_chunks
-from .grid import _apply_multipliers, _multipliers
+from .grid import (
+    Grid,
+    ProblemData,
+    Trajectory,
+    VerticalMesh,
+    level_chunks,
+    tangential_derivatives,
+)
 
 __all__ = [
     "LinearStepper",
@@ -429,7 +435,7 @@ def total_energy(traj: Trajectory, grid: Grid, params: PlateParams) -> np.ndarra
     tan = tuple(range(1, grid.n))
     v2 = grid.mesh.integrate(np.sum(traj.v**2, axis=1))
     kinetic = 0.5 * np.sum(v2, axis=tan) * cell
-    *grad, lap = _apply_multipliers(traj.eta, grid, _multipliers(grid, (1,), laplacian=True))
+    *grad, lap = tangential_derivatives(traj.eta, grid, (1,), laplacian=True)
     plate = 0.5 * np.sum(
         traj.eta_t**2
         + params.alpha * lap**2

@@ -624,13 +624,19 @@ class TestSimulate:
     @pytest.mark.parametrize(
         ("command", "key", "value", "message"),
         [
-            ("simulate", "p", "1.2", "1.2 is below the quadratic embedding threshold 4/3 for n = 2"),
+            ("simulate", "p", "1.2",
+             "p: 1.2 is below the quadratic embedding threshold 4/3 for n = 2"),
             ("simulate --check", "p", "1.2",
-             "1.2 is below the quadratic embedding threshold 4/3 for n = 2"),
-            ("simulate", "dt", "0.1", "T / dt = 2.5 is not integral"),
-            ("check-compat", "dt", "0.1", "T / dt = 2.5 is not integral"),
+             "p: 1.2 is below the quadratic embedding threshold 4/3 for n = 2"),
+            ("simulate", "dt", "0.1", "dt: T / dt = 2.5 is not integral"),
+            ("check-compat", "dt", "0.1", "dt: T / dt = 2.5 is not integral"),
+            ("simulate", "dt", "-1", "dt must be positive, got -1.0"),
+            ("check-compat", "T", "0", "T must be positive, got 0.0"),
         ],
-        ids=["simulate-p", "simulate-check-p", "simulate-dt", "check-compat-dt"],
+        ids=[
+            "simulate-p", "simulate-check-p", "simulate-dt", "check-compat-dt",
+            "simulate-dt-negative", "check-compat-T-zero",
+        ],
     )
     def test_time_domain_config_error_starts_with_its_key(
         self, runner: CliRunner, tmp_path: Path, command: str, key: str, value: str,
@@ -643,7 +649,8 @@ class TestSimulate:
         assert isinstance(res.exception, SystemExit), res.exception
         assert res.exit_code == 1
         assert res.stdout == ""
-        assert res.stderr == f"config error: {key}: {message}\n"
+        assert message.startswith((f"{key}:", f"{key} "))
+        assert res.stderr == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_zero_tolerance_reaches_an_exact_fixed_point(
@@ -829,6 +836,9 @@ def _loaded(prefix: str) -> str:
     return f"print(sorted(m for m in sys.modules if (m + '.').startswith({prefix + '.'!r})))\n"
 
 
+SIMULATE_SMALL = ["simulate", "--json", "--set", "N=8", "--set", "M=16", "--set", "T=0.0625"]
+
+
 @pytest.mark.parametrize(
     ("argv", "absent"),
     [
@@ -839,11 +849,15 @@ def _loaded(prefix: str) -> str:
         # The time-domain layer needs scipy.sparse for its vertical
         # stencils; only simulate needs the sparse LU, and no command
         # needs scipy.interpolate.
-        (["simulate", "--json", "--set", "N=8", "--set", "M=16", "--set", "T=0.0625"],
-         "scipy.interpolate"),
+        (SIMULATE_SMALL, "scipy.interpolate"),
         (["check-compat", "--json"], "scipy.interpolate"),
         (["check-compat", "--json"], "scipy.sparse.linalg"),
-        # Each command imports only its own layer.
+        # Each command imports only its own layer, and of the time-domain
+        # layer only the submodules it runs.
+        (["check-compat", "--json"], "plate_fsi.frequency"),
+        (["check-compat", "--json"], "plate_fsi.timedomain.laplace"),
+        (SIMULATE_SMALL, "plate_fsi.frequency"),
+        (SIMULATE_SMALL, "plate_fsi.timedomain.compat"),
         (["index", "--json"], "plate_fsi.frequency"),
         (["index", "--json"], "plate_fsi.polygon"),
         (["polygon", "--json"], "plate_fsi.frequency"),
@@ -854,6 +868,8 @@ def _loaded(prefix: str) -> str:
     ids=[
         "index", "solve-linear", "polygon", "analyze-symbol", "simulate",
         "check-compat-interpolate", "check-compat-sparse-linalg",
+        "check-compat-frequency", "check-compat-laplace",
+        "simulate-frequency", "simulate-compat",
         "index-frequency", "index-polygon", "polygon-frequency", "polygon-indices",
         "solve-linear-polygon", "solve-linear-indices",
     ],
