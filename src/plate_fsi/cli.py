@@ -37,7 +37,7 @@ import numpy as np
 from .params import Freq, PlateParams, Sector
 
 # Each layer is imported inside the commands that use it, so a subcommand
-# loads only its own layer; the time-domain layer also brings in scipy.
+# loads only its own layer; of them only the time-domain march brings in scipy.
 # The imports follow the docstrings, which click shows as the help text.
 if TYPE_CHECKING:
     from .polygon import NewtonPolygon
@@ -572,9 +572,8 @@ def compatible_example(grid: Grid, amplitude: float) -> ProblemData:
     if grid.n == 3:
         tan = tan * np.cos(k * coords[1])
     stream = amplitude * tan[..., np.newaxis] * q
-    sbp = grid.mesh.sbp_derivative_matrix()
     v = np.zeros((grid.n,) + grid.tan_shape + (grid.M + 1,))
-    v[0] = (sbp @ stream.reshape(-1, grid.M + 1).T).T.reshape(stream.shape)
+    v[0] = grid.mesh.sbp_derivative(stream)
     v[grid.n - 1] = -next(iter(tangential_derivatives(stream, grid, (1,), bulk=True)))
     # zero at the lid, where the last test function of the pairing is one
     lid = np.exp(-xn) - math.exp(-grid.X)

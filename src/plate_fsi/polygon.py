@@ -259,6 +259,10 @@ _LAM_SAMPLES = (64, 33)
 _Z_SAMPLES = (12, 5)
 _MODULUS_RANGE = (1e-3, 1e3)
 _MIN_RATIO = 1e-3
+# Lambda rows evaluated at a time: four moduli of the lambda grid against
+# every z sample keep each temporary near 125 kB, so one weight's samples
+# take under 1 MB where the whole 2,112 x 60 product took about 11 MB.
+_LAM_BLOCK = 4 * _LAM_SAMPLES[1]
 
 
 @dataclass(frozen=True)
@@ -321,7 +325,11 @@ def check_parabolicity(
     The time covariable ranges over the obtuse sector of half-angle
     ``pi - phi`` and the tangential covariable over the sector ``theta``.
     For each relevant scaling weight the minimum of ``|P_r| / scale`` over
-    the product grid is recorded; at the balanced weight r = 2 the exact
+    the product grid is recorded, its first occurrence in row-major
+    (lambda, z) order; the grid is evaluated a block of lambda rows at a
+    time.  A sample that is not finite, because a coefficient is too large
+    for the sampled moduli, raises ``ValueError`` naming the largest
+    coefficient of ``params``.  At the balanced weight r = 2 the exact
     plate roots (tension-free part) are additionally required to stay outside
     the time sector.  The configuration is rejected outright when
     ``phi <= phi0`` (sector too wide: the root rays enter) or when
@@ -348,12 +356,25 @@ def check_parabolicity(
     results: list[WeightResult] = []
     for r in relevant_weights(polygon):
         principal = principal_symbol(terms, r)
-        values = np.abs(principal(lam_grid, z_grid))
-        scales = principal.scale(lam_grid, z_grid)
-        ratio = values / np.where(scales > 0, scales, 1.0)
-        flat = int(np.argmin(ratio))
-        i, j = np.unravel_index(flat, ratio.shape)
-        worst = float(ratio[i, j])
+        worst, i, j = np.inf, 0, 0
+        for start in range(0, lam.size, _LAM_BLOCK):
+            block = lam_grid[start: start + _LAM_BLOCK]
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = np.abs(principal(block, z_grid))
+                scales = principal.scale(block, z_grid)
+            if not (np.isfinite(values).all() and np.isfinite(scales).all()):
+                key = max(("alpha", "beta", "gamma"), key=lambda k: abs(getattr(params, k)))
+                raise ValueError(
+                    f"{key} = {getattr(params, key)!r} is out of range: the principal "
+                    f"part of weight r = {r} is not finite on the sector grid"
+                )
+            ratio = values / np.where(scales > 0, scales, 1.0)
+            flat = int(np.argmin(ratio))
+            # strict: an equal minimum in a later block comes later in row-major order
+            if ratio.flat[flat] < worst:
+                worst = float(ratio.flat[flat])
+                i, j = np.unravel_index(flat, ratio.shape)
+                i += start
         results.append(
             WeightResult(
                 r=r,

@@ -184,17 +184,13 @@ def discrete_divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
     out = np.zeros(grid.tan_shape + (grid.M + 1,))
     for d, grad in enumerate(tangential_derivatives(v[: grid.n - 1], grid, (1,), bulk=True)):
         out += grad[d]  # d_d v_d
-    sbp = grid.mesh.sbp_derivative_matrix()
-    flat = v[grid.n - 1].reshape(-1, grid.M + 1)
-    out += (sbp @ flat.T).T.reshape(grid.tan_shape + (grid.M + 1,))
+    out += grid.mesh.sbp_derivative(v[grid.n - 1])
     return out
 
 
 def _gradient_of(phi: np.ndarray, grid: Grid) -> list[np.ndarray]:
     parts = list(tangential_derivatives(phi, grid, (1,), bulk=True))
-    sbp = grid.mesh.sbp_derivative_matrix()
-    flat = phi.reshape(-1, grid.M + 1)
-    parts.append((sbp @ flat.T).T.reshape(phi.shape))
+    parts.append(grid.mesh.sbp_derivative(phi))
     return parts
 
 

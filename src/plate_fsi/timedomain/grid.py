@@ -5,7 +5,12 @@ The tangential directions form a periodic torus of period ``L`` sampled on
 derivatives are spectral and exact on band-limited fields.  The vertical
 direction is a graded mesh on ``[0, X]`` refined toward the interface at
 ``x_n = 0``, where the exponential boundary layers live; vertical
-derivatives are finite differences with Fornberg weights.
+derivatives are finite differences with Fornberg weights.  Each vertical
+operator is one :class:`Stencil` table, a row's nodes and weights, applied
+two ways: as a CSR matrix, which the batched march uses because scipy's
+product is several times faster on whole trajectories, and by the numpy
+kernel :meth:`Stencil.apply`, which gives the same bits on the single
+level that the compatibility checks read without loading scipy.
 
 Array layout: tangential axes first, vertical axis last.  Plate fields have
 shape ``(N,) * (n-1)``, bulk scalars ``(N,) * (n-1) + (M+1,)`` and velocity
@@ -19,14 +24,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import expm1, isfinite, pi
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "Grid",
     "ProblemData",
+    "Stencil",
     "Trajectory",
     "VerticalMesh",
     "fornberg_weights",
@@ -71,6 +79,32 @@ def fornberg_weights(x0: float, xs, m: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class Stencil:
+    """Rows of a banded operator on the vertical nodes.
+
+    Row ``j`` reads the nodes ``columns[j]``, in increasing order, with the
+    weights ``weights[j]``; both arrays have shape ``(rows, width)``.
+    """
+
+    columns: np.ndarray
+    weights: np.ndarray
+
+    def apply(self, field: np.ndarray) -> np.ndarray:
+        """The rows applied along the last axis of ``field``; other axes are batch axes.
+
+        Each row is summed in column order starting from ``+0.0``, as
+        scipy's CSR product sums it, so the result equals that product bit
+        for bit, signed zeros included.
+        """
+        field = np.asarray(field)
+        dtype = np.result_type(self.weights, field)
+        out = np.zeros(field.shape[:-1] + (len(self.columns),), dtype=dtype)
+        for cols, weights in zip(self.columns.T, self.weights.T):
+            out += weights * field[..., cols]
+        return out
+
+
+@dataclass(frozen=True, eq=False)
 class VerticalMesh:
     """Graded mesh on ``[0, X]`` with ``M`` cells refined toward 0.
 
@@ -111,8 +145,8 @@ class VerticalMesh:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_diff_cache", {})
 
-    def diff_matrix(self, order: int = 1, accuracy: int = 4) -> sp.csr_matrix:
-        """Sparse vertical derivative operator on node values.
+    def stencil(self, order: int = 1, accuracy: int = 4) -> Stencil:
+        """Fornberg rows of the vertical derivative of ``order`` on node values.
 
         Each row uses a ``accuracy + order``-point Fornberg stencil centered
         as symmetrically as the boundaries allow, so the formal order of
@@ -127,16 +161,30 @@ class VerticalMesh:
             raise ValueError(
                 f"stencil needs {npts} nodes but the mesh has {self.M + 1}"
             )
-        rows, cols, vals = [], [], []
-        for j in range(self.M + 1):
-            lo = min(max(j - npts // 2, 0), self.M + 1 - npts)
-            idx = np.arange(lo, lo + npts)
-            w = fornberg_weights(self.nodes[j], self.nodes[idx], order)[order]
-            rows.extend([j] * npts)
-            cols.extend(idx.tolist())
-            vals.extend(w.tolist())
+        lo = np.clip(np.arange(self.M + 1) - npts // 2, 0, self.M + 1 - npts)
+        columns = lo[:, np.newaxis] + np.arange(npts)
+        weights = np.array([
+            fornberg_weights(self.nodes[j], self.nodes[cols], order)[order]
+            for j, cols in enumerate(columns)
+        ])
+        stencil = Stencil(columns, weights)
+        self._diff_cache[key] = stencil
+        return stencil
+
+    def diff_matrix(self, order: int = 1, accuracy: int = 4) -> sp.csr_matrix:
+        """The rows of :meth:`stencil` as a sparse matrix, for the batched march."""
+        key = ("csr", order, accuracy)
+        cached = self._diff_cache.get(key)
+        if cached is not None:
+            return cached
+        stencil = self.stencil(order, accuracy)
+        import scipy.sparse as sp
+
+        rows, width = stencil.columns.shape
+        indptr = np.arange(0, rows * width + 1, width)
         mat = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(self.M + 1, self.M + 1)
+            (stencil.weights.ravel(), stencil.columns.ravel(), indptr),
+            shape=(rows, self.M + 1),
         )
         self._diff_cache[key] = mat
         return mat
@@ -154,14 +202,16 @@ class VerticalMesh:
         cached = self._diff_cache.get(key)
         if cached is not None:
             return cached
+        import scipy.sparse as sp
+
         left = sp.eye(self.M, self.M + 1, format="csr")
         right = sp.eye(self.M, self.M + 1, k=1, format="csr")
         pair = (0.5 * (left + right), right - left)
         self._diff_cache[key] = pair
         return pair
 
-    def sbp_derivative_matrix(self) -> sp.csr_matrix:
-        """Second-order first derivative satisfying exact summation by parts.
+    def sbp_derivative(self, field: np.ndarray) -> np.ndarray:
+        """Second-order first derivative along the last axis, exact summation by parts.
 
         With the dual weights ``w`` of this mesh,
         ``sum_j w_j ((D f)_j g_j + f_j (D g)_j) = f_M g_M - f_0 g_0``
@@ -169,24 +219,14 @@ class VerticalMesh:
         rows are the wide centered difference over ``(x_(j+1) - x_(j-1))``
         and the end rows are one-sided two-point differences.
         """
-        key = ("sbp", 1)
-        cached = self._diff_cache.get(key)
-        if cached is not None:
-            return cached
-        M = self.M
-        rows, cols, vals = [0, 0], [0, 1], [-1.0 / self.spacings[0], 1.0 / self.spacings[0]]
-        for j in range(1, M):
-            gap = self.nodes[j + 1] - self.nodes[j - 1]
-            rows.extend([j, j])
-            cols.extend([j - 1, j + 1])
-            vals.extend([-1.0 / gap, 1.0 / gap])
-        rows.extend([M, M])
-        cols.extend([M - 1, M])
-        h_last = self.spacings[-1]
-        vals.extend([-1.0 / h_last, 1.0 / h_last])
-        mat = sp.csr_matrix((vals, (rows, cols)), shape=(M + 1, M + 1))
-        self._diff_cache[key] = mat
-        return mat
+        stencil = self._diff_cache.get("sbp")
+        if stencil is None:
+            M = self.M
+            columns = np.clip(np.arange(M + 1)[:, np.newaxis] + [-1, 1], 0, M)
+            gaps = self.nodes[columns[:, 1]] - self.nodes[columns[:, 0]]
+            stencil = Stencil(columns, np.stack([-1.0 / gaps, 1.0 / gaps], axis=1))
+            self._diff_cache["sbp"] = stencil
+        return stencil.apply(field)
 
     def trace_stencil(self) -> np.ndarray:
         """Weights of the one-sided second-order first derivative at x = 0."""
@@ -225,7 +265,11 @@ class VerticalMesh:
 def vertical_derivative(
     field: np.ndarray, mesh: VerticalMesh, order: int = 1, accuracy: int = 4
 ) -> np.ndarray:
-    """Vertical derivative along the last axis via Fornberg stencils."""
+    """Vertical derivative along the last axis via Fornberg stencils.
+
+    The CSR product of :meth:`VerticalMesh.diff_matrix`, the fast path for
+    whole trajectories; it equals ``mesh.stencil(order, accuracy).apply``.
+    """
     field = np.asarray(field)
     mat = mesh.diff_matrix(order, accuracy)
     flat = field.reshape(-1, field.shape[-1])

@@ -146,11 +146,13 @@ def nonlinear_divergence(traj: Trajectory, grid: Grid) -> np.ndarray:
 
     Only this term is evaluated, with the operations of
     :func:`nonlinear_terms`, so it equals that function's divergence bit
-    for bit and stays quiet where the other terms would overflow.
+    for bit and stays quiet where the other terms would overflow.  The
+    vertical derivative is the numpy kernel ``Stencil.apply`` of the same
+    rows, so this function loads no scipy.
     """
     n = grid.n
     tangential = np.moveaxis(traj.v, 1, 0)[: n - 1]
-    dn_v = _d_n(tangential, grid)
+    dn_v = grid.mesh.stencil(1, _ACC).apply(tangential)
     divergence = np.zeros(traj.p.shape)
     for grad_eta, dn_v_d in zip(tangential_derivatives(traj.eta, grid, (1,)), dn_v):
         divergence += grad_eta[..., np.newaxis] * dn_v_d

@@ -250,6 +250,19 @@ class TestAnalyzeSymbol:
         assert res.stdout == ""
         assert res.stderr.startswith(f"config error: {key}: vertex angle must lie in (0, pi]")
 
+    def test_overflowing_coefficient_is_config_error_without_warnings(
+        self, runner: CliRunner
+    ) -> None:
+        # gamma lam z^4 overflows on the sampled grid, |lam|, |z| up to 1e3
+        res = runner.invoke(main, ["analyze-symbol", "--set", "gamma=1e300", "--json"])
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr == (
+            "config error: gamma = 1e+300 is out of range: the principal part "
+            "of weight r = 2 is not finite on the sector grid\n"
+        )
+
 
 class TestPolygon:
     def test_exact_report(self, runner: CliRunner) -> None:
@@ -846,10 +859,10 @@ SIMULATE_SMALL = ["simulate", "--json", "--set", "N=8", "--set", "M=16", "--set"
         (["solve-linear", "--grid", "2x2", "--json"], "scipy"),
         (["polygon", "--json"], "scipy"),
         (["analyze-symbol", "--json"], "scipy"),
-        # The time-domain layer needs scipy.sparse for its vertical
-        # stencils; only simulate needs the sparse LU, and no command
-        # needs scipy.interpolate.
+        # Only simulate loads scipy, for the sparse march and its LU; no
+        # command needs scipy.interpolate.
         (SIMULATE_SMALL, "scipy.interpolate"),
+        (["check-compat", "--json"], "scipy"),
         (["check-compat", "--json"], "scipy.interpolate"),
         (["check-compat", "--json"], "scipy.sparse.linalg"),
         # Each command imports only its own layer, and of the time-domain
@@ -867,7 +880,7 @@ SIMULATE_SMALL = ["simulate", "--json", "--set", "N=8", "--set", "M=16", "--set"
     ],
     ids=[
         "index", "solve-linear", "polygon", "analyze-symbol", "simulate",
-        "check-compat-interpolate", "check-compat-sparse-linalg",
+        "check-compat", "check-compat-interpolate", "check-compat-sparse-linalg",
         "check-compat-frequency", "check-compat-laplace",
         "simulate-frequency", "simulate-compat",
         "index-frequency", "index-polygon", "polygon-frequency", "polygon-indices",

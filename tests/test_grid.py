@@ -6,6 +6,7 @@ from math import pi
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from plate_fsi.timedomain.grid import (
     Grid,
@@ -90,11 +91,52 @@ class TestVerticalMesh:
         with pytest.raises(ValueError, match="stencil"):
             small.diff_matrix(1, 17)
 
+    @pytest.mark.parametrize(("order", "accuracy"), [(1, 4), (2, 4), (2, 1)])
+    def test_stencil_kernel_equals_the_csr_product(
+        self, mesh: VerticalMesh, rng, order: int, accuracy: int
+    ) -> None:
+        field = rng.normal(size=(3, 2, 5, mesh.M + 1))
+        got = mesh.stencil(order, accuracy).apply(field)
+        want = vertical_derivative(field, mesh, order, accuracy)
+        assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
+
+    @pytest.mark.parametrize(("order", "accuracy"), [(1, 4), (2, 4), (2, 1)])
+    def test_stencil_kernel_keeps_csr_signed_zeros(
+        self, mesh: VerticalMesh, rng, order: int, accuracy: int
+    ) -> None:
+        zeros = np.where(rng.random((4, mesh.M + 1)) < 0.5, -0.0, 0.0)
+        got = mesh.stencil(order, accuracy).apply(zeros)
+        want = (mesh.diff_matrix(order, accuracy) @ zeros.T).T
+        assert not np.signbit(want).any()
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        assert not got.any()
+
+    def test_stencil_is_cached(self, mesh: VerticalMesh) -> None:
+        assert mesh.stencil(1, 4) is mesh.stencil(1, 4)
+
+    def test_sbp_derivative_equals_its_csr_matrix(self, mesh: VerticalMesh, rng) -> None:
+        # the operator as a sparse matrix, row by row
+        M = mesh.M
+        rows, cols, vals = [0, 0], [0, 1], [-1.0 / mesh.spacings[0], 1.0 / mesh.spacings[0]]
+        for j in range(1, M):
+            gap = mesh.nodes[j + 1] - mesh.nodes[j - 1]
+            rows.extend([j, j])
+            cols.extend([j - 1, j + 1])
+            vals.extend([-1.0 / gap, 1.0 / gap])
+        rows.extend([M, M])
+        cols.extend([M - 1, M])
+        vals.extend([-1.0 / mesh.spacings[-1], 1.0 / mesh.spacings[-1]])
+        mat = sp.csr_matrix((vals, (rows, cols)), shape=(M + 1, M + 1))
+        field = rng.normal(size=(2, 7, M + 1))
+        want = (mat @ field.reshape(-1, M + 1).T).T.reshape(field.shape)
+        got = mesh.sbp_derivative(field)
+        assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
+
     def test_sbp_identity(self, mesh: VerticalMesh, rng) -> None:
-        d = mesh.sbp_derivative_matrix()
+        d = mesh.sbp_derivative
         f = rng.normal(size=mesh.M + 1)
         g = rng.normal(size=mesh.M + 1)
-        lhs = mesh.weights @ ((d @ f) * g + f * (d @ g))
+        lhs = mesh.weights @ (d(f) * g + f * d(g))
         rhs = f[-1] * g[-1] - f[0] * g[0]
         assert lhs == pytest.approx(rhs, abs=1e-13 * np.abs(f).max() * np.abs(g).max())
 
