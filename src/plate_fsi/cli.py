@@ -128,21 +128,15 @@ def _params(cfg: dict[str, object]) -> PlateParams:
 def _grid(cfg: dict[str, object]) -> Grid:
     from .timedomain.grid import Grid
 
-    try:
-        return Grid(
-            n=int(cfg["n"]),
-            L=float(cfg["L"]),
-            N=int(cfg["N"]),
-            M=int(cfg["M"]),
-            X=None if cfg["X"] is None else float(cfg["X"]),
-            T=float(cfg["T"]),
-            dt=float(cfg["dt"]),
-        )
-    except ValueError as exc:
-        # the one grid message that does not start with its key
-        if str(exc).startswith("T / dt"):
-            raise ConfigError("dt", str(exc)) from None
-        raise
+    return Grid(
+        n=int(cfg["n"]),
+        L=float(cfg["L"]),
+        N=int(cfg["N"]),
+        M=int(cfg["M"]),
+        X=None if cfg["X"] is None else float(cfg["X"]),
+        T=float(cfg["T"]),
+        dt=float(cfg["dt"]),
+    )
 
 
 def _parse_complex(text: str) -> complex:
@@ -491,7 +485,6 @@ def _write_fields_csv(path: Path, grid: Grid, traj: Trajectory) -> None:
 )
 def simulate(cfg, check_only, as_json, out_dir):
     """Nonlinear fixed-point run; writes step CSV, field dump and summary."""
-    from .indices import exponent_thresholds
     from .timedomain.fixpoint import NoContraction, fixed_point_solve
     from .timedomain.grid import ProblemData
     from .timedomain.stepper import LinearStepper, staggered_divergence
@@ -500,14 +493,6 @@ def simulate(cfg, check_only, as_json, out_dir):
     grid = _grid(cfg)
     data = default_forcing(grid, float(cfg["amplitude"]))
     data.p_exponent = float(cfg["p"])
-    # the fixed-point theory needs the quadratic terms controlled
-    threshold = exponent_thresholds(grid.n).quadratic
-    if data.p_exponent < float(threshold):
-        raise ConfigError(
-            "p",
-            f"{data.p_exponent!r} is below the quadratic embedding threshold "
-            f"{threshold} for n = {grid.n}",
-        )
     if check_only:
         zero = fixed_point_solve(
             params, grid, ProblemData(p_exponent=float(cfg["p"])), max_iter=2

@@ -6,9 +6,9 @@ boundary-value problems on the half-line, one per covariable pair
 ``(lam, xi')``.  Eliminating the fluid unknowns reduces each of them to a
 single scalar equation for the plate displacement transform.  This module
 
-* evaluates the elimination denominator (:func:`response_denominator`),
 * solves for the displacement and the interface traces
-  (:func:`solve_displacement`, :func:`solve_traces`),
+  (:func:`solve_displacement`, :func:`solve_traces`) through the one
+  elimination denominator ``q = z m + lam omega (omega + z)``,
 * assembles closed-form vertical profiles of velocity and pressure
   (:func:`build_profile`), and
 * verifies the complete resolvent system as residuals on a log grid
@@ -48,7 +48,6 @@ __all__ = [
     "kernel_integral",
     "reflection_kernel",
     "residual_report",
-    "response_denominator",
     "solve_displacement",
     "solve_traces",
 ]
@@ -66,26 +65,6 @@ class NearResonance(ValueError):
 
 class DegenerateTangentialFrequency(UserWarning):
     """Issued at z = 0, where displacement and velocity traces vanish."""
-
-
-def response_denominator(params: PlateParams, lam, z):
-    """Evaluate ``z^2 m(lam, z) + lam omega z (omega + z)``.
-
-    This is the exact denominator produced by eliminating the fluid unknowns
-    from the interface system: the pressure trace is ``lam omega (omega + z)
-    / z`` times the displacement, and inserting it into the plate balance
-    yields ``response_denominator / z^2`` as the factor multiplying the
-    displacement.  It differs from :func:`plate_fsi.symbols.coupled_symbol`
-    by a single factor (``z`` in place of one power of ``omega``); the
-    latter is the quasi-homogeneous envelope used for polygon analysis.
-
-    Broadcasts over ``lam`` and ``z``.
-    """
-    lam = np.asarray(lam, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    w = decay_root(lam, z)
-    out = z * z * plate_symbol(params, lam, z) + lam * w * z * (w + z)
-    return out[()] if out.ndim == 0 else out
 
 
 def _points(freq: Freq) -> tuple[np.ndarray, np.ndarray]:
@@ -141,11 +120,11 @@ def _reduced_denominator(
 
 
 def solve_displacement(params: PlateParams, freq: Freq, f_eta_hat):
-    """Displacement transform ``-z^2 f / response_denominator``.
+    """Displacement transform ``-z f / q``, ``q = z m + lam omega (omega + z)``.
 
-    Computed with one factor of ``z`` cancelled against the denominator, so
-    the z = 0 limit (zero displacement) is exact rather than a 0/0.
-    Broadcasts over the points of ``freq`` and ``f_eta_hat``.
+    ``q`` has one factor of ``z`` cancelled, so the z = 0 limit (zero
+    displacement) is exact rather than a 0/0.  Broadcasts over the points
+    of ``freq`` and ``f_eta_hat``.
     """
     lam, z = _points(freq)
     d1, _, _, _ = _reduced_denominator(params, lam, z)

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from plate_fsi.params import PlateParams, Sector
-from plate_fsi.symbols import decay_root, plate_roots, root_sector_angle
+from plate_fsi.symbols import decay_root, root_sector_angle
 
 __all__ = [
     "MixedTerm",
@@ -329,12 +329,13 @@ def check_parabolicity(
     (lambda, z) order; the grid is evaluated a block of lambda rows at a
     time.  A sample that is not finite, because a coefficient is too large
     for the sampled moduli, raises ``ValueError`` naming the largest
-    coefficient of ``params``.  At the balanced weight r = 2 the exact
-    plate roots (tension-free part) are additionally required to stay outside
-    the time sector.  The configuration is rejected outright when
-    ``phi <= phi0`` (sector too wide: the root rays enter) or when
-    ``theta >= (phi - phi0) / 4``.  ``theta`` may be None only for a
-    sector that is too wide, where no tangential sector fits.
+    coefficient of ``params``.  The balanced weight r = 2 vanishes on the
+    rays of the tension-free plate roots, whose angle off the negative real
+    axis is ``phi0`` (:func:`~plate_fsi.symbols.root_sector_angle`), so the
+    configuration is rejected outright when ``phi <= phi0`` (sector too
+    wide: the root rays enter), and ``root_clearance_ok`` is the condition
+    ``theta < (phi - phi0) / 4``.  ``theta`` may be None only for a sector
+    that is too wide, where no tangential sector fits.
     """
     phi0 = root_sector_angle(params)
     if phi.vertex_angle >= pi / 2 or phi.vertex_angle <= phi0:
@@ -344,7 +345,6 @@ def check_parabolicity(
             root_clearance_ok=False,
             sector_too_wide=True,
         )
-    angle_ok = theta.vertex_angle < (phi.vertex_angle - phi0) / 4
 
     lam_sector = Sector(pi - phi.vertex_angle)
     lam = _sector_grid(lam_sector, *_LAM_SAMPLES, *_MODULUS_RANGE)
@@ -384,22 +384,10 @@ def check_parabolicity(
                 passed=worst > _MIN_RATIO,
             )
         )
-
-    # Balanced-scaling principal part vanishes exactly on the rays of the
-    # tension-free plate roots; verify they clear the time sector.
-    roots_ok = True
-    tension_free = PlateParams(params.alpha, 0.0, params.gamma)
-    boundary = pi - phi.vertex_angle
-    for z in np.geomspace(1e-2, 1e2, 17):
-        for root in plate_roots(tension_free, float(z)):
-            if root == 0:
-                continue
-            if abs(np.angle(root)) <= boundary:
-                roots_ok = False
     return ParabolicityReport(
         phi0=phi0,
         results=tuple(results),
-        root_clearance_ok=roots_ok and angle_ok,
+        root_clearance_ok=theta.vertex_angle < (phi.vertex_angle - phi0) / 4,
         sector_too_wide=False,
     )
 

@@ -119,11 +119,11 @@ def coupled_symbol(params: PlateParams, lam, z):
     """Coupled boundary symbol  z^2 * m(lam, z) + lam * w^2 * (w + z).
 
     ``m`` is the plate symbol and ``w`` the decay root.  This is the
-    mixed-order form whose Newton polygon drives the sector analysis in
-    :mod:`plate_fsi.polygon`; the frequency-domain solver uses the closely
-    related z-weighted load combination
-    :func:`plate_fsi.frequency.response_denominator`, which is what the
-    no-slip divergence-free half-space solve actually produces.
+    mixed-order envelope whose Newton polygon drives the sector analysis in
+    :mod:`plate_fsi.polygon`; the frequency-domain solver divides by the
+    reduced form ``q = z m + lam w (w + z)`` of
+    :func:`plate_fsi.frequency.solve_displacement`, and ``z q`` differs from
+    this envelope by ``lam w (w + z) (w - z)``.
     """
     lam = np.asarray(lam, dtype=complex)
     z = np.asarray(z, dtype=complex)

@@ -166,7 +166,7 @@ def fixed_point_solve(
     threshold = exponent_thresholds(grid.n).quadratic
     if data.p_exponent < float(threshold):
         raise ValueError(
-            f"p_exponent = {data.p_exponent} is below the quadratic embedding "
+            f"p: {data.p_exponent} is below the quadratic embedding "
             f"threshold {threshold} for n = {grid.n}"
         )
     stepper = LinearStepper(params, grid)

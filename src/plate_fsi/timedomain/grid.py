@@ -320,7 +320,7 @@ class Grid:
                 raise ValueError(f"{name} must be positive, got {value}")
         steps = round(self.T / self.dt)
         if steps < 1 or abs(steps * self.dt - self.T) > 1e-9 * self.T:
-            raise ValueError(f"T / dt = {self.T / self.dt} is not integral")
+            raise ValueError(f"dt: T / dt = {self.T / self.dt} is not integral")
         with np.errstate(all="ignore"):
             mesh = VerticalMesh(self.X, self.M)
             vertical = [mesh.weights] + [

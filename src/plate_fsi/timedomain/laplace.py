@@ -14,8 +14,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ..frequency import response_denominator
-from ..params import PlateParams
+from ..frequency import solve_displacement
+from ..params import Freq, PlateParams
 
 __all__ = ["ContourFailure", "mode_response_reference", "talbot_inverse"]
 
@@ -40,26 +40,26 @@ def _contour(theta: np.ndarray, t: float, nodes: int) -> tuple[np.ndarray, np.nd
     return lam, dlam
 
 
-def _quadrature(transform: Callable[[complex], complex], t: float, nodes: int) -> float:
+def _quadrature(transform: Callable[[np.ndarray], np.ndarray], t: float, nodes: int) -> float:
     """Midpoint rule for the inversion integral over the upper half contour."""
     k = np.arange(nodes // 2)
     theta = (k + 0.5) * (2.0 * np.pi / nodes)
     lam, dlam = _contour(theta, t, nodes)
-    total = 0.0
-    for lam_k, dlam_k in zip(lam, dlam):
-        total += (np.exp(lam_k * t) * transform(lam_k) * dlam_k).imag
+    total = np.sum((np.exp(lam * t) * transform(lam) * dlam).imag)
     # 1/(2 pi i) times step 2 pi / nodes, doubled by conjugate symmetry.
-    return 2.0 * total / nodes
+    return 2.0 * float(total) / nodes
 
 
 def talbot_inverse(
-    transform: Callable[[complex], complex], t: float, nodes: int = 32
+    transform: Callable[[np.ndarray], np.ndarray], t: float, nodes: int = 32
 ) -> float:
     """Invert a Laplace transform at time ``t > 0``.
 
-    The transform must be analytic to the right of the contour, whose
-    scale grows like ``nodes / t``; singularities further out than that
-    are not enclosed and show up as a self-convergence failure.  The
+    The transform must accept an array of ``lam`` and return its values
+    elementwise; it is called once per quadrature, with all the contour
+    points.  It must be analytic to the right of the contour, whose scale
+    grows like ``nodes / t``; singularities further out than that are not
+    enclosed and show up as a self-convergence failure.  The
     value from the doubled node count is returned after the two agree to
     the relative tolerance :data:`SELFCONV_TOL`, otherwise
     :class:`ContourFailure` is raised.
@@ -80,20 +80,20 @@ def talbot_inverse(
 def mode_response_reference(
     params: PlateParams,
     z: float,
-    f_eta_hat: Callable[[complex], complex],
+    f_eta_hat: Callable[[np.ndarray], np.ndarray],
     times: Iterable[float],
     nodes: int = 32,
 ) -> np.ndarray:
     """Plate displacement of one tangential mode under transformed forcing.
 
     ``f_eta_hat`` is the Laplace transform of the scalar plate forcing of
-    the mode; the displacement transform is the forcing divided by the
-    coupled response denominator, and each requested time is inverted
-    independently.
+    the mode; the displacement transform is the solver's own
+    :func:`~plate_fsi.frequency.solve_displacement`, and each requested
+    time is inverted independently.
     """
     z = float(z)
 
-    def transform(lam: complex) -> complex:
-        return -(z**2) * f_eta_hat(lam) / response_denominator(params, lam, z)
+    def transform(lam: np.ndarray) -> np.ndarray:
+        return solve_displacement(params, Freq(lam, z), f_eta_hat(lam))
 
     return np.array([talbot_inverse(transform, float(t), nodes=nodes) for t in times])

@@ -24,7 +24,6 @@ from plate_fsi.frequency import (
     kernel_integral,
     reflection_kernel,
     residual_report,
-    response_denominator,
     solve_displacement,
     solve_traces,
 )
@@ -58,17 +57,22 @@ def _quad_complex(func, a: float, b: float, kink: float | None = None) -> comple
 
 
 class TestResponseDenominator:
+    """The elimination denominator read through the solver: ``eta = -z f / q``."""
+
     def test_frozen_value_at_unit_point(self) -> None:
-        # z^2 m + lam w z (w + z) = 3 + sqrt(2)(sqrt(2) + 1) = 5 + sqrt(2).
-        assert response_denominator(UNIT, 1.0, 1.0) == pytest.approx(5.0 + sqrt(2.0))
+        # q = z m + lam w (w + z) = 3 + sqrt(2)(sqrt(2) + 1) = 5 + sqrt(2).
+        assert -1.0 / solve_displacement(UNIT, Freq(1.0, 1.0), 1.0) == pytest.approx(
+            5.0 + sqrt(2.0)
+        )
 
     def test_differs_from_envelope_by_root_weight(self) -> None:
-        # The polygon envelope carries w where the solver carries z.
+        # The polygon envelope carries w where the solver's z q carries z.
         from plate_fsi.symbols import coupled_symbol, decay_root
 
         lam, z = 2.0 + 1.0j, 1.7
         w = decay_root(lam, z)
-        diff = coupled_symbol(UNIT, lam, z) - response_denominator(UNIT, lam, z)
+        z_q = -(z**2) / solve_displacement(UNIT, Freq(lam, z), 1.0)
+        diff = coupled_symbol(UNIT, lam, z) - z_q
         assert diff == pytest.approx(lam * w * (w + z) * (w - z), rel=1e-12)
 
 

@@ -8,6 +8,7 @@ import pytest
 from plate_fsi.params import PlateParams
 from plate_fsi.timedomain.laplace import (
     ContourFailure,
+    _contour,
     mode_response_reference,
     talbot_inverse,
 )
@@ -34,6 +35,23 @@ class TestTalbotInverse:
         a, b, t = 0.5, 2.0, 1.5
         got = talbot_inverse(lambda lam: (lam + a) / ((lam + a) ** 2 + b**2), t)
         assert got == pytest.approx(np.exp(-a * t) * np.cos(b * t), rel=1e-9)
+
+    def test_one_transform_call_per_quadrature(self) -> None:
+        # One call with every node of the nodes-point rule, one with every
+        # node of the 2 nodes-point rule (the upper half contour: the lower
+        # half is its conjugate).
+        calls = []
+
+        def transform(lam: np.ndarray) -> np.ndarray:
+            calls.append(lam.copy())
+            return 1.0 / (lam + 1.0)
+
+        t, nodes = 1.5, 16
+        talbot_inverse(transform, t, nodes=nodes)
+        assert len(calls) == 2
+        for lam, count in zip(calls, (nodes, 2 * nodes)):
+            theta = (np.arange(count // 2) + 0.5) * (2.0 * np.pi / count)
+            np.testing.assert_array_equal(lam, _contour(theta, t, count)[0])
 
     def test_time_must_be_positive(self) -> None:
         with pytest.raises(ValueError, match="t > 0"):
@@ -72,6 +90,16 @@ class TestModeResponseReference:
         # z^2 (alpha z^4 + beta z^2) eta = -z^2 f, i.e. eta = -1 at z = 1.
         got = mode_response_reference(UNIT, 1.0, lambda lam: 1.0 / lam, [60.0])
         assert got[0] == pytest.approx(-1.0, rel=1e-6)
+
+    def test_forcing_sees_each_contour_once(self) -> None:
+        shapes = []
+
+        def step(lam: np.ndarray) -> np.ndarray:
+            shapes.append(lam.shape)
+            return 1.0 / lam
+
+        mode_response_reference(UNIT, 1.0, step, [0.5, 1.0])
+        assert shapes == [(16,), (32,)] * 2
 
     def test_multiple_times_preserve_order(self) -> None:
         times = [0.25, 0.5, 1.0]

@@ -259,6 +259,15 @@ class TestCheckParabolicity:
         assert not report.passed
         assert report.results == ()
 
+    def test_sector_just_outside_root_rays_clears_them(self) -> None:
+        # root clearance is the closed-form phi > phi0 and the theta condition
+        phi0 = root_sector_angle(UNIT)
+        report = check_parabolicity(
+            coupled_symbol_terms(UNIT), UNIT, Sector(phi0 + 1e-9), Sector(1e-9 / 8)
+        )
+        assert not report.sector_too_wide
+        assert report.root_clearance_ok
+
     def test_sector_beyond_half_pi_is_too_wide(self) -> None:
         report = check_parabolicity(
             coupled_symbol_terms(UNIT), UNIT, Sector(1.6), Sector(0.01)

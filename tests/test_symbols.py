@@ -76,13 +76,18 @@ class TestRootSectorAngle:
             assert root_sector_angle(PlateParams(1.0, 0.0, gamma)) < pi / 2.0
 
     def test_angle_matches_root_arguments(self) -> None:
-        params = PlateParams(alpha=2.5, beta=0.0, gamma=1.2)
-        angle = root_sector_angle(params)
-        worst = max(
-            pi - abs(np.angle(complex(root)))
-            for root in plate_roots(params, 3.0)
-        )
-        assert angle == pytest.approx(worst, abs=1e-12)
+        # The closed form is the only root clearance of check_parabolicity:
+        # it must match the roots over z in [1e-2, 1e2], for damped, lightly
+        # damped, near-critical and overdamped plates.
+        for alpha, gamma in ((2.5, 1.2), (1.0, 1.0), (0.3, 0.05), (4.0, 3.9), (1.0, 3.0)):
+            params = PlateParams(alpha=alpha, beta=0.0, gamma=gamma)
+            angle = root_sector_angle(params)
+            for z in np.geomspace(1e-2, 1e2, 17):
+                worst = max(
+                    pi - abs(np.angle(complex(root)))
+                    for root in plate_roots(params, float(z))
+                )
+                assert angle == pytest.approx(worst, abs=1e-12), (alpha, gamma, z)
 
 
 class TestDecayRoot:
