@@ -443,8 +443,9 @@ def _writing(target: str):
 def _write_steps_csv(path: Path, grid: Grid, result) -> None:
     lines = ["# schema=1", "t,v_sup,eta_sup,residual"]
     traj = result.trajectory
+    # one level at a time: np.abs of the whole v would be a trajectory-sized copy
     v_sup, eta_sup = (
-        np.abs(f).max(axis=tuple(range(1, f.ndim))).tolist() for f in (traj.v, traj.eta)
+        [float(np.abs(level).max()) for level in f] for f in (traj.v, traj.eta)
     )
     for k, (v, eta, res) in enumerate(zip(v_sup, eta_sup, result.step_residuals)):
         lines.append(f"{k * grid.dt:.12g},{v:.12g},{eta:.12g},{res:.6e}")
@@ -493,6 +494,12 @@ def simulate(cfg, check_only, as_json, out_dir):
     grid = _grid(cfg)
     data = default_forcing(grid, float(cfg["amplitude"]))
     data.p_exponent = float(cfg["p"])
+    tol = float(cfg["tol"])
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigError("tol", f"must be finite and nonnegative, got {tol!r}")
+    max_iter = int(cfg["max_iter"])
+    if max_iter < 1:
+        raise ConfigError("max_iter", f"must be at least 1, got {max_iter}")
     if check_only:
         zero = fixed_point_solve(
             params, grid, ProblemData(p_exponent=float(cfg["p"])), max_iter=2
@@ -504,13 +511,8 @@ def simulate(cfg, check_only, as_json, out_dir):
         scale = max(1.0, float(np.abs(forced).max()) / grid.mesh.spacings[0])
         ok = zero.converged and zero.iterations == 1 and defect <= DIVERGENCE_DEFECT_BOUND * scale
         return _verdict(ok, f"(divergence defect {defect:.2e})")
-    tol = float(cfg["tol"])
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ConfigError("tol", f"must be finite and nonnegative, got {tol!r}")
     try:
-        result = fixed_point_solve(
-            params, grid, data, max_iter=int(cfg["max_iter"]), rel_tol=tol
-        )
+        result = fixed_point_solve(params, grid, data, max_iter=max_iter, rel_tol=tol)
     except NoContraction as exc:
         payload = {
             "converged": False,

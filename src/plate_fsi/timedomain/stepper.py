@@ -362,26 +362,39 @@ class LinearStepper:
         self,
         data: ProblemData,
         extra: Callable[[slice], tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
-    ) -> Trajectory:
+        sink: Callable[[slice, Trajectory], None] | None = None,
+    ) -> Trajectory | None:
         """March from the data's initial state over the grid horizon.
 
-        Returns ``grid.steps + 1`` levels: a copy of ``data.initial(grid)``,
-        then one level per step, marched in the chunks of
-        :func:`level_chunks`.  ``extra(levels)``, if given, is called once
-        per chunk, in order, before the chunk is marched; it returns
-        ``(f_v, g, f_eta)`` with a leading axis over ``levels``, added to
-        the data's forcing of those levels and transformed once per chunk.
-        Without it the forcing is constant and transformed once.  Every
-        step transforms its packed unknowns once each way and writes its
-        level in place; the pressure is interpolated to the nodes once per
-        chunk.
+        The levels after ``data.initial(grid)``, one per step, are marched
+        in the chunks of :func:`level_chunks`, each into a trajectory of
+        its own levels, which is then passed to ``sink(levels, chunk)``.
+        The sink is called once per chunk, in order, and owns the chunk.
+        Without a sink the chunks are stored: ``run`` returns the whole
+        trajectory, ``grid.steps + 1`` levels with a copy of the initial
+        level first.  With one nothing is kept and ``run`` returns
+        ``None``.
+
+        ``extra(levels)``, if given, is called once per chunk, in order,
+        before the chunk is marched; it returns ``(f_v, g, f_eta)`` with a
+        leading axis over ``levels``, added to the data's forcing of those
+        levels and transformed once per chunk.  Without it the forcing is
+        constant and transformed once.  Every step transforms its packed
+        unknowns once each way and writes its level in place; the
+        pressure is interpolated to the nodes once per chunk.
         """
         grid, i_p = self.grid, self._i_p
         data = data.materialize(grid)
         start = data.initial(grid)
-        out = Trajectory(*(np.empty((grid.steps + 1,) + f.shape[1:]) for f in start.fields()))
-        for level, first in zip(out.fields(), start.fields()):
-            level[0] = first[0]
+        out = None
+        if sink is None:
+            out = Trajectory(*(np.empty((grid.steps + 1,) + f.shape[1:]) for f in start.fields()))
+
+            def sink(levels: slice, chunk: Trajectory) -> None:
+                for whole, part in zip(out.fields(), chunk.fields()):
+                    whole[levels] = part
+
+            sink(slice(0, 1), start)
         packed = self._pack(start)
         if extra is None:
             constant = self._forcing(data)
@@ -391,13 +404,16 @@ class LinearStepper:
                 forcing = np.broadcast_to(constant, (count,) + constant.shape[1:])
             else:
                 forcing = self._forcing(data, extra(levels))
+            v, eta, eta_t = (
+                np.empty((count,) + f.shape[1:]) for f in (start.v, start.eta, start.eta_t)
+            )
             p_mid = np.empty((count,) + grid.tan_shape + (grid.M,))
-            for j, k in enumerate(range(levels.start, levels.stop)):
+            for j in range(count):
                 new = self._advance(packed, forcing[j])
-                out.v[k], p_mid[j], out.eta[k], out.eta_t[k] = self._unpack(new)
+                v[j], p_mid[j], eta[j], eta_t[j] = self._unpack(new)
                 packed[..., :i_p] = new[..., :i_p]
                 packed[..., -2:] = new[..., -2:]
-            out.p[levels] = grid.mesh.midpoints_to_nodes(p_mid)
+            sink(levels, Trajectory(v, grid.mesh.midpoints_to_nodes(p_mid), eta, eta_t))
         return out
 
 

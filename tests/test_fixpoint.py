@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,74 @@ class TestNormCalls:
         monkeypatch.undo()
         assert result.scale == max(_state_norm(s, grid) for s in _levels(result.trajectory))
         assert result.step_residuals[0] == 0.0
+
+
+def _count_sweeps(monkeypatch: pytest.MonkeyPatch) -> list[bool]:
+    """Record the ``keep`` flag of every frozen sweep."""
+    from plate_fsi.timedomain import fixpoint
+
+    sweeps: list[bool] = []
+    sweep = fixpoint._frozen_sweep
+
+    def counting(stepper, data, source, keep):
+        sweeps.append(keep)
+        return sweep(stepper, data, source, keep)
+
+    monkeypatch.setattr(fixpoint, "_frozen_sweep", counting)
+    return sweeps
+
+
+class TestOneIterate:
+    """Each sweep overwrites its source; only the predicted last one keeps nothing."""
+
+    def test_unforced_run_marches_one_sweep_per_iteration(
+        self, grid: Grid, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        sweeps = _count_sweeps(monkeypatch)
+        result = fixed_point_solve(UNIT, grid, default_forcing(grid, 1e-3))
+        assert result.converged and result.iterations >= 3
+        assert sweeps == [True] * (result.iterations - 1) + [False]
+
+    @pytest.mark.parametrize(
+        "limits", [{}, {"max_iter": 2, "rel_tol": 1e-300}], ids=["converged", "max-iter"]
+    )
+    def test_mispredicted_last_sweep_is_marched_again(
+        self, grid: Grid, monkeypatch: pytest.MonkeyPatch, limits: dict
+    ) -> None:
+        from plate_fsi.timedomain import fixpoint
+
+        data = default_forcing(grid, 1e-3)
+        want = fixed_point_solve(UNIT, grid, data, **limits)
+        sweeps = _count_sweeps(monkeypatch)
+        monkeypatch.setattr(fixpoint, "_may_converge", lambda *args: True)
+        got = fixed_point_solve(UNIT, grid, data, **limits)
+        # every sweep but the last runs as the probe, then again to keep
+        assert sweeps == [False, True] * (got.iterations - 1) + [False]
+        assert len(sweeps) == 2 * got.iterations - 1
+        assert got.iterations == want.iterations
+        assert got.converged == want.converged
+        for a, b in zip(got.trajectory.fields(), want.trajectory.fields()):
+            assert np.array_equal(a, b)
+        assert got.contraction_ratios == want.contraction_ratios
+        assert got.step_residuals == want.step_residuals
+        assert got.residual == want.residual
+        assert got.scale == want.scale
+
+    def test_peak_memory_is_one_trajectory_and_chunk_transients(self) -> None:
+        # 129 levels of 10-level chunks: the trajectory dominates the
+        # transients of a chunk
+        grid = Grid(n=3, N=8, M=16, T=1.0, dt=1 / 128)
+        data = default_forcing(grid, 1e-3)
+        tracemalloc.start()
+        try:
+            result = fixed_point_solve(UNIT, grid, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(f.nbytes for f in result.trajectory.fields())
+        # measured: 1.77 trajectories; 2.71 while a sweep kept its source
+        # and the new iterate whole
+        assert peak < 2.2 * size
 
 
 def _levels(traj: Trajectory) -> list[Trajectory]:
