@@ -7,7 +7,10 @@ frozen from the previous iterate.  For small data the map contracts and
 the successive-difference norms decay geometrically; the decay ratios
 are reported, and three consecutive ratios near or above one abort with
 :class:`NoContraction`, as does an iterate that leaves the finite range
-(without floating-point warnings on the way).
+(without floating-point warnings on the way).  A ratio taken once the
+differences have reached the rounding floor, a fixed small fraction of
+the iterate's norm, is not a stall: a tolerance below that floor runs to
+``max_iter`` and returns a result that is not converged.
 
 Iterates are compared in a discrete surrogate of the solution norm: the
 sup of the fields together with sups of first derivatives of the
@@ -41,8 +44,8 @@ import numpy as np
 
 from ..indices import exponent_thresholds
 from ..params import PlateParams
-from .grid import Grid, ProblemData, Trajectory, level_chunks
-from .nonlin import Derivatives, derivatives, nonlinear_terms
+from .grid import Grid, ProblemData, Trajectory, level_chunks, tangential_derivatives
+from .nonlin import Derivatives, derivatives, nonlinear_terms, velocity_derivatives
 from .stepper import LinearStepper
 
 __all__ = [
@@ -54,6 +57,11 @@ __all__ = [
 
 _STALL_RATIO = 0.95
 _STALL_COUNT = 3
+# Differences at most this fraction of the iterate's norm are rounding
+# noise, and their ratios say nothing about contraction.  Runs at tol = 0
+# level off at 4e-15 (3D, N = 8), 3e-14 (3D, N = 16), 9e-14 (3D, N = 32)
+# and 4.5e-12 (2D, N = 128) of the norm; diverging data stall above 1e-1.
+_ROUNDING_FLOOR = 1e-10
 # relative slack of _may_converge's bound on the source's norm
 _PROBE_MARGIN = 1e-3
 
@@ -94,26 +102,29 @@ def surrogate_norms(
     tangential derivatives of ``eta`` up to fourth and of ``eta_t`` up to
     second order, summed in that order for every level, so an entry does
     not depend on the other levels.  ``derivs``, the :func:`derivatives`
-    of ``traj``, are taken here (without the Laplacian) when not given.
+    of ``traj``, are read when given; otherwise each derivative of ``v``
+    is taken here and reduced to its sup as it is produced, so none is
+    held after its sup.
     """
     if derivs is None:
-        derivs = derivatives(traj, grid, laplacian=False)
+        bulk = velocity_derivatives(traj.v, grid)
+        plate = tangential_derivatives(traj.eta, grid, (1, 2, 3, 4)) + tangential_derivatives(
+            traj.eta_t, grid, (1, 2)
+        )
+    else:
+        bulk = derivs.grad_v + (derivs.dn_v,)
+        plate = derivs.eta + derivs.eta_t
 
     def sup(field: np.ndarray) -> np.ndarray:
         return np.abs(field).max(axis=tuple(range(1, field.ndim)))
 
     total = sup(traj.v) + sup(traj.p)
-    for deriv in derivs.grad_v:
+    for deriv in bulk:
         total += sup(deriv)
-    total += sup(derivs.dn_v)
     total += sup(traj.eta) + sup(traj.eta_t)
-    for deriv in derivs.eta + derivs.eta_t:
+    for deriv in plate:
         total += sup(deriv)
     return total
-
-
-def _difference(a: Trajectory, b: Trajectory) -> Trajectory:
-    return Trajectory(*(fa - fb for fa, fb in zip(a.fields(), b.fields())))
 
 
 def _finite(traj: Trajectory) -> bool:
@@ -129,10 +140,11 @@ def _frozen_sweep(
     ``source`` and the gap ``new - source`` in that norm.  Each chunk of
     source levels is differentiated once for both its norm and its
     quadratic terms, before the chunk is marched; its gap is taken as the
-    marched chunk arrives.  With ``keep`` the marched chunk then
-    overwrites its source levels, which no later chunk reads, so
-    ``source`` becomes the new iterate; without it (the probe) the new
-    levels are dropped and ``source`` is unchanged.
+    marched chunk arrives, in the buffer that is overwritten next.  With
+    ``keep`` that is the source levels, which the marched chunk then
+    overwrites and no later chunk reads, so ``source`` becomes the new
+    iterate; without it (the probe) it is the new levels, which are
+    dropped, and ``source`` is unchanged.
     """
     grid = stepper.grid
     norms: list[float] = []
@@ -146,7 +158,11 @@ def _frozen_sweep(
 
     def compare(levels: slice, new: Trajectory) -> None:
         old = source[levels]
-        gaps.extend(surrogate_norms(_difference(new, old), grid).tolist())
+        # new - old is written over whichever of the two is not kept
+        gap = old if keep else new
+        for a, b, out in zip(new.fields(), old.fields(), gap.fields()):
+            np.subtract(a, b, out=out)
+        gaps.extend(surrogate_norms(gap, grid).tolist())
         if keep:
             for target, field in zip(old.fields(), new.fields()):
                 target[...] = field
@@ -192,9 +208,10 @@ def fixed_point_solve(
     not controlled by the solution norm and the iteration has no
     contraction theory backing it.
 
-    Raises :class:`NoContraction` when the sweeps diverge or stall, and
-    returns a non-converged result only if ``max_iter`` is hit while the
-    ratios still look contractive.
+    Raises :class:`NoContraction` when the sweeps diverge or stall above
+    the rounding floor, and returns a non-converged result only if
+    ``max_iter`` is hit while the ratios still look contractive or the
+    differences sit at that floor.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -259,7 +276,8 @@ def fixed_point_solve(
                 if prev_diff == 0.0 and diff == 0.0:
                     ratio = 0.0
                 ratios.append(float(ratio))
-                if not np.isfinite(ratio) or ratio > _STALL_RATIO:
+                at_floor = diff <= _ROUNDING_FLOOR * norm
+                if not at_floor and (not np.isfinite(ratio) or ratio > _STALL_RATIO):
                     stall += 1
                     if stall >= _STALL_COUNT:
                         raise NoContraction(

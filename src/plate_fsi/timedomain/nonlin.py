@@ -11,6 +11,7 @@ derivatives use fourth-order one-sided-aware stencils.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -21,6 +22,7 @@ __all__ = [
     "derivatives",
     "nonlinear_divergence",
     "nonlinear_terms",
+    "velocity_derivatives",
 ]
 
 _ACC = 4
@@ -59,13 +61,25 @@ def derivatives(traj: Trajectory, grid: Grid, laplacian: bool = True) -> Derivat
     read.  The spectra of ``v``, ``eta`` and ``eta_t`` are taken once each.
     """
     eta = tangential_derivatives(traj.eta, grid, (1, 2, 3, 4), laplacian=laplacian)
+    *grad_v, dn_v = velocity_derivatives(traj.v, grid)
     return Derivatives(
-        grad_v=tuple(tangential_derivatives(traj.v, grid, (1,), bulk=True)),
-        dn_v=_d_n(traj.v, grid),
+        grad_v=tuple(grad_v),
+        dn_v=dn_v,
         eta=tuple(eta[: 4 * (grid.n - 1)]),
         eta_t=tuple(tangential_derivatives(traj.eta_t, grid, (1, 2))),
         lap_eta=eta[-1] if laplacian else None,
     )
+
+
+def velocity_derivatives(v: np.ndarray, grid: Grid) -> Iterator[np.ndarray]:
+    """``d_j v`` for each tangential direction ``j``, then ``d_n v``.
+
+    ``v`` is a bulk field, its leading axes batch axes.  Each derivative
+    is taken as it is iterated, so a caller that reduces them one by one
+    holds one at a time.
+    """
+    yield from tangential_derivatives(v, grid, (1,), bulk=True)
+    yield _d_n(v, grid)
 
 
 def nonlinear_terms(
@@ -83,7 +97,11 @@ def nonlinear_terms(
 
     Each vanishes to second order at the zero state.  Every result keeps
     the level axis.  ``derivs``, the :func:`derivatives` of ``traj`` with
-    the Laplacian, are taken here when not given.
+    the Laplacian, are taken here when not given.  The momentum is
+    assembled one velocity component at a time, straight into the result:
+    that component's ``grad' d_n v``, ``d_nn v`` and the pressure's
+    ``d_n p`` are taken where they are used, so no stack of them over the
+    components is held.
     """
     n = grid.n
     tan = range(n - 1)
@@ -97,39 +115,34 @@ def nonlinear_terms(
     v = components_first(traj.v)
     grad_v = [components_first(g) for g in derivs.grad_v]
     dn_v = components_first(derivs.dn_v)
-    grad_dn_v = [
-        components_first(g)
-        for g in tangential_derivatives(derivs.dn_v, grid, (1,), bulk=True)
-    ]
     grad_eta = np.stack(derivs.eta[: n - 1])
-    dnn_v = _d_n(v, grid, order=2)
-    dn_p = _d_n(traj.p, grid)
-
-    # (d_t eta - lap' eta) d_n v
+    # (d_t eta - lap' eta), |grad' eta|^2 and v' . grad' eta, shared by
+    # every component
     coef = (traj.eta_t - derivs.lap_eta)[..., np.newaxis]
-    momentum = coef * dn_v
-
-    # -2 (grad' eta . grad') d_n v  and  |grad' eta|^2 d_nn v
-    for d in tan:
-        momentum -= 2.0 * grad_eta[d][..., np.newaxis] * grad_dn_v[d]
-    momentum += np.sum(grad_eta * grad_eta, axis=0)[..., np.newaxis] * dnn_v
-
-    # -(v . grad) v
-    for d in tan:
-        momentum -= v[d][np.newaxis] * grad_v[d]
-    momentum -= v[n - 1][np.newaxis] * dn_v
-
-    # (v' . grad' eta) d_n v
-    slope_flux = np.zeros(dn_p.shape)
+    slope2 = np.sum(grad_eta * grad_eta, axis=0)[..., np.newaxis]
+    slope_flux = np.zeros(traj.p.shape)
     for d in tan:
         slope_flux += v[d] * grad_eta[d][..., np.newaxis]
-    momentum += slope_flux[np.newaxis] * dn_v
 
-    # (grad' eta, 0)^T d_n p
-    for d in tan:
-        momentum[d] += grad_eta[d][..., np.newaxis] * dn_p
+    out = np.empty(np.shape(traj.v))
+    for i, momentum in enumerate(components_first(out)):
+        # (d_t eta - lap' eta) d_n v
+        np.multiply(coef, dn_v[i], out=momentum)
+        # -2 (grad' eta . grad') d_n v  and  |grad' eta|^2 d_nn v
+        for d, grad_dn_v in enumerate(tangential_derivatives(dn_v[i], grid, (1,), bulk=True)):
+            momentum -= 2.0 * grad_eta[d][..., np.newaxis] * grad_dn_v
+        momentum += slope2 * _d_n(v[i], grid, order=2)
+        # -(v . grad) v
+        for d in tan:
+            momentum -= v[d] * grad_v[d][i]
+        momentum -= v[n - 1] * dn_v[i]
+        # (v' . grad' eta) d_n v
+        momentum += slope_flux * dn_v[i]
+        # (grad' eta, 0)^T d_n p
+        if i < n - 1:
+            momentum += grad_eta[i][..., np.newaxis] * _d_n(traj.p, grid)
 
-    divergence = np.zeros(dn_p.shape)
+    divergence = np.zeros(traj.p.shape)
     for d in tan:
         divergence += grad_eta[d][..., np.newaxis] * dn_v[d]
 
@@ -138,7 +151,7 @@ def nonlinear_terms(
     for d in tan:
         plate_load -= grad_eta[d] * dn_v[d][..., 0]
         plate_load -= grad_eta[d] * grad_v[d][n - 1][..., 0]
-    return np.moveaxis(momentum, 0, -(n + 1)), divergence, plate_load
+    return out, divergence, plate_load
 
 
 def nonlinear_divergence(traj: Trajectory, grid: Grid) -> np.ndarray:

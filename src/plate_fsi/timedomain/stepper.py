@@ -5,7 +5,11 @@ tangential modes, so one step solves, per mode, a small sparse saddle
 system on the vertical mesh: staggered velocity/pressure unknowns
 (velocity on nodes, pressure on cell midpoints) plus the plate
 displacement and velocity of the mode.  The modes' systems are stacked
-into one block-diagonal matrix, factorized once and solved together.
+into block-diagonal matrices, each holding a group of consecutive modes
+of at most ``_GROUP_UNKNOWNS`` unknowns; every group is factorized once and
+all groups are solved at each step.  The blocks do not couple, so a mode
+is solved with the same operations in any group, and a group's matrix
+and its factorization's workspace stay a fraction of the whole.
 
 In 3D a mode's system sees its covector only through ``|xi|^2`` and the
 odd couplings ``i xi``, so the matrix of ``(-xi_1, xi_2)`` is ``D A D``
@@ -39,7 +43,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 from numpy.typing import ArrayLike
-from scipy.sparse.linalg import onenormest, splu
+from scipy.sparse.linalg import SuperLU, onenormest, splu
 
 from ..params import PlateParams
 from .grid import (
@@ -59,6 +63,15 @@ __all__ = [
     "total_energy",
 ]
 
+# Unknowns per factorized group of blocks, at least one block.  SuperLU's
+# workspace grows with the group: on the sim3d grid (256 blocks, 66,816
+# unknowns) one group took the process to 129 MB while it was factorized
+# and left 89 MB resident; three groups of this budget peak at 98 MB.
+# Budgets of 2**13 to 2**16 gave sim3d peaks within about 1 MB of each
+# other, while one block per group costs a solve call per block and step.
+# In 2D every mode fits in one group.
+_GROUP_UNKNOWNS = 2**15
+
 
 class SolverSingular(RuntimeError):
     """The saddle matrix of the tangential modes could not be factorized."""
@@ -72,10 +85,11 @@ class ModeStepper:
     ``n - 1``.  The unknowns of each mode are the complex amplitudes of the
     ``n`` velocity components on the nodes, the pressure on the cell
     midpoints, and the plate displacement/velocity pair.  The saddle
-    matrices of all modes form one block-diagonal matrix whose sparse
-    factorization is computed once and reused for every step.  ``modes``
-    is the number of tangential modes the blocks serve, for messages; it
-    defaults to one mode per block.
+    matrices of consecutive modes (C order) are grouped into block-diagonal
+    matrices of at most ``_GROUP_UNKNOWNS`` unknowns (at least one block
+    each), whose sparse factorizations are computed once and reused for
+    every step.  ``modes`` is the number of tangential modes the blocks
+    serve, for messages; it defaults to one mode per block.
     """
 
     def __init__(
@@ -98,14 +112,26 @@ class ModeStepper:
         self.batch = self.xi.shape[1:]
         # summed in component order, as a Python sum over one covector
         self.z2 = sum(x * x for x in self.xi)
-        matrix = self.matrix()
+        blocks = self.xi[0].size
+        # the fewest groups within the budget, their sizes within one block
+        count = -(-blocks // max(1, _GROUP_UNKNOWNS // self.size))
+        edges = [blocks * k // count for k in range(count + 1)]
+        self._groups = [slice(a, b) for a, b in zip(edges, edges[1:])]
+        self._lu = [self._factorize(k, modes) for k in range(len(self._groups))]
+
+    def _factorize(self, k: int, modes: int | None) -> SuperLU:
+        """The sparse LU factorization of group ``k``; its matrix is freed on return."""
+        group = self._groups[k]
+        matrix = self.matrix(group)
         try:
-            self._lu = splu(matrix)
+            return splu(matrix)
         except RuntimeError as exc:
             blocks = self.xi[0].size
             raise SolverSingular(
-                f"{blocks} blocks for {modes or blocks} modes: factorization "
-                f"failed ({exc}); matrix 1-norm ~ {onenormest(matrix):.3e}"
+                f"{blocks} blocks for {modes or blocks} modes: group {k + 1} of "
+                f"{len(self._groups)} (blocks {group.start} to {group.stop - 1}) "
+                f"failed to factorize ({exc}); its matrix 1-norm ~ "
+                f"{onenormest(matrix):.3e}"
             ) from exc
 
     @property
@@ -113,18 +139,19 @@ class ModeStepper:
         """Unknowns of one mode."""
         return (len(self.xi) + 1) * (self.mesh.M + 1) + self.mesh.M + 2
 
-    def matrix(self) -> sp.csc_matrix:
+    def matrix(self, blocks: slice = slice(None)) -> sp.csc_matrix:
         """Block-diagonal saddle matrix of one step, one block per mode in C order.
 
-        Each block is assembled from the mesh's staggered pair.
+        ``blocks`` selects consecutive modes of the flattened batch; all by
+        default.  Each block is assembled from the mesh's staggered pair.
         """
         mesh, dt, p = self.mesh, self.dt, self.params
         M = mesh.M
         h, w = mesh.spacings, mesh.weights
         c = len(self.xi)
         # (mode, component, entry) for the covector, (mode, entry) for |xi|^2
-        xi = self.xi.reshape(c, -1).T[:, :, np.newaxis]
-        z2 = np.reshape(self.z2, (-1, 1))
+        xi = self.xi.reshape(c, -1).T[blocks, :, np.newaxis]
+        z2 = np.reshape(self.z2, (-1, 1))[blocks]
         modes = xi.shape[0]
         # unknown layout: the n velocity components on the nodes (tangential
         # first), the pressure on the cells, then (eta, psi)
@@ -199,9 +226,9 @@ class ModeStepper:
         rows read), the divergence datum averaged onto the cells on the
         pressure entries and the plate forcing on the ``psi`` entry; its
         ``eta`` entry is not read.  ``lead`` is empty or one axis of
-        right-hand-side columns, all solved by one call on the one
-        factorization.  Returns the new unknowns, pressure on the ``M``
-        cell midpoints included, shape ``lead + batch + (size,)``.
+        right-hand-side columns, all solved by one call per group.  Returns
+        the new unknowns, pressure on the ``M`` cell midpoints included,
+        shape ``lead + batch + (size,)``.
         """
         M, dt = self.mesh.M, self.dt
         i_p = (len(self.xi) + 1) * (M + 1)
@@ -226,9 +253,14 @@ class ModeStepper:
         b[..., -1].real = (psi.real + psi.imag * 0.0) / dt
         b[..., -1].imag = (psi.imag - psi.real * 0.0) / dt
         b[..., -1] -= forcing[..., -1]
-        # the lead columns are the columns of one 2-D right-hand side,
-        # each solved with the operations of a 1-D solve
-        return self._lu.solve(b.reshape(lead + (-1,)).T).T.reshape(b.shape)
+        # each group's solution overwrites its right-hand side, which the
+        # solve has copied; the lead columns are the columns of one 2-D
+        # right-hand side, each solved with the operations of a 1-D solve
+        blocks = b.reshape(lead + (-1, self.size))
+        for group, lu in zip(self._groups, self._lu):
+            rhs = blocks[..., group, :]
+            rhs[...] = lu.solve(rhs.reshape(lead + (-1,)).T).T.reshape(rhs.shape)
+        return b
 
 
 class LinearStepper:
@@ -383,7 +415,7 @@ class LinearStepper:
         unknowns once each way and writes its level in place; the
         pressure is interpolated to the nodes once per chunk.
         """
-        grid, i_p = self.grid, self._i_p
+        grid = self.grid
         data = data.materialize(grid)
         start = data.initial(grid)
         out = None
@@ -396,25 +428,41 @@ class LinearStepper:
 
             sink(slice(0, 1), start)
         packed = self._pack(start)
-        if extra is None:
-            constant = self._forcing(data)
+        constant = self._forcing(data) if extra is None else None
         for levels in level_chunks(grid):
-            count = levels.stop - levels.start
-            if extra is None:
-                forcing = np.broadcast_to(constant, (count,) + constant.shape[1:])
-            else:
-                forcing = self._forcing(data, extra(levels))
-            v, eta, eta_t = (
-                np.empty((count,) + f.shape[1:]) for f in (start.v, start.eta, start.eta_t)
-            )
-            p_mid = np.empty((count,) + grid.tan_shape + (grid.M,))
-            for j in range(count):
-                new = self._advance(packed, forcing[j])
-                v[j], p_mid[j], eta[j], eta_t[j] = self._unpack(new)
-                packed[..., :i_p] = new[..., :i_p]
-                packed[..., -2:] = new[..., -2:]
-            sink(levels, Trajectory(v, grid.mesh.midpoints_to_nodes(p_mid), eta, eta_t))
+            # the chunk is built in a call of its own, so its forcing and
+            # step buffers are freed before the next chunk's extra(levels)
+            sink(levels, self._chunk(data, packed, levels, extra, constant))
         return out
+
+    def _chunk(
+        self,
+        data: ProblemData,
+        packed: np.ndarray,
+        levels: slice,
+        extra: Callable[[slice], tuple[np.ndarray, np.ndarray, np.ndarray]] | None,
+        constant: np.ndarray | None,
+    ) -> Trajectory:
+        """March the ``levels`` from ``packed``, which is advanced in place.
+
+        The forcing is ``constant`` for every level, or the data's plus
+        ``extra(levels)`` when ``extra`` is given.
+        """
+        grid, i_p = self.grid, self._i_p
+        count = levels.stop - levels.start
+        if extra is None:
+            forcing = np.broadcast_to(constant, (count,) + constant.shape[1:])
+        else:
+            forcing = self._forcing(data, extra(levels))
+        v = np.empty((count, grid.n) + grid.tan_shape + (grid.M + 1,))
+        eta, eta_t = (np.empty((count,) + grid.tan_shape) for _ in range(2))
+        p_mid = np.empty((count,) + grid.tan_shape + (grid.M,))
+        for j in range(count):
+            new = self._advance(packed, forcing[j])
+            v[j], p_mid[j], eta[j], eta_t[j] = self._unpack(new)
+            packed[..., :i_p] = new[..., :i_p]
+            packed[..., -2:] = new[..., -2:]
+        return Trajectory(v, grid.mesh.midpoints_to_nodes(p_mid), eta, eta_t)
 
 
 def staggered_divergence(v: np.ndarray, grid: Grid) -> np.ndarray:

@@ -705,6 +705,29 @@ class TestSimulate:
         assert payload["converged"] is True
         assert payload["residual"] == 0.0
 
+    def test_zero_tolerance_stops_at_the_rounding_floor(
+        self, runner: CliRunner, tmp_path: Path
+    ) -> None:
+        # This 3D grid never reaches an exact fixed point: from the fourth
+        # sweep on the differences sit at about 2e-14 of the norm and their
+        # ratios hover around one, the last three of these twelve sweeps
+        # all above 0.95.  That is rounding, not data too large: the run
+        # goes on to max_iter and reports a result that is not converged.
+        out = tmp_path / "out"
+        res = runner.invoke(
+            main,
+            ["simulate", "--set", "n=3", "--set", "N=16", "--set", "M=32",
+             "--set", "T=0.125", "--set", "amplitude=1e-2", "--set", "tol=0",
+             "--set", "max_iter=12", "--json", "--out", str(out)],
+        )
+        assert res.exit_code == 3, res.output
+        payload = json.loads(res.stdout)
+        assert payload["converged"] is False
+        assert payload["iterations"] == 12
+        assert min(payload["contraction_ratios"][-3:]) > 0.95
+        assert 0.0 < payload["residual"] <= 1e-10 * payload["scale"]
+        assert (out / "summary.json").exists()
+
 
 class TestCheckCompat:
     def test_compatible_family_passes(self, runner: CliRunner) -> None:

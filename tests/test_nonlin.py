@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -293,3 +295,30 @@ class TestBatchedLevels:
         shared = nonlinear_terms(stack, grid, derivs)
         for got, want in zip(shared, nonlinear_terms(stack, grid)):
             np.testing.assert_array_equal(got, want)
+
+
+class TestPeakMemory:
+    def test_terms_hold_no_stack_over_the_components(self, rng) -> None:
+        # A 3D chunk with its derivatives given, as the Picard sweep calls
+        # it.  The results themselves take about one level per level.
+        grid = Grid(n=3, N=8, M=16, T=0.5, dt=0.25)
+        levels = 4
+        tan, bulk = grid.tan_shape, grid.tan_shape + (grid.M + 1,)
+        stack = Trajectory(
+            v=rng.normal(size=(levels, 3) + bulk),
+            p=rng.normal(size=(levels,) + bulk),
+            eta=rng.normal(size=(levels,) + tan),
+            eta_t=rng.normal(size=(levels,) + tan),
+        )
+        derivs = derivatives(stack, grid)
+        nonlinear_terms(stack, grid, derivs)  # fills the grid's caches
+        tracemalloc.start()
+        try:
+            nonlinear_terms(stack, grid, derivs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        level = sum(f[0].nbytes for f in stack.fields())
+        # measured: 2.6 levels per level; 5.1 when the momentum was summed
+        # over all components at once, with grad' d_n v and d_nn v whole
+        assert peak < 3.5 * levels * level

@@ -371,29 +371,86 @@ class TestMirroredModes:
         self, n: int, monkeypatch: pytest.MonkeyPatch
     ) -> None:
         grid = _skew_grid(n)
-        shapes = []
-        splu = stepper_module.splu
-
-        def recorded(matrix):
-            shapes.append(matrix.shape)
-            return splu(matrix)
-
-        monkeypatch.setattr(stepper_module, "splu", recorded)
-        LinearStepper(SKEW, grid)
         size = n * (grid.M + 1) + grid.M + 2
         blocks = (grid.N // 2) ** (n - 1)
-        assert shapes == [(blocks * size, blocks * size)]
+        splu = stepper_module.splu
+        # the default budget, one group on these grids, and three blocks
+        for per_group in (stepper_module._GROUP_UNKNOWNS // size, 3):
+            monkeypatch.setattr(stepper_module, "_GROUP_UNKNOWNS", per_group * size)
+            shapes = []
+
+            def recorded(matrix):
+                shapes.append(matrix.shape)
+                return splu(matrix)
+
+            monkeypatch.setattr(stepper_module, "splu", recorded)
+            LinearStepper(SKEW, grid)
+            # square groups of whole blocks that together cover the
+            # xi_1 >= 0 half once, as few as the budget allows
+            assert all(rows == cols and rows % size == 0 for rows, cols in shapes)
+            assert sum(rows for rows, _ in shapes) == blocks * size
+            assert max(rows for rows, _ in shapes) <= per_group * size
+            assert len(shapes) == -(-blocks // per_group)
 
     def test_singular_message_counts_blocks_and_modes(
         self, monkeypatch: pytest.MonkeyPatch
     ) -> None:
-        def singular(matrix):
-            raise RuntimeError("Factor is exactly singular")
-
-        monkeypatch.setattr(stepper_module, "splu", singular)
         grid = Grid(n=3, N=32, M=16, T=0.25, dt=0.25)
-        with pytest.raises(SolverSingular, match="^256 blocks for 496 modes: .*exactly singular"):
+        size = 3 * (grid.M + 1) + grid.M + 2
+        monkeypatch.setattr(stepper_module, "_GROUP_UNKNOWNS", 100 * size)
+        splu = stepper_module.splu
+        calls = []
+
+        def singular_second(matrix):
+            calls.append(matrix.shape)
+            if len(calls) == 2:
+                raise RuntimeError("Factor is exactly singular")
+            return splu(matrix)
+
+        monkeypatch.setattr(stepper_module, "splu", singular_second)
+        with pytest.raises(
+            SolverSingular,
+            match=r"^256 blocks for 496 modes: group 2 of 3 \(blocks 85 to 169\) "
+            r"failed to factorize \(Factor is exactly singular\); its matrix 1-norm ~ ",
+        ):
             LinearStepper(UNIT, grid)
+        assert calls[1] == (85 * size, 85 * size)
+
+
+class TestGroupedFactorization:
+    """Factorizing the blocks in groups changes no bit of a step."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("per_group", [1, 3])
+    def test_grouped_step_equals_one_group(
+        self, n: int, per_group: int, rng: np.random.Generator,
+        monkeypatch: pytest.MonkeyPatch,
+    ) -> None:
+        grid = _skew_grid(n)
+        xis = np.array([_mode_xi(grid, idx) for idx in _modes(grid)]).T
+        # a batch axis of two, the lead axis of two columns in 3D
+        batch = xis.reshape((n - 1, 2, -1))
+        lead = (2,) if n == 3 else ()
+        M = grid.M
+        whole = ModeStepper(SKEW, batch, grid.mesh, grid.dt)
+
+        def cplx(*shape: int) -> np.ndarray:
+            shape = lead + whole.batch + shape
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        state, forcing = cplx(whole.size - M), cplx(whole.size)
+        # exact zeros of both signs in the data
+        state[..., ::7] = -0.0
+        forcing[..., 1::5] = 0.0
+        monkeypatch.setattr(stepper_module, "_GROUP_UNKNOWNS", per_group * whole.size)
+        grouped = ModeStepper(SKEW, batch, grid.mesh, grid.dt)
+        blocks = xis.shape[1]
+        assert len(whole._lu) == 1
+        assert len(grouped._lu) == -(-blocks // per_group)
+        want = whole.step(state, forcing)
+        got = grouped.step(state, forcing)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
 
 
 class TestLinearMarchOracle:
