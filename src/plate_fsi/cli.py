@@ -23,7 +23,9 @@ every subcommand:
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -31,14 +33,12 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import click
 import numpy as np
 
 from .params import Freq, PlateParams, Sector
 
-# Each layer is imported inside the commands that use it, so a subcommand
-# loads only its own layer; of them only the time-domain march brings in scipy.
-# The imports follow the docstrings, which click shows as the help text.
+# Each layer is imported inside the commands that use it, below their docstrings (the
+# --help text), so a subcommand loads only its own layer; only the march loads scipy.
 if TYPE_CHECKING:
     from .polygon import NewtonPolygon
     from .timedomain.grid import Grid, ProblemData, Trajectory
@@ -150,52 +150,6 @@ def _parse_complex(text: str) -> complex:
         raise ConfigError("lambda", f"cannot parse complex number {text!r}") from None
 
 
-@click.group()
-def main() -> None:
-    """Analysis and simulation tools for the damped-plate FSI system."""
-
-
-_COMMON = (
-    click.option("--check", "check_only", is_flag=True, help="run invariants only"),
-    click.option("--json", "as_json", is_flag=True, help="machine-readable output"),
-    click.option("--set", "sets", multiple=True, help="override one key, e.g. --set alpha=2"),
-    click.option("--config", "config_path", type=str, default=None, help="key = value file"),
-)
-
-
-def _command(name: str, *options):
-    """Register ``run`` as the subcommand ``name``: the common options, then ``options``.
-
-    ``run(cfg, check_only, as_json, **options)`` gets the loaded
-    configuration and returns ``(output, code)``.  A dict ``output`` is
-    printed as JSON (indented unless ``--json``), a string as it is and
-    ``None`` not at all; then the process exits with ``code``.  A
-    ``ValueError`` from loading the configuration or from ``run`` is a
-    configuration error.
-    """
-
-    def register(run):
-        def command(config_path, sets, as_json, check_only, **kwargs):
-            try:
-                output, code = run(load_config(config_path, sets), check_only, as_json, **kwargs)
-            except ValueError as exc:
-                click.echo(f"config error: {exc}", err=True)
-                sys.exit(EXIT_CONFIG)
-            if isinstance(output, dict):
-                output = json.dumps(output, indent=None if as_json else 2, sort_keys=True)
-            if output is not None:
-                click.echo(output)
-            sys.exit(code)
-
-        command.__doc__ = run.__doc__
-        for option in reversed(_COMMON + options):
-            command = option(command)
-        main.command(name)(command)
-        return run
-
-    return register
-
-
 def _verdict(ok: bool, note: str = "") -> tuple[str, int]:
     """The one ``--check`` line and its exit code."""
     line = "check: " + ("ok" if ok else "FAILED")
@@ -226,7 +180,6 @@ def _sector(key: str, angle: float) -> Sector:
         raise ConfigError(key, str(exc)) from None
 
 
-@_command("analyze-symbol")
 def analyze_symbol(cfg, check_only, as_json):
     """Newton polygon, sector angles and parabolicity of the coupled symbol."""
     from .polygon import build_polygon, check_parabolicity, coupled_symbol_terms
@@ -261,7 +214,6 @@ def analyze_symbol(cfg, check_only, as_json):
     return payload, EXIT_OK if report.passed else EXIT_RESIDUAL
 
 
-@_command("polygon")
 def polygon_cmd(cfg, check_only, as_json):
     """Exact Newton-polygon report for the configured parameters."""
     from .polygon import build_polygon, coupled_symbol_terms
@@ -336,13 +288,6 @@ def _default_points(grid_spec: str) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(lams, z_count), np.tile(zs, lam_count)
 
 
-@_command(
-    "solve-linear",
-    click.option("--lambda", "lam_text", type=str, default=None, help="single lambda, e.g. 1+0i"),
-    click.option("--z", "z_value", type=float, default=None, help="single tangential modulus"),
-    click.option("--grid", "grid_spec", type=str, default="8x8", help="lambda x z sweep sizes"),
-    click.option("--out", "out_path", type=str, default=None, help="write CSV here instead of stdout"),
-)
 def solve_linear(cfg, check_only, as_json, lam_text, z_value, grid_spec, out_path):
     """Frequency-domain sweep with six-residual verification per point."""
     params = _params(cfg)
@@ -480,10 +425,6 @@ def _write_fields_csv(path: Path, grid: Grid, traj: Trajectory) -> None:
             out.write((lead + (tail + lead).join(rows) + tail) % tuple(block.tolist()))
 
 
-@_command(
-    "simulate",
-    click.option("--out", "out_dir", type=str, default="simulate-out", help="output directory"),
-)
 def simulate(cfg, check_only, as_json, out_dir):
     """Nonlinear fixed-point run; writes step CSV, field dump and summary."""
     from .timedomain.fixpoint import NoContraction, fixed_point_solve
@@ -574,7 +515,6 @@ def compatible_example(grid: Grid, amplitude: float) -> ProblemData:
     return ProblemData(v0=v, g=g, eta1=eta1)
 
 
-@_command("check-compat")
 def check_compat(cfg, check_only, as_json):
     """Discrete compatibility report for the built-in data family."""
     from .timedomain.compat import check_compatibility
@@ -591,7 +531,6 @@ def check_compat(cfg, check_only, as_json):
 # -------------------------------------------------------------------- index
 
 
-@_command("index")
 def index_cmd(cfg, check_only, as_json):
     """Sobolev index values, thresholds and the embedding catalog."""
     from fractions import Fraction
@@ -619,6 +558,67 @@ def index_cmd(cfg, check_only, as_json):
         "all_hold": all(row.holds for row in catalog),
     }
     return payload, EXIT_OK
+
+
+_COMMON = (
+    ("--check", {"action": "store_true", "help": "run invariants only"}),
+    ("--json", {"action": "store_true", "help": "machine-readable output"}),
+    ("--set", {"action": "append", "default": [], "help": "override one key, e.g. --set alpha=2"}),
+    ("--config", {"help": "key = value file"}),
+)
+# name -> (run, its options besides _COMMON: flags and add_argument keywords).  run(cfg,
+# check_only, as_json, **options) returns (output, code); main prints a dict output as JSON
+# (indented unless --json) and a string as it is, exits 1 on a ValueError, else with code.
+_COMMANDS = {
+    "analyze-symbol": (analyze_symbol, ()),
+    "polygon": (polygon_cmd, ()),
+    "solve-linear": (solve_linear, (
+        ("--lambda", {"dest": "lam_text", "help": "single lambda, e.g. 1+0i"}),
+        ("--z", {"dest": "z_value", "type": float, "help": "single tangential modulus"}),
+        ("--grid", {"dest": "grid_spec", "default": "8x8", "help": "lambda x z sweep sizes"}),
+        ("--out", {"dest": "out_path", "help": "write CSV here instead of stdout"}),
+    )),
+    "simulate": (simulate, (
+        ("--out", {"dest": "out_dir", "default": "simulate-out", "help": "output directory"}),
+    )),
+    "check-compat": (check_compat, ()),
+    "index": (index_cmd, ()),
+}
+
+
+@functools.cache  # built once per process: in-process callers run main many times
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser("plate-fsi", description=main.__doc__, allow_abbrev=False)
+    commands = parser.add_subparsers(dest="name", metavar="COMMAND", required=True)
+    for name, (run, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__, allow_abbrev=False)
+        for flag, spec in _COMMON + options:
+            sub.add_argument(flag, **spec)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Analysis and simulation tools for the damped-plate FSI system."""
+    valued = {flag for _, extra in _COMMANDS.values() for flag, kw in _COMMON + extra
+              if kw.get("action") != "store_true"}
+    joined, words = [], iter(sys.argv[1:] if argv is None else argv)
+    for word in words:
+        # a valued option takes the next word even if it starts with "-": --lambda -0.5+0.2j
+        value = next(words, None) if word in valued else None
+        joined.append(word if value is None else f"{word}={value}")
+    args = vars(_parser().parse_args(joined))  # a usage error exits 2
+    run, as_json = _COMMANDS[args.pop("name")][0], args.pop("json")
+    try:
+        cfg = load_config(args.pop("config"), args.pop("set"))
+        output, code = run(cfg, args.pop("check"), as_json, **args)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_CONFIG)
+    if isinstance(output, dict):
+        output = json.dumps(output, indent=None if as_json else 2, sort_keys=True)
+    if output is not None:
+        print(output)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

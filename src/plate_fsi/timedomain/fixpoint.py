@@ -10,7 +10,9 @@ are reported, and three consecutive ratios near or above one abort with
 (without floating-point warnings on the way).  A ratio taken once the
 differences have reached the rounding floor, a fixed small fraction of
 the iterate's norm, is not a stall: a tolerance below that floor runs to
-``max_iter`` and returns a result that is not converged.
+``max_iter``, or stops one sweep after a difference at the floor equals
+the one before it bit for bit, and returns a result that is not
+converged.
 
 Iterates are compared in a discrete surrogate of the solution norm: the
 sup of the fields together with sups of first derivatives of the
@@ -211,7 +213,8 @@ def fixed_point_solve(
     Raises :class:`NoContraction` when the sweeps diverge or stall above
     the rounding floor, and returns a non-converged result only if
     ``max_iter`` is hit while the ratios still look contractive or the
-    differences sit at that floor.
+    differences sit at that floor, or when a difference at the floor
+    repeats exactly.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -249,17 +252,19 @@ def fixed_point_solve(
         diff = None  # the gap from the source's own source, once known
         bound = start_norm  # bounds the source's norm, once diff is known
         stall = 0
+        repeated = False  # the last two differences, at the floor, are equal
         for iterations in range(1, max_iter + 1):
             # The sweep from iterate k is the next iterate and the probe
             # of k.  Only a sweep that may be the last runs as the probe,
             # keeping no new levels; the others overwrite the source.
-            probe = iterations == max_iter or _may_converge(diff, bound, rel_tol)
+            last = iterations == max_iter or repeated
+            probe = last or _may_converge(diff, bound, rel_tol)
             norms, gaps = _frozen_sweep(stepper, data, source, keep=not probe)
             norm = max(start_norm, *norms)
             step_residuals = [0.0] + gaps
             converged = diff is not None and diff <= rel_tol * max(norm, 1e-300)
             assert probe or not converged, "a converged source was overwritten"
-            if converged or iterations == max_iter:
+            if converged or last:
                 break
             if probe:
                 # mispredicted: the march is deterministic, so the same
@@ -277,6 +282,9 @@ def fixed_point_solve(
                     ratio = 0.0
                 ratios.append(float(ratio))
                 at_floor = diff <= _ROUNDING_FLOOR * norm
+                # equal differences at the floor: the rounded map cycles,
+                # and more sweeps only repeat them
+                repeated = at_floor and diff == prev_diff
                 if not at_floor and (not np.isfinite(ratio) or ratio > _STALL_RATIO):
                     stall += 1
                     if stall >= _STALL_COUNT:

@@ -503,6 +503,8 @@ class ProblemData:
     def materialize(self, grid: Grid) -> "ProblemData":
         """Return a copy with every ``None`` replaced by zeros of the right shape.
 
+        The zeros are one read-only broadcast value, not an allocated array.
+
         A given field must have exactly its shape on ``grid``: ``(n,) + tan
         + (M + 1,)`` for ``f_v`` and ``v0``, ``tan + (M + 1,)`` for ``g``
         and ``tan`` for ``f_eta``, ``eta0`` and ``eta1``; otherwise
@@ -520,7 +522,7 @@ class ProblemData:
         fields = {}
         for name, shape in shapes.items():
             value = getattr(self, name)
-            value = np.zeros(shape) if value is None else np.asarray(value, dtype=float)
+            value = np.broadcast_to(0.0, shape) if value is None else np.asarray(value, float)
             if value.shape != shape:
                 raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
             fields[name] = value
@@ -529,9 +531,9 @@ class ProblemData:
     def initial(self, grid: Grid) -> Trajectory:
         """Level 0 of the march: ``v0``, zero pressure, ``eta0`` and ``eta1``.
 
-        A one-level trajectory viewing the initial data, zero where a
-        field is missing.
+        A one-level trajectory viewing the initial data, read-only zeros
+        where a field is missing and for the pressure.
         """
         data = self.materialize(grid)
-        p = np.zeros((1,) + grid.tan_shape + (grid.M + 1,))
+        p = np.broadcast_to(0.0, (1,) + grid.tan_shape + (grid.M + 1,))
         return Trajectory(data.v0[np.newaxis], p, data.eta0[np.newaxis], data.eta1[np.newaxis])

@@ -99,9 +99,10 @@ def nonlinear_terms(
     the level axis.  ``derivs``, the :func:`derivatives` of ``traj`` with
     the Laplacian, are taken here when not given.  The momentum is
     assembled one velocity component at a time, straight into the result:
-    that component's ``grad' d_n v``, ``d_nn v`` and the pressure's
-    ``d_n p`` are taken where they are used, so no stack of them over the
-    components is held.
+    that component's ``grad' d_n v`` and ``d_nn v`` are taken where they
+    are used, so no stack of them over the components is held.  The
+    pressure's ``d_n p`` is taken once, after them, for the tangential
+    components.
     """
     n = grid.n
     tan = range(n - 1)
@@ -125,7 +126,8 @@ def nonlinear_terms(
         slope_flux += v[d] * grad_eta[d][..., np.newaxis]
 
     out = np.empty(np.shape(traj.v))
-    for i, momentum in enumerate(components_first(out)):
+    momenta = components_first(out)
+    for i, momentum in enumerate(momenta):
         # (d_t eta - lap' eta) d_n v
         np.multiply(coef, dn_v[i], out=momentum)
         # -2 (grad' eta . grad') d_n v  and  |grad' eta|^2 d_nn v
@@ -138,9 +140,12 @@ def nonlinear_terms(
         momentum -= v[n - 1] * dn_v[i]
         # (v' . grad' eta) d_n v
         momentum += slope_flux * dn_v[i]
-        # (grad' eta, 0)^T d_n p
-        if i < n - 1:
-            momentum += grad_eta[i][..., np.newaxis] * _d_n(traj.p, grid)
+    # (grad' eta, 0)^T d_n p, last in each sum as above; the loop's last
+    # grad' d_n v is released first, so that it does not raise the peak
+    del grad_dn_v
+    dn_p = _d_n(traj.p, grid)
+    for i in tan:
+        momenta[i] += grad_eta[i][..., np.newaxis] * dn_p
 
     divergence = np.zeros(traj.p.shape)
     for d in tan:

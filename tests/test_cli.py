@@ -2,25 +2,29 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from plate_fsi.cli import (
     _BLOCK,
+    _COMMANDS,
     ConfigError,
     _default_points,
     _linear_rows,
     _parse_complex,
+    _parser,
     _write_fields_csv,
     _write_steps_csv,
     load_config,
@@ -48,9 +52,47 @@ REDUCED = [
 COMMANDS = ["analyze-symbol", "polygon", "solve-linear", "simulate", "check-compat", "index"]
 
 
+class _Tee(io.StringIO):
+    """A captured stream that also copies its text into ``both``."""
+
+    def __init__(self, both: io.StringIO) -> None:
+        super().__init__()
+        self.both = both
+
+    def write(self, text: str) -> int:
+        self.both.write(text)
+        return super().write(text)
+
+
+class Runner:
+    """Calls ``main(argv)`` in-process and records what a user sees.
+
+    The result has ``exit_code``, ``stdout``, ``stderr``, ``output`` (both
+    streams interleaved) and ``exception``: ``None`` after exit code 0, the
+    ``SystemExit`` after any other, or an exception that escaped ``main``
+    (exit code 1).
+    """
+
+    def invoke(self, main, argv: list[str]) -> SimpleNamespace:
+        both = io.StringIO()
+        out, err = _Tee(both), _Tee(both)
+        code, exception = 0, None
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                main(argv)
+            except SystemExit as exc:
+                code, exception = exc.code, exc if exc.code else None
+            except Exception as exc:
+                code, exception = 1, exc
+        return SimpleNamespace(
+            exit_code=code, stdout=out.getvalue(), stderr=err.getvalue(),
+            output=both.getvalue(), exception=exception,
+        )
+
+
 @pytest.fixture()
-def runner() -> CliRunner:
-    return CliRunner()
+def runner() -> Runner:
+    return Runner()
 
 
 @pytest.fixture()
@@ -75,7 +117,7 @@ class TestContract:
     """What every subcommand shares: config errors and ``--check``."""
 
     @pytest.mark.parametrize("command", COMMANDS)
-    def test_unknown_key_is_config_error(self, runner: CliRunner, command: str) -> None:
+    def test_unknown_key_is_config_error(self, runner: Runner, command: str) -> None:
         res = runner.invoke(main, [command, "--set", "bogus=1"])
         assert isinstance(res.exception, SystemExit), res.exception
         assert res.exit_code == 1
@@ -107,7 +149,7 @@ class TestContract:
         ],
         ids=lambda argv: argv[0],
     )
-    def test_check_mode(self, runner: CliRunner, argv: list[str]) -> None:
+    def test_check_mode(self, runner: Runner, argv: list[str]) -> None:
         res = runner.invoke(main, argv)
         assert res.exit_code == 0
         assert "check: ok" in res.stdout
@@ -115,7 +157,7 @@ class TestContract:
     @pytest.mark.parametrize("p", ["1", "-1"])
     @pytest.mark.parametrize("command", COMMANDS)
     def test_exponent_at_most_one_is_config_error(
-        self, runner: CliRunner, tmp_path: Path, command: str, p: str
+        self, runner: Runner, tmp_path: Path, command: str, p: str
     ) -> None:
         # The Lp theory behind every layer needs 1 < p < inf.
         argv = [command, "--set", f"p={p}"]
@@ -137,7 +179,7 @@ class TestContract:
         ids=lambda argv: argv[0],
     )
     def test_unwritable_out_is_config_error(
-        self, runner: CliRunner, tmp_path: Path, argv: list[str]
+        self, runner: Runner, tmp_path: Path, argv: list[str]
     ) -> None:
         # the output goes below a plain file
         blocker = tmp_path / "file"
@@ -160,11 +202,50 @@ class TestContract:
             "check-compat": common,
             "index": common,
         }
+        (commands,) = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
         options = {
-            name: [opt for param in command.params for opt in param.opts]
-            for name, command in main.commands.items()
+            name: [
+                opt for action in parser._actions if not isinstance(action, argparse._HelpAction)
+                for opt in action.option_strings
+            ]
+            for name, parser in commands.choices.items()
         }
         assert options == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["index", "--bogus"], ["index", "--js"], ["solve-linear", "--out"],
+         ["solve-linear", "--z", "x"], ["bogus"], []],
+        ids=["unknown-option", "option-prefix", "missing-value", "not-a-number",
+             "unknown-command", "no-command"],
+    )
+    def test_usage_error_exits_2(self, runner: Runner, argv: list[str]) -> None:
+        res = runner.invoke(main, argv)
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "usage:" in res.stderr
+
+    def test_option_value_may_start_with_a_dash(self, runner: Runner) -> None:
+        # it is the value, not an option: here an unknown key
+        res = runner.invoke(main, ["index", "--set", "-n=3"])
+        assert res.exit_code == 1
+        assert res.stderr == "config error: -n: unknown configuration key\n"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_shows_the_docstring(self, runner: Runner, command: str) -> None:
+        res = runner.invoke(main, [command, "--help"])
+        assert res.exit_code == 0
+        assert _COMMANDS[command][0].__doc__ in " ".join(res.stdout.split())
+
+    def test_last_set_wins(self, runner: Runner) -> None:
+        point = ["solve-linear", "--lambda", "1+0i", "--z", "1", "--json"]
+        twice, once, first = (
+            runner.invoke(main, [*point, *sets]).stdout
+            for sets in (["--set", "alpha=2", "--set", "alpha=3"], ["--set", "alpha=3"],
+                         ["--set", "alpha=2"])
+        )
+        assert twice == once != first
 
 
 class TestConfig:
@@ -208,7 +289,7 @@ class TestConfig:
 
 
 class TestAnalyzeSymbol:
-    def test_default_run(self, runner: CliRunner) -> None:
+    def test_default_run(self, runner: Runner) -> None:
         res = runner.invoke(main, ["analyze-symbol", "--json"])
         assert res.exit_code == 0
         payload = json.loads(res.stdout)
@@ -219,16 +300,16 @@ class TestAnalyzeSymbol:
             (payload["phi"] - payload["phi0"]) / 8.0
         )
 
-    def test_sector_beyond_half_pi_exits_2(self, runner: CliRunner) -> None:
+    def test_sector_beyond_half_pi_exits_2(self, runner: Runner) -> None:
         res = runner.invoke(main, ["analyze-symbol", "--set", "phi=1.6"])
         assert res.exit_code == 2
 
-    def test_invalid_parameter_exits_1(self, runner: CliRunner) -> None:
+    def test_invalid_parameter_exits_1(self, runner: Runner) -> None:
         res = runner.invoke(main, ["analyze-symbol", "--set", "alpha=-1"])
         assert res.exit_code == 1
         assert "alpha" in res.output
 
-    def test_sector_too_wide_with_default_theta_exits_2(self, runner: CliRunner) -> None:
+    def test_sector_too_wide_with_default_theta_exits_2(self, runner: Runner) -> None:
         # phi <= phi0 = pi/3 leaves no tangential sector for the default theta
         res = runner.invoke(main, ["analyze-symbol", "--set", "phi=0.5", "--json"])
         assert isinstance(res.exception, SystemExit), res.exception
@@ -244,7 +325,7 @@ class TestAnalyzeSymbol:
          ("theta", "0"), ("theta", "-1"), ("theta", "4")],
     )
     def test_angle_out_of_range_names_the_key(
-        self, runner: CliRunner, key: str, value: str
+        self, runner: Runner, key: str, value: str
     ) -> None:
         res = runner.invoke(main, ["analyze-symbol", "--set", f"{key}={value}"])
         assert isinstance(res.exception, SystemExit), res.exception
@@ -253,7 +334,7 @@ class TestAnalyzeSymbol:
         assert res.stderr.startswith(f"config error: {key}: vertex angle must lie in (0, pi]")
 
     def test_overflowing_coefficient_is_config_error_without_warnings(
-        self, runner: CliRunner
+        self, runner: Runner
     ) -> None:
         # gamma lam z^4 overflows on the sampled grid, |lam|, |z| up to 1e3
         res = runner.invoke(main, ["analyze-symbol", "--set", "gamma=1e300", "--json"])
@@ -267,7 +348,7 @@ class TestAnalyzeSymbol:
 
 
 class TestPolygon:
-    def test_exact_report(self, runner: CliRunner) -> None:
+    def test_exact_report(self, runner: Runner) -> None:
         res = runner.invoke(main, ["polygon", "--json"])
         assert res.exit_code == 0
         payload = json.loads(res.stdout)
@@ -276,7 +357,7 @@ class TestPolygon:
 
 
 class TestSolveLinear:
-    def test_default_sweep_csv(self, runner: CliRunner) -> None:
+    def test_default_sweep_csv(self, runner: Runner) -> None:
         res = runner.invoke(main, ["solve-linear"])
         assert res.exit_code == 0
         lines = res.stdout.splitlines()
@@ -286,14 +367,14 @@ class TestSolveLinear:
         assert len(data) == 64
         assert all(line.endswith(",1") for line in data)
 
-    def test_json_sweep(self, runner: CliRunner) -> None:
+    def test_json_sweep(self, runner: Runner) -> None:
         res = runner.invoke(main, ["solve-linear", "--json", "--grid", "3x2"])
         assert res.exit_code == 0
         payload = json.loads(res.stdout)
         assert len(payload["rows"]) == 6
         assert payload["pass"] is True
 
-    def test_degenerate_single_point(self, runner: CliRunner) -> None:
+    def test_degenerate_single_point(self, runner: Runner) -> None:
         from plate_fsi.frequency import DegenerateTangentialFrequency
 
         with pytest.warns(DegenerateTangentialFrequency):
@@ -305,17 +386,17 @@ class TestSolveLinear:
         assert row["eta_abs"] == 0.0
         assert row["p0_abs"] == pytest.approx(1.0)
 
-    def test_lambda_requires_z(self, runner: CliRunner) -> None:
+    def test_lambda_requires_z(self, runner: Runner) -> None:
         res = runner.invoke(main, ["solve-linear", "--lambda", "1+0i"])
         assert res.exit_code == 1
 
-    def test_bad_grid_spec(self, runner: CliRunner) -> None:
+    def test_bad_grid_spec(self, runner: Runner) -> None:
         res = runner.invoke(main, ["solve-linear", "--grid", "8"])
         assert res.exit_code == 1
         assert "grid" in res.output
 
     @pytest.mark.parametrize("n", ["1", "0"])
-    def test_dimension_below_two_is_config_error(self, runner: CliRunner, n: str) -> None:
+    def test_dimension_below_two_is_config_error(self, runner: Runner, n: str) -> None:
         for argv in (["solve-linear"], ["solve-linear", "--check"]):
             res = runner.invoke(main, [*argv, "--set", f"n={n}"])
             assert isinstance(res.exception, SystemExit), res.exception
@@ -323,13 +404,20 @@ class TestSolveLinear:
             assert res.stdout == ""
             assert res.stderr == f"config error: n must be >= 2, got {n}\n"
 
-    def test_negative_z_is_config_error(self, runner: CliRunner) -> None:
+    @pytest.mark.parametrize("lam", ["-0.5+0.2j", "-0.5+0.2i"])
+    def test_negative_lambda_after_a_space(self, runner: Runner, lam: str) -> None:
+        res = runner.invoke(main, ["solve-linear", "--lambda", lam, "--z", "1", "--json"])
+        assert res.exit_code == 0, res.output
+        (row,) = json.loads(res.stdout)["rows"]
+        assert (row["re_lambda"], row["im_lambda"], row["z"]) == (-0.5, 0.2, 1.0)
+
+    def test_negative_z_is_config_error(self, runner: Runner) -> None:
         res = runner.invoke(main, ["solve-linear", "--lambda", "1+0i", "--z", "-1"])
         assert isinstance(res.exception, SystemExit), res.exception
         assert res.exit_code == 1
         assert "config error: z must be nonnegative" in res.output
 
-    def test_resonant_point_is_config_error(self, runner: CliRunner) -> None:
+    def test_resonant_point_is_config_error(self, runner: Runner) -> None:
         # a root of the response denominator at z = 1
         res = runner.invoke(
             main,
@@ -339,7 +427,7 @@ class TestSolveLinear:
         assert res.exit_code == 1
         assert "config error: response denominator" in res.output
 
-    def test_omega_zero_is_config_error_without_warnings(self, runner: CliRunner) -> None:
+    def test_omega_zero_is_config_error_without_warnings(self, runner: Runner) -> None:
         # lam = -z^2: omega = 0.  The warnings filter turns a 0/0 on the
         # way into an error that is not a SystemExit.
         res = runner.invoke(main, ["solve-linear", "--lambda=-1+0j", "--z", "1"])
@@ -361,7 +449,7 @@ class TestSolveLinear:
         ],
     )
     def test_non_finite_point_is_config_error_without_warnings(
-        self, runner: CliRunner, lam: str, z: str, message: str
+        self, runner: Runner, lam: str, z: str, message: str
     ) -> None:
         res = runner.invoke(main, ["solve-linear", "--lambda", lam, "--z", z, "--json"])
         assert isinstance(res.exception, SystemExit), res.exception
@@ -378,13 +466,13 @@ class TestSolveLinear:
         assert _parse_complex(text) == value
 
     @pytest.mark.parametrize("text", ["1+2ii", "i1", "1+xi"])
-    def test_unparsable_lambda_is_config_error(self, runner: CliRunner, text: str) -> None:
+    def test_unparsable_lambda_is_config_error(self, runner: Runner, text: str) -> None:
         res = runner.invoke(main, ["solve-linear", "--lambda", text, "--z", "1"])
         assert isinstance(res.exception, SystemExit), res.exception
         assert res.exit_code == 1
         assert res.stderr.startswith("config error: lambda: cannot parse complex number")
 
-    def test_near_confluent_point_passes(self, runner: CliRunner) -> None:
+    def test_near_confluent_point_passes(self, runner: Runner) -> None:
         # omega - z = 9.5e-9: the decay exponents nearly coincide.
         res = runner.invoke(
             main, ["solve-linear", "--lambda", "1.9e-8+0j", "--z", "1", "--json"]
@@ -393,11 +481,11 @@ class TestSolveLinear:
         assert json.loads(res.stdout)["pass"] is True
 
     @pytest.mark.usefixtures("corrupt_p0")
-    def test_corrupted_pressure_trace_exits_3(self, runner: CliRunner) -> None:
+    def test_corrupted_pressure_trace_exits_3(self, runner: Runner) -> None:
         res = runner.invoke(main, ["solve-linear", "--grid", "2x2"])
         assert res.exit_code == 3
 
-    def test_out_file(self, runner: CliRunner, tmp_path: Path) -> None:
+    def test_out_file(self, runner: Runner, tmp_path: Path) -> None:
         target = tmp_path / "sweep.csv"
         res = runner.invoke(
             main, ["solve-linear", "--grid", "2x2", "--out", str(target)]
@@ -408,7 +496,7 @@ class TestSolveLinear:
         assert len(lines) == 2 + 4
 
     @pytest.mark.usefixtures("corrupt_p0")
-    def test_corrupted_pressure_trace_fails_every_point(self, runner: CliRunner) -> None:
+    def test_corrupted_pressure_trace_fails_every_point(self, runner: Runner) -> None:
         res = runner.invoke(main, ["solve-linear", "--grid", "3x3", "--json"])
         assert res.exit_code == 3
         payload = json.loads(res.stdout)
@@ -416,7 +504,7 @@ class TestSolveLinear:
         assert [row["pass"] for row in payload["rows"]] == [False] * 9
         assert payload["pass"] is False
 
-    def test_json_values_are_plain(self, runner: CliRunner) -> None:
+    def test_json_values_are_plain(self, runner: Runner) -> None:
         res = runner.invoke(main, ["solve-linear", "--json", "--grid", "2x3"])
         assert res.exit_code == 0
         assert '"pass": true' in res.stdout
@@ -429,7 +517,7 @@ class TestSolveLinear:
     @pytest.mark.parametrize("corrupt", [False, True])
     @pytest.mark.parametrize("n", [2, 3])
     def test_csv_matches_row_by_row_formatter(
-        self, runner: CliRunner, request: pytest.FixtureRequest, n: int, corrupt: bool
+        self, runner: Runner, request: pytest.FixtureRequest, n: int, corrupt: bool
     ) -> None:
         if corrupt:
             request.getfixturevalue("corrupt_p0")
@@ -469,7 +557,7 @@ class TestSolveLinear:
 
 class TestSimulate:
     def test_zero_forcing_is_immediate_fixed_point(
-        self, runner: CliRunner, tmp_path: Path
+        self, runner: Runner, tmp_path: Path
     ) -> None:
         res = runner.invoke(
             main,
@@ -482,7 +570,7 @@ class TestSimulate:
         assert summary["iterations"] == 1
 
     def test_small_amplitude_writes_artifacts(
-        self, runner: CliRunner, tmp_path: Path
+        self, runner: Runner, tmp_path: Path
     ) -> None:
         out = tmp_path / "run"
         res = runner.invoke(
@@ -499,7 +587,7 @@ class TestSimulate:
         assert fields[0] == "# schema=1"
         assert len(fields) == 2 + 16 * 33
 
-    def test_runs_are_deterministic(self, runner: CliRunner, tmp_path: Path) -> None:
+    def test_runs_are_deterministic(self, runner: Runner, tmp_path: Path) -> None:
         outputs = []
         for name in ("a", "b"):
             out = tmp_path / name
@@ -514,7 +602,7 @@ class TestSimulate:
             )
         assert outputs[0] == outputs[1]
 
-    def test_large_amplitude_exits_4(self, runner: CliRunner, tmp_path: Path) -> None:
+    def test_large_amplitude_exits_4(self, runner: Runner, tmp_path: Path) -> None:
         res = runner.invoke(
             main,
             ["simulate", *REDUCED, "--set", "amplitude=40",
@@ -526,7 +614,7 @@ class TestSimulate:
         assert payload["contraction_ratios"]
 
     def test_overflowing_iterate_exits_4_without_warnings(
-        self, runner: CliRunner, tmp_path: Path
+        self, runner: Runner, tmp_path: Path
     ) -> None:
         res = runner.invoke(
             main,
@@ -542,7 +630,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("amplitude", ["1e308", "inf", "nan"])
     def test_non_finite_forcing_is_config_error(
-        self, runner: CliRunner, tmp_path: Path, amplitude: str
+        self, runner: Runner, tmp_path: Path, amplitude: str
     ) -> None:
         # 1e308 is finite, but the forcing 4 * amplitude is not.
         res = runner.invoke(
@@ -627,7 +715,7 @@ class TestSimulate:
         ]
 
     def test_subcritical_exponent_exits_1(
-        self, runner: CliRunner, tmp_path: Path
+        self, runner: Runner, tmp_path: Path
     ) -> None:
         res = runner.invoke(
             main,
@@ -637,7 +725,7 @@ class TestSimulate:
         assert "config error" in res.output
 
     def test_no_iterations_is_config_error(
-        self, runner: CliRunner, tmp_path: Path
+        self, runner: Runner, tmp_path: Path
     ) -> None:
         res = runner.invoke(
             main,
@@ -649,7 +737,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("tol", ["-1", "nan"])
     def test_bad_tolerance_is_config_error(
-        self, runner: CliRunner, tmp_path: Path, tol: str
+        self, runner: Runner, tmp_path: Path, tol: str
     ) -> None:
         res = runner.invoke(
             main, ["simulate", *REDUCED, "--set", f"tol={tol}", "--out", str(tmp_path / "out")]
@@ -680,7 +768,7 @@ class TestSimulate:
         ],
     )
     def test_time_domain_config_error_starts_with_its_key(
-        self, runner: CliRunner, tmp_path: Path, command: str, key: str, value: str,
+        self, runner: Runner, tmp_path: Path, command: str, key: str, value: str,
         message: str,
     ) -> None:
         argv = [*command.split(), *REDUCED, "--set", f"{key}={value}"]
@@ -695,7 +783,7 @@ class TestSimulate:
         assert not (tmp_path / "out").exists()
 
     def test_zero_tolerance_reaches_an_exact_fixed_point(
-        self, runner: CliRunner, tmp_path: Path
+        self, runner: Runner, tmp_path: Path
     ) -> None:
         res = runner.invoke(
             main, ["simulate", *REDUCED, "--set", "tol=0", "--json", "--out", str(tmp_path / "out")]
@@ -706,7 +794,7 @@ class TestSimulate:
         assert payload["residual"] == 0.0
 
     def test_zero_tolerance_stops_at_the_rounding_floor(
-        self, runner: CliRunner, tmp_path: Path
+        self, runner: Runner, tmp_path: Path
     ) -> None:
         # This 3D grid never reaches an exact fixed point: from the fourth
         # sweep on the differences sit at about 2e-14 of the norm and their
@@ -729,8 +817,30 @@ class TestSimulate:
         assert (out / "summary.json").exists()
 
 
+    def test_zero_tolerance_stops_when_the_difference_repeats(
+        self, runner: Runner, tmp_path: Path
+    ) -> None:
+        # Late in this run a difference, at about 4e-29 of the norm, equals
+        # the one before it bit for bit; every further sweep repeats it, up
+        # to max_iter = 25 when the run does not stop there.
+        argv = ["simulate", "--set", "N=128", "--set", "M=32", "--set", "T=0.125",
+                "--set", "tol=0", "--json", "--out"]
+        res = runner.invoke(main, [*argv, str(tmp_path / "a")])
+        assert res.exit_code == 3, res.output
+        payload = json.loads(res.stdout)
+        assert payload["converged"] is False
+        assert payload["iterations"] < 25
+        assert payload["contraction_ratios"][-1] == 1.0
+        # the same sweeps with the last one as the probe: the residual is
+        # that of the returned trajectory
+        capped = [*argv, str(tmp_path / "b"), "--set", f"max_iter={payload['iterations']}"]
+        assert runner.invoke(main, capped).stdout == res.stdout
+        for name in ("summary.json", "steps.csv", "fields.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 class TestCheckCompat:
-    def test_compatible_family_passes(self, runner: CliRunner) -> None:
+    def test_compatible_family_passes(self, runner: Runner) -> None:
         res = runner.invoke(main, ["check-compat", *REDUCED, "--json"])
         assert res.exit_code == 0
         payload = json.loads(res.stdout)
@@ -743,7 +853,7 @@ class TestCheckCompat:
         ]
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_short_strip_passes(self, runner: CliRunner, n: int) -> None:
+    def test_short_strip_passes(self, runner: Runner, n: int) -> None:
         # At L = 1 the lid X = 8 is close enough that the trace bump must
         # vanish there for the duality pairing to close.
         res = runner.invoke(
@@ -757,7 +867,7 @@ class TestCheckCompat:
 
     @pytest.mark.parametrize("amplitude", ["1e308", "inf", "nan"])
     def test_non_finite_data_is_config_error(
-        self, runner: CliRunner, amplitude: str
+        self, runner: Runner, amplitude: str
     ) -> None:
         res = runner.invoke(
             main, ["check-compat", *REDUCED, "--set", f"amplitude={amplitude}", "--json"]
@@ -768,7 +878,7 @@ class TestCheckCompat:
         assert res.stderr.startswith("config error: amplitude: the data are not finite")
         assert "Warning" not in res.stderr
 
-    def test_huge_finite_data_pass_without_warnings(self, runner: CliRunner) -> None:
+    def test_huge_finite_data_pass_without_warnings(self, runner: Runner) -> None:
         # Only the divergence correction is evaluated; the momentum term
         # would overflow at this amplitude.  Warnings are errors here.
         res = runner.invoke(
@@ -779,7 +889,7 @@ class TestCheckCompat:
         assert res.stderr == ""
         assert json.loads(res.stdout)["passed"] is True
 
-    def test_small_exponent_skips_traces(self, runner: CliRunner) -> None:
+    def test_small_exponent_skips_traces(self, runner: Runner) -> None:
         res = runner.invoke(
             main, ["check-compat", *REDUCED, "--set", "p=1.4", "--json"]
         )
@@ -809,7 +919,7 @@ class TestNonFiniteConfig:
         ],
     )
     def test_value_is_config_error_naming_the_key(
-        self, runner: CliRunner, tmp_path: Path, command: str, key: str, value: str
+        self, runner: Runner, tmp_path: Path, command: str, key: str, value: str
     ) -> None:
         argv = [*command.split(), *REDUCED, "--set", f"{key}={value}"]
         if argv[0] == "simulate":
@@ -834,7 +944,7 @@ class TestGridLengths:
          ("L", "1e-100", ["--set", "X=1"])],
     )
     def test_out_of_range_length_is_config_error_naming_the_key(
-        self, runner: CliRunner, tmp_path: Path, command: str, key: str, value: str,
+        self, runner: Runner, tmp_path: Path, command: str, key: str, value: str,
         extra: list[str],
     ) -> None:
         argv = [command, "--set", "N=8", "--set", "M=16", "--set", f"{key}={value}", *extra]
@@ -851,7 +961,7 @@ class TestGridLengths:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["1e60", "1e-60"])
-    def test_large_and_small_lengths_in_range_run(self, runner: CliRunner, value: str) -> None:
+    def test_large_and_small_lengths_in_range_run(self, runner: Runner, value: str) -> None:
         res = runner.invoke(
             main, ["check-compat", "--set", "N=8", "--set", "M=16", "--set", f"L={value}", "--json"]
         )
@@ -860,7 +970,7 @@ class TestGridLengths:
 
 
 class TestIndex:
-    def test_default_report(self, runner: CliRunner) -> None:
+    def test_default_report(self, runner: Runner) -> None:
         res = runner.invoke(main, ["index", "--json"])
         assert res.exit_code == 0
         payload = json.loads(res.stdout)
@@ -870,13 +980,13 @@ class TestIndex:
         assert len(payload["catalog"]) == 9
         assert payload["all_hold"] is True
 
-    def test_subcritical_exponent_reports_failures(self, runner: CliRunner) -> None:
+    def test_subcritical_exponent_reports_failures(self, runner: Runner) -> None:
         res = runner.invoke(main, ["index", "--set", "p=1.2", "--json"])
         assert res.exit_code == 0
         payload = json.loads(res.stdout)
         assert payload["all_hold"] is False
 
-    def test_invalid_dimension_exits_1(self, runner: CliRunner) -> None:
+    def test_invalid_dimension_exits_1(self, runner: Runner) -> None:
         res = runner.invoke(main, ["index", "--set", "n=1"])
         assert res.exit_code == 1
 
@@ -928,6 +1038,12 @@ SIMULATE_SMALL = ["simulate", "--json", "--set", "N=8", "--set", "M=16", "--set"
         (["polygon", "--json"], "plate_fsi.indices"),
         (["solve-linear", "--grid", "2x2", "--json"], "plate_fsi.polygon"),
         (["solve-linear", "--grid", "2x2", "--json"], "plate_fsi.indices"),
+        # the command line is parsed with argparse
+        *((argv, "click") for argv in (
+            ["index", "--json"], ["solve-linear", "--grid", "2x2", "--json"],
+            ["polygon", "--json"], ["analyze-symbol", "--json"], SIMULATE_SMALL,
+            ["check-compat", "--json"],
+        )),
     ],
     ids=[
         "index", "solve-linear", "polygon", "analyze-symbol", "simulate",
@@ -936,6 +1052,8 @@ SIMULATE_SMALL = ["simulate", "--json", "--set", "N=8", "--set", "M=16", "--set"
         "simulate-frequency", "simulate-compat",
         "index-frequency", "index-polygon", "polygon-frequency", "polygon-indices",
         "solve-linear-polygon", "solve-linear-indices",
+        "index-click", "solve-linear-click", "polygon-click", "analyze-symbol-click",
+        "simulate-click", "check-compat-click",
     ],
 )
 def test_command_leaves_module_unloaded(

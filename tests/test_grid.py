@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from plate_fsi.params import PlateParams
+from plate_fsi.timedomain.compat import check_compatibility
 from plate_fsi.timedomain.grid import (
     Grid,
     ProblemData,
@@ -17,6 +19,7 @@ from plate_fsi.timedomain.grid import (
     tangential_derivatives,
     vertical_derivative,
 )
+from plate_fsi.timedomain.stepper import LinearStepper
 
 
 @pytest.fixture(scope="module")
@@ -338,6 +341,27 @@ class TestContainers:
         data = ProblemData(**{name: np.zeros((2,) + shape)})
         with pytest.raises(ValueError, match=rf"^{name} has shape \(2, .*\), expected \("):
             data.materialize(grid2)
+
+    def test_missing_fields_are_read_only_zero_views(self, grid2: Grid) -> None:
+        (x,) = grid2.tangential_coordinates()
+        given = ProblemData(f_eta=np.cos(2.0 * pi * x / grid2.L))
+        data = given.materialize(grid2)
+        missing = [data.f_v, data.g, data.v0, data.eta0, data.eta1, data.initial(grid2).p]
+        for field in missing:
+            # one broadcast value: no zero array is allocated
+            assert not field.flags.writeable
+            assert field.strides == (0,) * field.ndim
+            assert not field.any()
+        # the march and the compatibility check read them as they read zeros
+        names = ("f_v", "g", "v0", "eta0", "eta1")
+        zeros = ProblemData(
+            **{name: np.zeros(getattr(data, name).shape) for name in names}, f_eta=given.f_eta
+        )
+        stepper = LinearStepper(PlateParams(alpha=1.0, beta=0.0, gamma=1.0), grid2)
+        for got, want in zip(stepper.run(data).fields(), stepper.run(zeros).fields()):
+            assert got.tobytes() == want.tobytes()
+        reports = (check_compatibility(d, grid2).as_dict() for d in (data, zeros))
+        assert next(reports) == next(reports)
 
     def test_problem_data_materialize(self, grid2: Grid) -> None:
         eta0 = np.ones(grid2.tan_shape)
