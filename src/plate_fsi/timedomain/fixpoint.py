@@ -32,10 +32,9 @@ as it arrives and then overwrites them, which no later chunk of the
 sweep reads.  So the sweep from iterate ``k`` is iterate ``k + 1`` and,
 when ``k`` has converged or is the last allowed, its probe: the
 per-level gaps are the step residuals, and the probe keeps no new level.
-Whether ``k`` has converged is known only after its sweep, from its
-norm; a bound on that norm from the sweep before decides beforehand
-which sweep runs as the probe, and a probe that finds ``k`` not
-converged is marched again to keep its levels.
+Which sweep is the probe is decided before it runs, from values the
+sweep before returned: ``k`` has converged when its gap to ``k - 1`` is
+at most the tolerance times the norm of ``k - 1``.
 """
 
 from __future__ import annotations
@@ -64,8 +63,6 @@ _STALL_COUNT = 3
 # level off at 4e-15 (3D, N = 8), 3e-14 (3D, N = 16), 9e-14 (3D, N = 32)
 # and 4.5e-12 (2D, N = 128) of the norm; diverging data stall above 1e-1.
 _ROUNDING_FLOOR = 1e-10
-# relative slack of _may_converge's bound on the source's norm
-_PROBE_MARGIN = 1e-3
 
 
 class NoContraction(RuntimeError):
@@ -84,6 +81,9 @@ class FixedPointResult:
     arrays with a leading level axis; ``residual`` is the surrogate norm
     of ``K(w*) - w*`` for the returned trajectory, the largest of the
     per-level ``step_residuals``, and ``scale`` its own trajectory norm.
+    ``converged`` says that the returned iterate's gap to the one before
+    it, the largest per-level surrogate norm of their difference, is at
+    most ``rel_tol`` times the trajectory norm of that earlier iterate.
     """
 
     trajectory: Trajectory
@@ -173,29 +173,6 @@ def _frozen_sweep(
     return norms, gaps
 
 
-def _may_converge(diff: float | None, bound: float, rel_tol: float) -> bool:
-    """Whether the next sweep may find its source converged.
-
-    It does when ``diff``, the source's gap to its own source, is at most
-    ``rel_tol`` times the source's surrogate norm.  That norm is known
-    only once the sweep has run, so ``bound``, the largest previous norm
-    plus gap of any level, stands in for it: each level's norm is a sum
-    of sups of linear images of the fields, so by the triangle inequality
-    it is at most the previous iterate's norm plus the gap at that level.
-    The computed norms obey this only up to rounding: the derivatives are
-    rounded transforms and sparse products, whose error grows with the
-    largest multiplier, ``|xi|^4`` at the top mode.  The excess of a
-    computed norm over its bound measured at most 3e-11 of the norm, on
-    grids up to N = 512 (2D) and N = 32 (3D), L = 1 and 2 pi, every sweep
-    to the rounding floor.  ``_PROBE_MARGIN`` is seven orders above that,
-    so a sweep that finds its source converged was always predicted here,
-    and no converged source is overwritten.  A sweep is predicted in vain
-    only when ``diff`` lies within that margin above the threshold, and
-    then costs one more march.
-    """
-    return diff is not None and diff <= rel_tol * max(bound, 1e-300) * (1.0 + _PROBE_MARGIN)
-
-
 def fixed_point_solve(
     params: PlateParams,
     grid: Grid,
@@ -250,32 +227,26 @@ def fixed_point_solve(
         start_norm = float(surrogate_norms(source[:1], grid)[0])
         ratios: list[float] = []
         diff = None  # the gap from the source's own source, once known
-        bound = start_norm  # bounds the source's norm, once diff is known
         stall = 0
         repeated = False  # the last two differences, at the floor, are equal
         for iterations in range(1, max_iter + 1):
             # The sweep from iterate k is the next iterate and the probe
-            # of k.  Only a sweep that may be the last runs as the probe,
-            # keeping no new levels; the others overwrite the source.
-            last = iterations == max_iter or repeated
-            probe = last or _may_converge(diff, bound, rel_tol)
-            norms, gaps = _frozen_sweep(stepper, data, source, keep=not probe)
+            # of k.  Only the last sweep runs as the probe, keeping no new
+            # levels; the others overwrite the source.  Whether k has
+            # converged is judged against the norm of k - 1, which the
+            # sweep before returned (the two differ by at most the gap).
+            converged = diff is not None and diff <= rel_tol * max(norm, 1e-300)
+            last = converged or repeated or iterations == max_iter
+            norms, gaps = _frozen_sweep(stepper, data, source, keep=not last)
             norm = max(start_norm, *norms)
             step_residuals = [0.0] + gaps
-            converged = diff is not None and diff <= rel_tol * max(norm, 1e-300)
-            assert probe or not converged, "a converged source was overwritten"
-            if converged or last:
+            if last:
                 break
-            if probe:
-                # mispredicted: the march is deterministic, so the same
-                # sweep marched again gives the same next iterate
-                _frozen_sweep(stepper, data, source, keep=True)
             if not _finite(source):
                 raise NoContraction(
                     f"iterate {iterations + 1} left the finite range", ratios
                 )
             prev_diff, diff = diff, max(step_residuals)
-            bound = max(start_norm, *(a + b for a, b in zip(norms, gaps)))
             if prev_diff is not None:
                 ratio = np.inf if prev_diff == 0.0 else diff / prev_diff
                 if prev_diff == 0.0 and diff == 0.0:

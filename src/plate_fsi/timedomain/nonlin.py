@@ -42,32 +42,31 @@ class Derivatives:
     ``eta`` holds the tangential derivatives of ``eta`` of orders 1 to 4,
     ``eta_t`` those of ``eta_t`` of orders 1 and 2, order by order and
     each order in every direction, as :func:`tangential_derivatives`
-    yields them; ``lap_eta`` is the tangential Laplacian of ``eta`` or
-    None.
+    yields them; ``lap_eta`` is the tangential Laplacian of ``eta``.
     """
 
     grad_v: tuple[np.ndarray, ...]
     dn_v: np.ndarray
     eta: tuple[np.ndarray, ...]
     eta_t: tuple[np.ndarray, ...]
-    lap_eta: np.ndarray | None
+    lap_eta: np.ndarray
 
 
-def derivatives(traj: Trajectory, grid: Grid, laplacian: bool = True) -> Derivatives:
+def derivatives(traj: Trajectory, grid: Grid) -> Derivatives:
     """The derivatives that the surrogate norm and the quadratic terms read.
 
-    ``eta`` up to fourth and ``eta_t`` up to second order, and with
-    ``laplacian`` the Laplacian of ``eta``, which only the quadratic terms
-    read.  The spectra of ``v``, ``eta`` and ``eta_t`` are taken once each.
+    ``eta`` up to fourth and ``eta_t`` up to second order, and the
+    Laplacian of ``eta``, which only the quadratic terms read.  The
+    spectra of ``v``, ``eta`` and ``eta_t`` are taken once each.
     """
-    eta = tangential_derivatives(traj.eta, grid, (1, 2, 3, 4), laplacian=laplacian)
+    eta = tangential_derivatives(traj.eta, grid, (1, 2, 3, 4), laplacian=True)
     *grad_v, dn_v = velocity_derivatives(traj.v, grid)
     return Derivatives(
         grad_v=tuple(grad_v),
         dn_v=dn_v,
         eta=tuple(eta[: 4 * (grid.n - 1)]),
         eta_t=tuple(tangential_derivatives(traj.eta_t, grid, (1, 2))),
-        lap_eta=eta[-1] if laplacian else None,
+        lap_eta=eta[-1],
     )
 
 
@@ -96,13 +95,12 @@ def nonlinear_terms(
       correction of the normal-stress trace.
 
     Each vanishes to second order at the zero state.  Every result keeps
-    the level axis.  ``derivs``, the :func:`derivatives` of ``traj`` with
-    the Laplacian, are taken here when not given.  The momentum is
-    assembled one velocity component at a time, straight into the result:
-    that component's ``grad' d_n v`` and ``d_nn v`` are taken where they
-    are used, so no stack of them over the components is held.  The
-    pressure's ``d_n p`` is taken once, after them, for the tangential
-    components.
+    the level axis.  ``derivs``, the :func:`derivatives` of ``traj``, are
+    taken here when not given.  The momentum is assembled one velocity
+    component at a time, straight into the result: that component's
+    ``grad' d_n v`` and ``d_nn v`` are taken where they are used, so no
+    stack of them over the components is held.  The pressure's ``d_n p``
+    is taken once, after them, for the tangential components.
     """
     n = grid.n
     tan = range(n - 1)

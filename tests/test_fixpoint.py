@@ -212,40 +212,34 @@ def _count_sweeps(monkeypatch: pytest.MonkeyPatch) -> list[bool]:
 
 
 class TestOneIterate:
-    """Each sweep overwrites its source; only the predicted last one keeps nothing."""
-
-    def test_unforced_run_marches_one_sweep_per_iteration(
-        self, grid: Grid, monkeypatch: pytest.MonkeyPatch
-    ) -> None:
-        sweeps = _count_sweeps(monkeypatch)
-        result = fixed_point_solve(UNIT, grid, default_forcing(grid, 1e-3))
-        assert result.converged and result.iterations >= 3
-        assert sweeps == [True] * (result.iterations - 1) + [False]
+    """Each sweep overwrites its source; only the last one keeps nothing."""
 
     @pytest.mark.parametrize(
-        "limits", [{}, {"max_iter": 2, "rel_tol": 1e-300}], ids=["converged", "max-iter"]
+        ("run_grid", "limits", "converged"),
+        [
+            (None, {}, True),
+            (None, {"max_iter": 2, "rel_tol": 1e-300}, False),
+            # a difference at the rounding floor repeats bit for bit, which
+            # stops the run before max_iter
+            (Grid(N=128, M=32, T=0.125, dt=0.5 / 64), {"rel_tol": 0.0}, False),
+        ],
+        ids=["converged", "max-iter", "floor-repeat"],
     )
-    def test_mispredicted_last_sweep_is_marched_again(
-        self, grid: Grid, monkeypatch: pytest.MonkeyPatch, limits: dict
+    def test_only_the_last_sweep_is_the_probe(
+        self,
+        grid: Grid,
+        monkeypatch: pytest.MonkeyPatch,
+        run_grid: Grid | None,
+        limits: dict,
+        converged: bool,
     ) -> None:
-        from plate_fsi.timedomain import fixpoint
-
-        data = default_forcing(grid, 1e-3)
-        want = fixed_point_solve(UNIT, grid, data, **limits)
+        run_grid = run_grid or grid
         sweeps = _count_sweeps(monkeypatch)
-        monkeypatch.setattr(fixpoint, "_may_converge", lambda *args: True)
-        got = fixed_point_solve(UNIT, grid, data, **limits)
-        # every sweep but the last runs as the probe, then again to keep
-        assert sweeps == [False, True] * (got.iterations - 1) + [False]
-        assert len(sweeps) == 2 * got.iterations - 1
-        assert got.iterations == want.iterations
-        assert got.converged == want.converged
-        for a, b in zip(got.trajectory.fields(), want.trajectory.fields()):
-            assert np.array_equal(a, b)
-        assert got.contraction_ratios == want.contraction_ratios
-        assert got.step_residuals == want.step_residuals
-        assert got.residual == want.residual
-        assert got.scale == want.scale
+        result = fixed_point_solve(UNIT, run_grid, default_forcing(run_grid, 1e-3), **limits)
+        assert result.converged == converged
+        # the converged and the repeating run stop before max_iter = 25
+        assert 2 <= result.iterations <= limits.get("max_iter", 24)
+        assert sweeps == [True] * (result.iterations - 1) + [False]
 
     def test_peak_memory_is_one_trajectory_and_chunk_transients(self) -> None:
         # 129 levels of 10-level chunks: the trajectory dominates the
@@ -359,9 +353,10 @@ class TestChunkedSweep:
         step = one_step(UNIT, grid)
         previous = None
         diffs = []
+        norms = []
         for _ in range(result.iterations):
             traj = _reference_sweep(step, data, grid, previous)
-            norm = max(_reference_norm(s, grid) for s in traj)
+            norms.append(max(_reference_norm(s, grid) for s in traj))
             if previous is not None:
                 diffs.append(
                     max(_reference_norm(_difference(a, b), grid) for a, b in zip(traj, previous))
@@ -375,10 +370,14 @@ class TestChunkedSweep:
             for name in ("v", "p", "eta", "eta_t"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert result.contraction_ratios == [b / a for a, b in zip(diffs, diffs[1:])]
-        assert diffs[-1] <= 1e-8 * norm
+        assert diffs[-1] <= 1e-8 * norms[-1]
+        # converged is judged against the norm of the iterate before: the
+        # returned one is the first whose gap clears it
+        assert diffs[-1] <= 1e-8 * norms[-2]
+        assert diffs[-2] > 1e-8 * norms[-3]
         assert result.step_residuals == residuals
         assert result.residual == max(residuals)
-        assert result.scale == norm
+        assert result.scale == norms[-1]
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_batched_norms_equal_single_state_norms(

@@ -76,6 +76,32 @@ class TestResponseDenominator:
         assert diff == pytest.approx(lam * w * (w + z) * (w - z), rel=1e-12)
 
 
+class TestMultiplierBound:
+    """The plate multiplier ``lam^2 eta/f`` on the undamped plate resonance."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            PlateParams(alpha=1.0, beta=0.0, gamma=1.0),
+            PlateParams(alpha=2.0, beta=0.5, gamma=0.3),
+            PlateParams(alpha=1.0, beta=0.0, gamma=0.2),
+        ],
+        ids=["unit", "damped", "weak-damping"],
+    )
+    def test_tends_to_sqrt_alpha_over_gamma(self, params: PlateParams) -> None:
+        # At lam = i sqrt(alpha) z^2 the plate's own symbol reduces to its
+        # damping to leading order, so |lam^2 eta/f| -> sqrt(alpha)/gamma as
+        # the fluid term falls behind it, with an error of order 1/z
+        z = np.array([1e2, 1e3, 1e4])
+        lam = 1j * np.sqrt(params.alpha) * z**2
+        multiplier = np.abs(lam**2 * solve_displacement(params, Freq(lam, z), 1.0))
+        error = np.abs(multiplier * params.gamma / np.sqrt(params.alpha) - 1.0)
+        orders = np.log10(error[:-1] / error[1:])
+        assert np.all(np.abs(orders - 1.0) < 0.05), orders
+        # measured at z = 1e4: 2.10e-4, 7.23e-4 and 1.05e-3
+        assert error[-1] < 1.2e-3
+
+
 class TestSolveTraces:
     def test_frozen_traces_at_unit_point(self) -> None:
         traces = solve_traces(UNIT, Freq(lam=1.0, z=1.0), 1.0)
