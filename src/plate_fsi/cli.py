@@ -386,12 +386,11 @@ def _writing(target: str):
 
 
 def _write_steps_csv(path: Path, grid: Grid, result) -> None:
+    from .timedomain.fixpoint import level_sups
+
     lines = ["# schema=1", "t,v_sup,eta_sup,residual"]
     traj = result.trajectory
-    # one level at a time: np.abs of the whole v would be a trajectory-sized copy
-    v_sup, eta_sup = (
-        [float(np.abs(level).max()) for level in f] for f in (traj.v, traj.eta)
-    )
+    v_sup, eta_sup = (level_sups(f).tolist() for f in (traj.v, traj.eta))
     for k, (v, eta, res) in enumerate(zip(v_sup, eta_sup, result.step_residuals)):
         lines.append(f"{k * grid.dt:.12g},{v:.12g},{eta:.12g},{res:.6e}")
     path.write_text("\n".join(lines) + "\n")

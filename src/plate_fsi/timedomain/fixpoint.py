@@ -53,6 +53,7 @@ __all__ = [
     "FixedPointResult",
     "NoContraction",
     "fixed_point_solve",
+    "level_sups",
     "surrogate_norms",
 ]
 
@@ -95,6 +96,18 @@ class FixedPointResult:
     step_residuals: list[float] = field(default_factory=list)
 
 
+def level_sups(field: np.ndarray) -> np.ndarray:
+    """``np.abs(field).max(...)`` over every axis after the first, without a copy.
+
+    The larger of ``max`` and ``-min`` per level, so no ``|field|`` array
+    is made; its absolute value turns the ``-0.0`` of an all-zero level,
+    and the sign of a NaN, into those of the ``np.abs`` form, which it
+    then equals bit for bit.
+    """
+    axes = tuple(range(1, field.ndim))
+    return np.abs(np.maximum(field.max(axis=axes), -field.min(axis=axes)))
+
+
 def surrogate_norms(
     traj: Trajectory, grid: Grid, derivs: Derivatives | None = None
 ) -> np.ndarray:
@@ -117,15 +130,12 @@ def surrogate_norms(
         bulk = derivs.grad_v + (derivs.dn_v,)
         plate = derivs.eta + derivs.eta_t
 
-    def sup(field: np.ndarray) -> np.ndarray:
-        return np.abs(field).max(axis=tuple(range(1, field.ndim)))
-
-    total = sup(traj.v) + sup(traj.p)
+    total = level_sups(traj.v) + level_sups(traj.p)
     for deriv in bulk:
-        total += sup(deriv)
-    total += sup(traj.eta) + sup(traj.eta_t)
+        total += level_sups(deriv)
+    total += level_sups(traj.eta) + level_sups(traj.eta_t)
     for deriv in plate:
-        total += sup(deriv)
+        total += level_sups(deriv)
     return total
 
 

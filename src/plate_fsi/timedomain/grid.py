@@ -2,7 +2,11 @@
 
 The tangential directions form a periodic torus of period ``L`` sampled on
 ``N`` equispaced points per direction (``N`` a power of two), so tangential
-derivatives are spectral and exact on band-limited fields.  The vertical
+derivatives are spectral and exact on band-limited fields.  Every
+tangential transform is :func:`rfftn_inplace` or :func:`irfftn_inplace`:
+numpy's ``rfftn`` and ``irfftn``, bit for bit, but on a 3D grid the
+complex pass over the first tangential axis runs in an array that exists
+anyway instead of a new spectrum-sized one.  The vertical
 direction is a graded mesh on ``[0, X]`` refined toward the interface at
 ``x_n = 0``, where the exponential boundary layers live; vertical
 derivatives are finite differences with Fornberg weights.  Each vertical
@@ -38,7 +42,9 @@ __all__ = [
     "Trajectory",
     "VerticalMesh",
     "fornberg_weights",
+    "irfftn_inplace",
     "level_chunks",
+    "rfftn_inplace",
     "tangential_derivatives",
     "vertical_derivative",
 ]
@@ -402,6 +408,35 @@ def _multipliers(grid: Grid, orders: tuple[int, ...], laplacian: bool = False) -
     return cached
 
 
+def rfftn_inplace(field: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """``np.fft.rfftn(field, axes=axes)``, its complex passes run in the result.
+
+    The real pass writes a new complex array, laid out as numpy lays out
+    its own result, and every later pass overwrites it, so no second
+    spectrum-sized array is made.  The 1-D transforms are numpy's, in
+    numpy's order, so the bits are those of ``np.fft.rfftn``; ``field`` is
+    not changed.
+    """
+    shape = list(field.shape)
+    shape[axes[-1]] = shape[axes[-1]] // 2 + 1
+    out = np.empty_like(field, shape=shape, dtype=np.result_type(field, 1j))
+    return np.fft.rfftn(field, axes=axes, out=out)
+
+
+def irfftn_inplace(spec: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...]) -> np.ndarray:
+    """``np.fft.irfftn(spec, s=shape, axes=axes)``, overwriting ``spec``.
+
+    The complex passes over every axis but the last run in ``spec``
+    itself, then the real pass over the last axis makes the result, so
+    only the result is allocated.  The 1-D transforms are numpy's, in
+    numpy's order, so the bits are those of ``np.fft.irfftn``.  With more
+    than one axis ``spec`` is left holding a partial transform.
+    """
+    for n, axis in zip(shape[:-1], axes[:-1]):
+        np.fft.ifft(spec, n=n, axis=axis, out=spec)
+    return np.fft.irfftn(spec, s=shape[-1:], axes=axes[-1:])
+
+
 def tangential_derivatives(
     field: np.ndarray,
     grid: Grid,
@@ -431,15 +466,16 @@ def tangential_derivatives(
             f"{layout} field shape {field.shape} does not contain the tangential "
             f"grid {grid.tan_shape} in the expected axes"
         )
-    spec = np.fft.rfftn(field, axes=axes)
+    spec = rfftn_inplace(field, axes)
+    # each product is a fresh spectrum, which its inverse may overwrite
     if bulk:
         return (
-            np.fft.irfftn(spec * factor[..., np.newaxis], s=grid.tan_shape, axes=axes)
+            irfftn_inplace(spec * factor[..., np.newaxis], grid.tan_shape, axes)
             for factor in factors
         )
     stacked = factors[(slice(None),) + (np.newaxis,) * axes[0]]
     shifted = tuple(axis + 1 for axis in axes)
-    return tuple(np.fft.irfftn(spec * stacked, s=grid.tan_shape, axes=shifted))
+    return tuple(irfftn_inplace(spec * stacked, grid.tan_shape, shifted))
 
 
 @dataclass(eq=False)

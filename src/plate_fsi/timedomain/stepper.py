@@ -51,7 +51,9 @@ from .grid import (
     ProblemData,
     Trajectory,
     VerticalMesh,
+    irfftn_inplace,
     level_chunks,
+    rfftn_inplace,
     tangential_derivatives,
 )
 
@@ -243,7 +245,7 @@ class ModeStepper:
         nodes = lead + self.batch + (len(self.xi) + 1, M + 1)
         b = np.zeros(lead + self.batch + (self.size,), dtype=complex)
         b_v = b[..., :i_p].reshape(nodes)
-        b_v[..., 1:M] = state[..., :i_p].reshape(nodes)[..., 1:M] / dt
+        np.divide(state[..., :i_p].reshape(nodes)[..., 1:M], dt, out=b_v[..., 1:M])
         b_v[..., 1:M] += forcing[..., :i_p].reshape(nodes)[..., 1:M]
         b[..., i_p: i_p + M] = forcing[..., i_p: i_p + M]
         b[..., i_p + M] = state[..., -2]
@@ -271,7 +273,10 @@ class LinearStepper:
     array in the mode solver's unknown layout, transforms it to
     tangential modes once, advances all modes with one
     :class:`ModeStepper` (Nyquist modes are projected out) and transforms
-    the whole solution back once.  The returned levels carry the pressure
+    the whole solution back once.  Both transforms run their complex pass
+    in place (:func:`rfftn_inplace`, :func:`irfftn_inplace`): the inverse
+    overwrites the one solution spectrum the stepper holds, so no step
+    allocates a second spectrum.  The returned levels carry the pressure
     interpolated from the staggered midpoints to the nodes.
 
     The mode solver factorizes the modes with ``xi_1 >= 0`` only.  In 3D
@@ -306,8 +311,10 @@ class LinearStepper:
             params, xi.reshape(grid.n - 1, -1)[:, self._columns[0]], grid.mesh,
             grid.dt, modes=modes.size,
         )
-        # the spectrum of one solution; its Nyquist entries stay zero
+        # the spectrum of one solution, overwritten by each step's inverse
+        # transform, and the flat indices of its Nyquist entries
         self._spectrum = np.zeros(mask.shape + (self._mode.size,), dtype=complex)
+        self._nyquist = np.flatnonzero(mask)
         # velocity entries of the unknown layout
         self._i_p = grid.n * (grid.M + 1)
 
@@ -351,7 +358,7 @@ class LinearStepper:
     def _to_modes(self, packed: np.ndarray) -> np.ndarray:
         """``lead + tan_shape + (entries,)`` real -> ``lead + (column, block, entries)``."""
         lead = packed.ndim - self.grid.n
-        spec = np.fft.rfftn(packed, axes=tuple(range(lead, packed.ndim - 1)))
+        spec = rfftn_inplace(packed, tuple(range(lead, packed.ndim - 1)))
         flat = spec.reshape(spec.shape[:lead] + (-1, spec.shape[-1]))
         return self._mirror(np.take(flat, self._columns, axis=lead))
 
@@ -382,13 +389,20 @@ class LinearStepper:
         return spec
 
     def _advance(self, packed: np.ndarray, forcing: np.ndarray) -> np.ndarray:
-        """One step from packed physical unknowns; returns ``tan_shape + (size,)``."""
+        """One step from packed physical unknowns; returns ``tan_shape + (size,)``.
+
+        The inverse transform overwrites ``self._spectrum``, so each step
+        sets every entry again: the Nyquist entries to zero, the others to
+        the solved modes, which are freed before the inverse.
+        """
         grid = self.grid
         flat = self._spectrum.reshape(-1, self._mode.size)
+        flat[self._nyquist] = 0.0
         new = self._mirror(self._mode.step(self._to_modes(packed), forcing))
         for modes, column, kept in zip(self._columns, new, self._kept):
             flat[modes[kept]] = column[kept]
-        return np.fft.irfftn(self._spectrum, s=grid.tan_shape, axes=tuple(range(grid.n - 1)))
+        del new, column
+        return irfftn_inplace(self._spectrum, grid.tan_shape, tuple(range(grid.n - 1)))
 
     def run(
         self,
@@ -473,7 +487,7 @@ def staggered_divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
     staggered pair; the result is the residual field the pressure
     multiplier annihilates.
     """
-    spec = np.fft.rfftn(np.asarray(v, dtype=float), axes=tuple(range(1, grid.n)))
+    spec = rfftn_inplace(np.asarray(v, dtype=float), tuple(range(1, grid.n)))
     avg, dif = grid.mesh.staggered_pair()
     nodes = spec.reshape(-1, grid.M + 1).T
     cells = spec.shape[:-1] + (grid.M,)
@@ -484,8 +498,7 @@ def staggered_divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
         out += (1j * xi)[..., np.newaxis] * mean[d]
     out += jump[-1] / grid.mesh.spacings
     out = np.where(mask[..., np.newaxis], 0.0, out)
-    axes = tuple(range(grid.n - 1))
-    return np.fft.irfftn(out, s=grid.tan_shape, axes=axes)
+    return irfftn_inplace(out, grid.tan_shape, tuple(range(grid.n - 1)))
 
 
 def total_energy(traj: Trajectory, grid: Grid, params: PlateParams) -> np.ndarray:

@@ -101,6 +101,49 @@ class TestMultiplierBound:
         # measured at z = 1e4: 2.10e-4, 7.23e-4 and 1.05e-3
         assert error[-1] < 1.2e-3
 
+    @pytest.mark.parametrize(
+        "params, bounds",
+        [
+            # rows: sup |m|, sup |lam d_lam m|, sup |z d_z m|; columns: the
+            # multipliers lam^2, alpha z^4 and gamma lam z^2 times eta/f.
+            # Measured sups, rounded up in the third digit.
+            (PlateParams(alpha=1.0, beta=0.0, gamma=1.0),
+             [[1.16, 1.16, 0.998], [2.23, 2.24, 2.00], [4.46, 4.47, 3.99]]),
+            (PlateParams(alpha=2.0, beta=0.5, gamma=0.3),
+             [[4.67, 4.68, 0.992], [43.9, 44.0, 9.27], [87.9, 88.0, 18.6]]),
+            (PlateParams(alpha=1.0, beta=0.0, gamma=0.2),
+             [[4.95, 4.95, 0.990], [49.3, 49.3, 9.80], [98.5, 98.7, 19.7]]),
+        ],
+        ids=["unit", "damped", "weak-damping"],
+    )
+    def test_plate_multipliers_stay_bounded(self, params: PlateParams, bounds) -> None:
+        # The maximal-regularity bound at the symbol level: the plate's
+        # multipliers and their Mikhlin derivatives (central differences of
+        # relative step 1e-6) stay bounded on lam = lam0 + i tau, with the
+        # same sups for every shift lam0 of the half-plane.
+        tau = np.logspace(-6, 6, 241)
+        tau = np.concatenate([-tau[::-1], [0.0], tau])[:, np.newaxis]
+        z = np.logspace(-4, 4, 161)
+        step = 1e-6
+
+        def multipliers(lam, z):
+            eta = solve_displacement(params, Freq(lam, z), 1.0)
+            symbols = (lam**2, params.alpha * z**4, params.gamma * lam * z**2)
+            return np.stack([symbol * eta for symbol in symbols])
+
+        sups = []
+        for lam0 in (1.0, 1e-2, 1e-4):
+            lam = lam0 + 1j * tau
+            d_lam = multipliers(lam * (1 + step), z) - multipliers(lam * (1 - step), z)
+            d_z = multipliers(lam, z * (1 + step)) - multipliers(lam, z * (1 - step))
+            sups.append([
+                np.abs(m).max(axis=(1, 2))
+                for m in (multipliers(lam, z), d_lam / (2 * step), d_z / (2 * step))
+            ])
+        sups = np.array(sups)
+        assert np.all(sups <= np.array(bounds)), sups
+        np.testing.assert_allclose(sups[1:], sups[:1].repeat(2, axis=0), rtol=1e-3)
+
 
 class TestSolveTraces:
     def test_frozen_traces_at_unit_point(self) -> None:

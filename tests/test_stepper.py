@@ -653,6 +653,19 @@ class TestPackedMarch:
             assert a.shape == b.shape, name
             assert np.array_equal(a, b), name
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_reused_stepper_repeats_its_bytes(self, n: int, rng: np.random.Generator) -> None:
+        # The Picard loop marches every sweep with one stepper, and each
+        # step's inverse transform overwrites the stepper's spectrum: no
+        # entry of it may carry over from one run into the next.
+        grid, data, extra = _march_case(n, rng)
+        stepper = LinearStepper(SKEW, grid)
+        first = stepper.run(data, extra)
+        stepper.run(data)
+        again = stepper.run(data, extra)
+        for name, a, b in zip(("v", "p", "eta", "eta_t"), first.fields(), again.fields()):
+            assert a.tobytes() == b.tobytes(), name
+
     @pytest.mark.parametrize("frozen", [False, True])
     def test_one_transform_each_way_per_step(
         self, frozen: bool, rng: np.random.Generator, monkeypatch: pytest.MonkeyPatch
@@ -669,9 +682,10 @@ class TestPackedMarch:
 
             monkeypatch.setattr(np.fft, name, counted)
         stepper.run(data, extra if frozen else None)
-        # the forcing is transformed once per chunk, or once when constant
+        # the forcing is transformed once per chunk, or once when constant;
+        # each step's inverse runs its complex pass as one in-place ifft
         chunks = len(list(level_chunks(grid))) if frozen else 1
-        assert calls == Counter(rfftn=grid.steps + chunks, irfftn=grid.steps)
+        assert calls == Counter(rfftn=grid.steps + chunks, irfftn=grid.steps, ifft=grid.steps)
 
 
 class TestLinearStepperConstraints:
