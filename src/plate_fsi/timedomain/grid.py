@@ -10,11 +10,12 @@ anyway instead of a new spectrum-sized one.  The vertical
 direction is a graded mesh on ``[0, X]`` refined toward the interface at
 ``x_n = 0``, where the exponential boundary layers live; vertical
 derivatives are finite differences with Fornberg weights.  Each vertical
-operator is one :class:`Stencil` table, a row's nodes and weights, applied
-two ways: as a CSR matrix, which the batched march uses because scipy's
-product is several times faster on whole trajectories, and by the numpy
-kernel :meth:`Stencil.apply`, which gives the same bits on the single
-level that the compatibility checks read without loading scipy.
+operator has one form: the staggered pair is two slice kernels
+(:func:`cell_average`, :func:`cell_difference`), each derivative a
+:class:`Stencil` table of row nodes and weights.  The compatibility checks
+apply a table with :meth:`Stencil.apply`; :func:`vertical_derivative`
+multiplies whole trajectories by a CSR copy of it, the same bits several
+times faster, and is all that imports scipy here, lazily.
 
 Array layout: tangential axes first, vertical axis last.  Plate fields have
 shape ``(N,) * (n-1)``, bulk scalars ``(N,) * (n-1) + (M+1,)`` and velocity
@@ -28,12 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import expm1, isfinite, pi
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "Grid",
@@ -41,6 +39,8 @@ __all__ = [
     "Stencil",
     "Trajectory",
     "VerticalMesh",
+    "cell_average",
+    "cell_difference",
     "fornberg_weights",
     "irfftn_inplace",
     "level_chunks",
@@ -118,9 +118,9 @@ class VerticalMesh:
     with fixed grading strength ``g``, so doubling ``M`` halves every local
     spacing asymptotically.  Cell midpoints carry the pressure in the
     staggered solver; the dual weights ``w_j = (h_(j-1) + h_j) / 2`` (halved
-    at the ends) make the node-to-cell divergence and the cell-to-node
-    gradient of :meth:`staggered_pair` exact negative adjoints of each
-    other, and double as the vertical quadrature rule.
+    at the ends) make the node-to-cell divergence of :func:`cell_average`
+    and :func:`cell_difference` and its cell-to-node gradient exact negative
+    adjoints of each other, and double as the vertical quadrature rule.
     """
 
     X: float
@@ -177,45 +177,6 @@ class VerticalMesh:
         self._diff_cache[key] = stencil
         return stencil
 
-    def diff_matrix(self, order: int = 1, accuracy: int = 4) -> sp.csr_matrix:
-        """The rows of :meth:`stencil` as a sparse matrix, for the batched march."""
-        key = ("csr", order, accuracy)
-        cached = self._diff_cache.get(key)
-        if cached is not None:
-            return cached
-        stencil = self.stencil(order, accuracy)
-        import scipy.sparse as sp
-
-        rows, width = stencil.columns.shape
-        indptr = np.arange(0, rows * width + 1, width)
-        mat = sp.csr_matrix(
-            (stencil.weights.ravel(), stencil.columns.ravel(), indptr),
-            shape=(rows, self.M + 1),
-        )
-        self._diff_cache[key] = mat
-        return mat
-
-    def staggered_pair(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """Node-to-cell average ``A`` and difference ``D``, shape ``(M, M + 1)``.
-
-        ``(A f)_j = (f_j + f_(j+1)) / 2`` and ``(D f)_j = f_(j+1) - f_j``.
-        The staggered divergence of a mode with covector ``xi`` is
-        ``i xi . A v' + H^-1 D v_n`` (``H`` the cell spacings); under the
-        dual weights ``W`` its negative adjoint, the pressure gradient, is
-        ``i xi W^-1 A^T H p`` tangentially and ``-W^-1 D^T p`` normally.
-        """
-        key = "staggered"
-        cached = self._diff_cache.get(key)
-        if cached is not None:
-            return cached
-        import scipy.sparse as sp
-
-        left = sp.eye(self.M, self.M + 1, format="csr")
-        right = sp.eye(self.M, self.M + 1, k=1, format="csr")
-        pair = (0.5 * (left + right), right - left)
-        self._diff_cache[key] = pair
-        return pair
-
     def sbp_derivative(self, field: np.ndarray) -> np.ndarray:
         """Second-order first derivative along the last axis, exact summation by parts.
 
@@ -268,16 +229,47 @@ class VerticalMesh:
         return np.asarray(field) @ self.weights
 
 
+def cell_average(field: np.ndarray) -> np.ndarray:
+    """Node-to-cell average ``(f_j + f_(j+1)) / 2`` along the last axis.
+
+    Each cell is summed from ``+0.0`` in node order, as a CSR product sums
+    a row, so the bits are that product's and no ``-0.0`` is made.
+    """
+    return 0.0 + 0.5 * field[..., :-1] + 0.5 * field[..., 1:]
+
+
+def cell_difference(field: np.ndarray) -> np.ndarray:
+    """Node-to-cell difference ``f_(j+1) - f_j`` along the last axis.
+
+    Summed as :func:`cell_average` sums.  The staggered divergence of a
+    mode with covector ``xi`` is ``i xi . A v' + H^-1 D v_n``, with ``A``
+    the average, ``D`` this difference and ``H`` the cell spacings; under
+    the dual weights ``W`` its negative adjoint, the pressure gradient, is
+    ``i xi W^-1 A^T H p`` tangentially and ``-W^-1 D^T p`` normally.
+    """
+    return 0.0 + -1.0 * field[..., :-1] + 1.0 * field[..., 1:]
+
+
 def vertical_derivative(
     field: np.ndarray, mesh: VerticalMesh, order: int = 1, accuracy: int = 4
 ) -> np.ndarray:
     """Vertical derivative along the last axis via Fornberg stencils.
 
-    The CSR product of :meth:`VerticalMesh.diff_matrix`, the fast path for
-    whole trajectories; it equals ``mesh.stencil(order, accuracy).apply``.
+    The product with a CSR copy of ``mesh.stencil(order, accuracy)``, built
+    once per mesh and key; it equals that stencil's :meth:`Stencil.apply`.
     """
+    key = ("csr", order, accuracy)
+    mat = mesh._diff_cache.get(key)
+    if mat is None:
+        import scipy.sparse as sp
+
+        stencil = mesh.stencil(order, accuracy)
+        indptr = np.arange(0, stencil.columns.size + 1, stencil.columns.shape[1])
+        mat = sp.csr_matrix(
+            (stencil.weights.ravel(), stencil.columns.ravel(), indptr), shape=(mesh.M + 1,) * 2
+        )
+        mesh._diff_cache[key] = mat
     field = np.asarray(field)
-    mat = mesh.diff_matrix(order, accuracy)
     flat = field.reshape(-1, field.shape[-1])
     return (mat @ flat.T).T.reshape(field.shape)
 

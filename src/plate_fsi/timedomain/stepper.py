@@ -21,10 +21,11 @@ right-hand-side column of its partner's block, its ``u_1`` unknowns
 negated on the way in and on the way out.  The results are those of
 factorizing every mode, up to the sign of exact zeros.
 
-Every discrete divergence here comes from the mesh's staggered pair
-(:meth:`VerticalMesh.staggered_pair`, the node-to-cell average ``A`` and
-difference ``D``): the divergence rows ``i xi . A v' + H^-1 D v_n`` of the
-mode matrix, the cell average ``A g`` of the divergence datum, and
+Every discrete divergence here comes from one staggered pair, the
+node-to-cell average ``A`` and difference ``D`` of :func:`~.grid.cell_average`
+and :func:`~.grid.cell_difference`: the divergence rows ``i xi . A v' +
+H^-1 D v_n`` of the mode matrix (the kernels' weights, placed by index),
+the cell average ``A g`` of the divergence datum, and
 :func:`staggered_divergence`.  The pressure columns of the momentum rows
 are its exact negative adjoint under the dual mesh weights, so the
 pressure does no work on discretely divergence-free fields and the
@@ -51,6 +52,8 @@ from .grid import (
     ProblemData,
     Trajectory,
     VerticalMesh,
+    cell_average,
+    cell_difference,
     irfftn_inplace,
     level_chunks,
     rfftn_inplace,
@@ -145,7 +148,8 @@ class ModeStepper:
         """Block-diagonal saddle matrix of one step, one block per mode in C order.
 
         ``blocks`` selects consecutive modes of the flattened batch; all by
-        default.  Each block is assembled from the mesh's staggered pair.
+        default.  Each block is assembled from the rows of
+        ``mesh.stencil(2, 1)`` and the entries of the staggered pair.
         """
         mesh, dt, p = self.mesh, self.dt, self.params
         M = mesh.M
@@ -161,14 +165,16 @@ class ModeStepper:
         i_n, i_p = c * (M + 1), (c + 1) * (M + 1)
         i_eta, i_psi = i_p + M, i_p + M + 1
         interior = np.arange(1, M)
-        lap = mesh.diff_matrix(order=2, accuracy=1)[1:M].tocoo()
-        avg, dif = (op.tocoo() for op in mesh.staggered_pair())
+        lap = mesh.stencil(order=2, accuracy=1)
+        # the pair's entries in row order: cell j reads the nodes j and j + 1,
+        # with weights (1/2, 1/2) in the average and (-1, 1) in the difference
+        cell = np.repeat(np.arange(M), 2)
+        node = cell + np.tile([0, 1], M)
+        dif = np.tile([-1.0, 1.0], M)
         # the gradient (negative adjoint of the divergence) acts on the
         # interior momentum rows only
-        a_in = (avg.col > 0) & (avg.col < M)
-        a_node, a_cell = avg.col[a_in], avg.row[a_in]
-        d_in = (dif.col > 0) & (dif.col < M)
-        d_node, d_cell = dif.col[d_in], dif.row[d_in]
+        inner = (node > 0) & (node < M)
+        g_node, g_cell = node[inner], cell[inner]
         ts = mesh.trace_stencil()
         c0, c1 = mesh.pressure_trace_stencil()
 
@@ -185,14 +191,15 @@ class ModeStepper:
             (i_n, i_psi, -1.0),
             # interior momentum rows: 1/dt + |xi|^2 - d_n^2
             (comp + interior, comp + interior, (1.0 / dt + z2)[:, :, np.newaxis]),
-            (comp + 1 + lap.row, comp + lap.col, -lap.data),
+            ((comp + interior)[..., np.newaxis],
+             comp[..., np.newaxis] + lap.columns[1:M], -lap.weights[1:M]),
             # pressure gradient: i xi W^-1 A^T H p and -W^-1 D^T p
-            (comp[:c] + a_node, i_p + a_cell,
-             1j * (xi * (avg.data[a_in] * h[a_cell]) / w[a_node])),
-            (i_n + d_node, i_p + d_cell, -dif.data[d_in] / w[d_node]),
+            (comp[:c] + g_node, i_p + g_cell,
+             1j * (xi * (0.5 * h[g_cell]) / w[g_node])),
+            (i_n + g_node, i_p + g_cell, -dif[inner] / w[g_node]),
             # divergence: i xi . A v' + H^-1 D v_n
-            (i_p + avg.row, comp[:c] + avg.col, 1j * (xi * avg.data)),
-            (i_p + dif.row, i_n + dif.col, dif.data / h[dif.row]),
+            (i_p + cell, comp[:c] + node, 1j * (xi * 0.5)),
+            (i_p + cell, i_n + node, dif / h[cell]),
             # plate: eta - dt psi = eta_old, and the balance driven by the
             # shear trace 2 d_n v_n(0) minus the pressure trace
             (i_eta, [i_eta, i_psi], [1.0, -dt]),
@@ -370,7 +377,7 @@ class LinearStepper:
         into the columns of one real array and transformed once; the
         datum's ``M + 1`` node columns then end on the ``M`` pressure
         entries and the unread ``eta`` entry, and are averaged onto the
-        cells for all levels by one sparse product.
+        cells for all levels at once.
         """
         grid, i_p, M = self.grid, self._i_p, self.grid.M
         levels = 1 if frozen is None else len(frozen[2])
@@ -383,9 +390,7 @@ class LinearStepper:
             else:
                 np.add(base, extra, out=out)
         spec = self._to_modes(packed)
-        avg = grid.mesh.staggered_pair()[0]
-        nodes = spec[..., i_p:-1].reshape(-1, M + 1)
-        spec[..., i_p: i_p + M] = (avg @ nodes.T).T.reshape(spec.shape[:-1] + (M,))
+        spec[..., i_p: i_p + M] = cell_average(spec[..., i_p:-1])
         return spec
 
     def _advance(self, packed: np.ndarray, forcing: np.ndarray) -> np.ndarray:
@@ -483,20 +488,17 @@ def staggered_divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
     """Cell divergence as the mode solver sees it, shape ``tan + (M,)``.
 
     Tangential derivatives act spectrally on the node-pair averages and
-    the vertical part is the exact cell difference, both from the mesh's
+    the vertical part is the exact cell difference, both from the
     staggered pair; the result is the residual field the pressure
     multiplier annihilates.
     """
     spec = rfftn_inplace(np.asarray(v, dtype=float), tuple(range(1, grid.n)))
-    avg, dif = grid.mesh.staggered_pair()
-    nodes = spec.reshape(-1, grid.M + 1).T
-    cells = spec.shape[:-1] + (grid.M,)
-    mean, jump = ((op @ nodes).T.reshape(cells) for op in (avg, dif))
+    mean = cell_average(spec[:-1])
     mask = grid.nyquist_mask()
     out = np.zeros(mask.shape + (grid.M,), dtype=complex)
     for d, xi in enumerate(grid.wavenumbers()):
         out += (1j * xi)[..., np.newaxis] * mean[d]
-    out += jump[-1] / grid.mesh.spacings
+    out += cell_difference(spec[-1]) / grid.mesh.spacings
     out = np.where(mask[..., np.newaxis], 0.0, out)
     return irfftn_inplace(out, grid.tan_shape, tuple(range(grid.n - 1)))
 

@@ -16,13 +16,15 @@ from plate_fsi.timedomain.grid import (
     ProblemData,
     VerticalMesh,
     _multipliers,
+    cell_average,
+    cell_difference,
     fornberg_weights,
     irfftn_inplace,
     rfftn_inplace,
     tangential_derivatives,
     vertical_derivative,
 )
-from plate_fsi.timedomain.stepper import LinearStepper
+from plate_fsi.timedomain.stepper import LinearStepper, staggered_divergence
 
 
 @pytest.fixture(scope="module")
@@ -74,28 +76,41 @@ class TestVerticalMesh:
             VerticalMesh(X=1.0, M=32, grading=-1.0)
 
     @pytest.mark.parametrize(("order", "accuracy", "degree"), [(1, 4, 4), (2, 1, 2)])
-    def test_diff_matrix_exact_on_polynomials(
+    def test_vertical_derivative_exact_on_polynomials(
         self, mesh: VerticalMesh, order: int, accuracy: int, degree: int
     ) -> None:
-        mat = mesh.diff_matrix(order, accuracy)
         x = mesh.nodes
         for k in range(degree + 1):
             expected = np.zeros_like(x)
             if k >= order:
                 factor = np.prod(np.arange(k, k - order, -1, dtype=float))
                 expected = factor * x ** (k - order)
-            got = mat @ (x**k)
+            got = vertical_derivative(x**k, mesh, order, accuracy)
             np.testing.assert_allclose(
                 got, expected, atol=1e-10 * max(1.0, np.abs(got).max())
             )
 
-    def test_diff_matrix_is_cached(self, mesh: VerticalMesh) -> None:
-        assert mesh.diff_matrix(1, 4) is mesh.diff_matrix(1, 4)
+    def test_vertical_derivative_builds_its_csr_copy_once(
+        self, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        built = []
 
-    def test_diff_matrix_stencil_bound(self) -> None:
+        def counting(*args, **kwargs):
+            built.append(kwargs["shape"])
+            return csr_matrix(*args, **kwargs)
+
+        csr_matrix = sp.csr_matrix
+        monkeypatch.setattr(sp, "csr_matrix", counting)
+        fresh = VerticalMesh(X=4.0, M=16)
+        field = np.ones(fresh.M + 1)
+        for order, accuracy in ((1, 4), (1, 4), (2, 1), (1, 4), (2, 1)):
+            vertical_derivative(field, fresh, order, accuracy)
+        assert len(built) == 2
+
+    def test_stencil_bound(self) -> None:
         small = VerticalMesh(X=1.0, M=16)
         with pytest.raises(ValueError, match="stencil"):
-            small.diff_matrix(1, 17)
+            small.stencil(1, 17)
 
     @pytest.mark.parametrize(("order", "accuracy"), [(1, 4), (2, 4), (2, 1)])
     def test_stencil_kernel_equals_the_csr_product(
@@ -112,10 +127,30 @@ class TestVerticalMesh:
     ) -> None:
         zeros = np.where(rng.random((4, mesh.M + 1)) < 0.5, -0.0, 0.0)
         got = mesh.stencil(order, accuracy).apply(zeros)
-        want = (mesh.diff_matrix(order, accuracy) @ zeros.T).T
+        want = vertical_derivative(zeros, mesh, order, accuracy)
         assert not np.signbit(want).any()
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
         assert not got.any()
+
+    @pytest.mark.parametrize("zeros", ["real field", "real", "imag", "both"])
+    def test_pair_kernels_equal_the_csr_pair(
+        self, mesh: VerticalMesh, rng, zeros: str
+    ) -> None:
+        field = _signed_zero_field(rng, (3, 2, 5, mesh.M + 1), zeros)
+        for kernel, op in zip((cell_average, cell_difference), _csr_pair(mesh.M)):
+            assert _bytes(kernel(field)) == _bytes(_csr_apply(op, field))
+
+    def test_cell_average_equals_the_csr_pair_on_the_forcing_view(
+        self, mesh: VerticalMesh, rng
+    ) -> None:
+        # LinearStepper._forcing averages the strided node columns
+        # [..., i_p:-1] of spectra laid out as (levels, column, block, size)
+        M = mesh.M
+        i_p = 2 * (M + 1)
+        spec = _signed_zero_field(rng, (3, 2, 5, i_p + M + 2), "both")
+        view = spec[..., i_p:-1]
+        avg = _csr_pair(M)[0]
+        assert _bytes(cell_average(view)) == _bytes(_csr_apply(avg, view))
 
     def test_stencil_is_cached(self, mesh: VerticalMesh) -> None:
         assert mesh.stencil(1, 4) is mesh.stencil(1, 4)
@@ -174,6 +209,60 @@ class TestVerticalMesh:
         np.testing.assert_allclose(out[0], 2.0 * mesh.nodes, atol=1e-9)
         # The one-sided stencil at the coarse lid end dominates the error.
         np.testing.assert_allclose(out[1], np.cos(mesh.nodes), atol=5e-4)
+
+
+def _csr_pair(M: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The staggered average and difference as CSR matrices of shape ``(M, M + 1)``."""
+    left = sp.eye(M, M + 1, format="csr")
+    right = sp.eye(M, M + 1, k=1, format="csr")
+    return 0.5 * (left + right), right - left
+
+
+def _csr_apply(op: sp.csr_matrix, field: np.ndarray) -> np.ndarray:
+    """``op`` applied along the last axis of ``field`` by one CSR product."""
+    flat = field.reshape(-1, field.shape[-1])
+    return (op @ flat.T).T.reshape(field.shape[:-1] + (op.shape[0],))
+
+
+def _bytes(arr: np.ndarray) -> bytes:
+    return arr.dtype.str.encode() + arr.tobytes()
+
+
+def _signed_zero_field(rng, shape: tuple[int, ...], zeros: str) -> np.ndarray:
+    """Normals with +-0.0 on about a third of the entries.
+
+    A real field for ``zeros = "real field"``; otherwise complex, with the
+    zeros in the ``"real"`` part, the ``"imag"`` part or ``"both"``.
+    Finite only: with an inf or NaN entry the kernels and the CSR product
+    agree except in the bit patterns of the NaNs they make, which the
+    march never writes (the fixed point stops on a non-finite iterate).
+    """
+    field = np.empty(shape, dtype=float if zeros == "real field" else complex)
+    parts = ("real",) if zeros == "real field" else ("real", "imag")
+    for name in parts:
+        getattr(field, name)[...] = rng.normal(size=shape)
+        if zeros in (name, "both", "real field"):
+            hit = rng.random(shape) < 0.3
+            getattr(field, name)[hit] = np.where(rng.random(hit.sum()) < 0.5, -0.0, 0.0)
+    return field
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_staggered_divergence_equals_the_csr_formula(rng, n: int) -> None:
+    grid = Grid(n=n, N=16 if n == 2 else 8, M=32 if n == 2 else 16, T=0.5, dt=0.25)
+    v = rng.normal(size=(n,) + grid.tan_shape + (grid.M + 1,))
+    v[rng.random(v.shape) < 0.1] = -0.0
+    # the formula with both halves of the pair as CSR products
+    spec = np.fft.rfftn(v, axes=tuple(range(1, n)))
+    mean, jump = (_csr_apply(op, spec) for op in _csr_pair(grid.M))
+    mask = grid.nyquist_mask()
+    out = np.zeros(mask.shape + (grid.M,), dtype=complex)
+    for d, xi in enumerate(grid.wavenumbers()):
+        out += (1j * xi)[..., np.newaxis] * mean[d]
+    out += jump[-1] / grid.mesh.spacings
+    out = np.where(mask[..., np.newaxis], 0.0, out)
+    want = np.fft.irfftn(out, s=grid.tan_shape, axes=tuple(range(n - 1)))
+    assert _bytes(staggered_divergence(v, grid)) == _bytes(want)
 
 
 class TestGrid:

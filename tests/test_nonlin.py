@@ -7,7 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from plate_fsi.timedomain.grid import Grid, ProblemData, Trajectory, tangential_derivatives
+from plate_fsi.timedomain.grid import (
+    Grid,
+    ProblemData,
+    Trajectory,
+    tangential_derivatives,
+    vertical_derivative,
+)
 from plate_fsi.timedomain.nonlin import derivatives, nonlinear_divergence, nonlinear_terms
 
 
@@ -73,12 +79,7 @@ class TestManufacturedValues:
         state = Trajectory(v=moving.v, p=moving.p, eta=flat, eta_t=flat)
         out = nonlinear_terms(state, grid)[0][0]
         v = state.v[0]
-        dn_v = np.stack(
-            [
-                grid.mesh.diff_matrix(1, 4) @ v[c].reshape(-1, grid.M + 1).T
-                for c in range(grid.n)
-            ]
-        ).transpose(0, 2, 1).reshape(v.shape)
+        dn_v = vertical_derivative(v, grid.mesh, 1, 4)
         (dx_v,) = tangential_derivatives(v, grid, (1,), bulk=True)
         expected = -v[0][np.newaxis] * dx_v - v[1][np.newaxis] * dn_v
         np.testing.assert_allclose(out, expected, atol=1e-12 * np.abs(expected).max())

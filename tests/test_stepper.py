@@ -17,6 +17,8 @@ from plate_fsi.timedomain.grid import (
     ProblemData,
     Trajectory,
     VerticalMesh,
+    cell_average,
+    cell_difference,
     level_chunks,
 )
 from plate_fsi.timedomain.laplace import mode_response_reference
@@ -51,9 +53,7 @@ def _mode_step(
     if f_v is not None:
         forcing[..., :i_p] = np.reshape(f_v, batch + (i_p,))
     if g is not None:
-        avg = mode.mesh.staggered_pair()[0]
-        nodes = np.asarray(g, dtype=complex).reshape(-1, M + 1)
-        forcing[..., i_p: i_p + M] = (avg @ nodes.T).T.reshape(batch + (M,))
+        forcing[..., i_p: i_p + M] = cell_average(np.asarray(g, dtype=complex))
     forcing[..., -1] = f_eta
     new = mode.step(state, forcing)
     return new[..., :i_p].reshape(v.shape), new[..., i_p: i_p + M], new[..., -2], new[..., -1]
@@ -144,8 +144,8 @@ class TestModeStepper:
         self, grid2: Grid, rng: np.random.Generator
     ) -> None:
         # <p, div v>_H = -<grad p, v>_W for node velocities with zero end
-        # values, with div taken from the mesh's staggered pair and grad read
-        # off the pressure columns of the assembled momentum rows.
+        # values, with div taken from the staggered pair's kernels and grad
+        # read off the pressure columns of the assembled momentum rows.
         mesh = grid2.mesh
         M, h, w = mesh.M, mesh.spacings, mesh.weights
         xi = rng.normal(size=2)
@@ -154,8 +154,7 @@ class TestModeStepper:
         v = rng.normal(size=(3, M + 1)) + 1j * rng.normal(size=(3, M + 1))
         v[:, [0, M]] = 0.0
         p = rng.normal(size=M) + 1j * rng.normal(size=M)
-        avg, dif = mesh.staggered_pair()
-        div = 1j * xi @ (avg @ v[:2].T).T + (dif @ v[2]) / h
+        div = 1j * xi @ cell_average(v[:2]) + cell_difference(v[2]) / h
         matrix = mode.matrix()
         grad = (matrix[:n_vel, n_vel: n_vel + M] @ p).reshape(3, M + 1)
         lhs = np.sum(h * np.conj(p) * div)
