@@ -4,15 +4,18 @@ The tangential directions form a periodic torus of period ``L`` sampled on
 ``N`` equispaced points per direction (``N`` a power of two), so tangential
 derivatives are spectral and exact on band-limited fields.  Every
 tangential transform is :func:`rfftn_inplace` or :func:`irfftn_inplace`:
-numpy's ``rfftn`` and ``irfftn``, bit for bit, but on a 3D grid the
-complex pass over the first tangential axis runs in an array that exists
-anyway instead of a new spectrum-sized one.  The vertical
+numpy's ``rfftn`` and ``irfftn``, bit for bit.  On a 2D grid each is the
+one 1-D transform (``rfft``, ``irfft``) those functions call, without
+their per-call argument handling; on a 3D grid the complex pass over the
+first tangential axis runs in an array that exists anyway instead of a
+new spectrum-sized one.  The vertical
 direction is a graded mesh on ``[0, X]`` refined toward the interface at
 ``x_n = 0``, where the exponential boundary layers live; vertical
 derivatives are finite differences with Fornberg weights.  Each vertical
 operator has one form: the staggered pair is two slice kernels
 (:func:`cell_average`, :func:`cell_difference`), each derivative a
-:class:`Stencil` table of row nodes and weights.  The compatibility checks
+:class:`Stencil` table of row nodes and weights, all its rows built by
+one pass of the Fornberg recursion.  The compatibility checks
 apply a table with :meth:`Stencil.apply`; :func:`vertical_derivative`
 multiplies whole trajectories by a CSR copy of it, the same bits several
 times faster, and is all that imports scipy here, lazily.
@@ -50,18 +53,23 @@ __all__ = [
 ]
 
 
-def fornberg_weights(x0: float, xs, m: int) -> np.ndarray:
+def fornberg_weights(x0, xs, m: int) -> np.ndarray:
     """Finite-difference weights for derivatives 0..m at ``x0`` on nodes ``xs``.
 
     Classic recursive construction; returns an array of shape
     ``(m + 1, len(xs))`` whose row ``k`` gives the weights of the k-th
     derivative.  Exact for polynomials up to degree ``len(xs) - 1``.
+    Points broadcast: ``x0`` of shape ``rows`` and ``xs`` of shape ``rows +
+    (npts,)`` give ``(m + 1, npts) + rows``, each operation of the
+    recursion elementwise over the rows, so every row has the bits of its
+    own scalar call.
     """
-    xs = np.asarray(xs, dtype=float)
-    npts = xs.size
+    x0 = np.asarray(x0, dtype=float)
+    xs = np.moveaxis(np.asarray(xs, dtype=float), -1, 0)
+    npts = len(xs)
     if m >= npts:
         raise ValueError(f"need more than {m} nodes for derivative order {m}")
-    c = np.zeros((m + 1, npts))
+    c = np.zeros((m + 1, npts) + x0.shape)
     c[0, 0] = 1.0
     c1 = 1.0
     c4 = xs[0] - x0
@@ -156,7 +164,8 @@ class VerticalMesh:
 
         Each row uses a ``accuracy + order``-point Fornberg stencil centered
         as symmetrically as the boundaries allow, so the formal order of
-        accuracy is uniform up to the ends.
+        accuracy is uniform up to the ends.  One :func:`fornberg_weights`
+        call builds every row, with the bits of a call per row.
         """
         key = (order, accuracy)
         cached = self._diff_cache.get(key)
@@ -169,10 +178,8 @@ class VerticalMesh:
             )
         lo = np.clip(np.arange(self.M + 1) - npts // 2, 0, self.M + 1 - npts)
         columns = lo[:, np.newaxis] + np.arange(npts)
-        weights = np.array([
-            fornberg_weights(self.nodes[j], self.nodes[cols], order)[order]
-            for j, cols in enumerate(columns)
-        ])
+        rows = fornberg_weights(self.nodes, self.nodes[columns], order)[order]
+        weights = np.ascontiguousarray(rows.T)
         stencil = Stencil(columns, weights)
         self._diff_cache[key] = stencil
         return stencil
@@ -403,12 +410,15 @@ def _multipliers(grid: Grid, orders: tuple[int, ...], laplacian: bool = False) -
 def rfftn_inplace(field: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """``np.fft.rfftn(field, axes=axes)``, its complex passes run in the result.
 
-    The real pass writes a new complex array, laid out as numpy lays out
-    its own result, and every later pass overwrites it, so no second
-    spectrum-sized array is made.  The 1-D transforms are numpy's, in
-    numpy's order, so the bits are those of ``np.fft.rfftn``; ``field`` is
-    not changed.
+    With one axis this is ``np.fft.rfft``, the one call ``rfftn`` makes
+    then, without its argument handling.  With more, the real pass writes
+    a new complex array, laid out as numpy lays out its own result, and
+    every later pass overwrites it, so no second spectrum-sized array is
+    made.  The 1-D transforms are numpy's, in numpy's order, so the bits
+    are those of ``np.fft.rfftn``; ``field`` is not changed.
     """
+    if len(axes) == 1:
+        return np.fft.rfft(field, axis=axes[0])
     shape = list(field.shape)
     shape[axes[-1]] = shape[axes[-1]] // 2 + 1
     out = np.empty_like(field, shape=shape, dtype=np.result_type(field, 1j))
@@ -419,14 +429,15 @@ def irfftn_inplace(spec: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ..
     """``np.fft.irfftn(spec, s=shape, axes=axes)``, overwriting ``spec``.
 
     The complex passes over every axis but the last run in ``spec``
-    itself, then the real pass over the last axis makes the result, so
+    itself, then ``np.fft.irfft`` over the last axis makes the result, so
     only the result is allocated.  The 1-D transforms are numpy's, in
     numpy's order, so the bits are those of ``np.fft.irfftn``.  With more
-    than one axis ``spec`` is left holding a partial transform.
+    than one axis ``spec`` is left holding a partial transform; with one
+    it is not changed.
     """
     for n, axis in zip(shape[:-1], axes[:-1]):
         np.fft.ifft(spec, n=n, axis=axis, out=spec)
-    return np.fft.irfftn(spec, s=shape[-1:], axes=axes[-1:])
+    return np.fft.irfft(spec, n=shape[-1], axis=axes[-1])
 
 
 def tangential_derivatives(

@@ -280,11 +280,17 @@ class LinearStepper:
     array in the mode solver's unknown layout, transforms it to
     tangential modes once, advances all modes with one
     :class:`ModeStepper` (Nyquist modes are projected out) and transforms
-    the whole solution back once.  Both transforms run their complex pass
-    in place (:func:`rfftn_inplace`, :func:`irfftn_inplace`): the inverse
-    overwrites the one solution spectrum the stepper holds, so no step
-    allocates a second spectrum.  The returned levels carry the pressure
+    the whole solution back once (:func:`rfftn_inplace`,
+    :func:`irfftn_inplace`).  The returned levels carry the pressure
     interpolated from the staggered midpoints to the nodes.
+
+    The one array a step does not make is the solution spectrum, which
+    lives with the stepper; in 3D the inverse transform runs its complex
+    pass in it.  Each array a step makes is freed once its part is done:
+    the forward spectrum once its modes are gathered, the gathered modes
+    when the mode solver returns, and the solver's right-hand side, which
+    holds the solution, once it is scattered into the spectrum, before the
+    inverse transform makes the step's result.
 
     The mode solver factorizes the modes with ``xi_1 >= 0`` only.  In 3D
     the spectrum is gathered as ``(column, block)``: column 0 holds those
@@ -303,7 +309,7 @@ class LinearStepper:
         xi = np.stack([np.broadcast_to(x, mask.shape) for x in grid.wavenumbers()])
         if grid.n == 2:
             self._columns = modes[np.newaxis]
-            self._kept = (slice(None),)
+            kept = (slice(None),)
         else:
             # fftfreq rows 0 .. N/2 - 1 carry xi_1 >= 0; row r holds the
             # mirror of row (N - r) mod N.  The xi_1 = 0 row leads in C order.
@@ -313,15 +319,18 @@ class LinearStepper:
                 ((grid.N - rows[half]) % grid.N, cols[half]), mask.shape
             )
             self._columns = np.stack([modes[half], mirror])
-            self._kept = (slice(None), slice(np.count_nonzero(rows == 0), None))
+            kept = (slice(None), slice(np.count_nonzero(rows == 0), None))
         self._mode = ModeStepper(
             params, xi.reshape(grid.n - 1, -1)[:, self._columns[0]], grid.mesh,
             grid.dt, modes=modes.size,
         )
-        # the spectrum of one solution, overwritten by each step's inverse
-        # transform, and the flat indices of its Nyquist entries
+        # the spectrum of one solution, overwritten in 3D by each step's
+        # inverse transform, the flat indices of its Nyquist entries and, per
+        # column, the entries that receive the column's kept blocks
         self._spectrum = np.zeros(mask.shape + (self._mode.size,), dtype=complex)
         self._nyquist = np.flatnonzero(mask)
+        self._dest = [(index[k], k) for index, k in zip(self._columns, kept)]
+        self._axes = tuple(range(grid.n - 1))
         # velocity entries of the unknown layout
         self._i_p = grid.n * (grid.M + 1)
 
@@ -357,7 +366,12 @@ class LinearStepper:
         return self._velocity(new), new[..., i_p: i_p + M], new[..., -2], new[..., -1]
 
     def _mirror(self, spec: np.ndarray) -> np.ndarray:
-        """Negate ``u_1`` in place on the mirrored column of ``... + (column, block, entries)``."""
+        """Negate ``u_1`` in place on the mirrored column of ``... + (column, block, entries)``.
+
+        A 2D spectrum has one column and is returned as it is.
+        """
+        if self.grid.n == 2:
+            return spec
         u_1 = spec[..., 1:, :, : self.grid.M + 1]
         np.negative(u_1, out=u_1)
         return spec
@@ -396,18 +410,17 @@ class LinearStepper:
     def _advance(self, packed: np.ndarray, forcing: np.ndarray) -> np.ndarray:
         """One step from packed physical unknowns; returns ``tan_shape + (size,)``.
 
-        The inverse transform overwrites ``self._spectrum``, so each step
-        sets every entry again: the Nyquist entries to zero, the others to
-        the solved modes, which are freed before the inverse.
+        The 3D inverse transform overwrites ``self._spectrum``, so each
+        step sets every entry again: the Nyquist entries to zero, the
+        others to the solved modes, which are freed before the inverse.
         """
-        grid = self.grid
         flat = self._spectrum.reshape(-1, self._mode.size)
         flat[self._nyquist] = 0.0
         new = self._mirror(self._mode.step(self._to_modes(packed), forcing))
-        for modes, column, kept in zip(self._columns, new, self._kept):
-            flat[modes[kept]] = column[kept]
+        for column, (dest, kept) in zip(new, self._dest):
+            flat[dest] = column[kept]
         del new, column
-        return irfftn_inplace(self._spectrum, grid.tan_shape, tuple(range(grid.n - 1)))
+        return irfftn_inplace(self._spectrum, self.grid.tan_shape, self._axes)
 
     def run(
         self,

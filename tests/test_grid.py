@@ -24,7 +24,8 @@ from plate_fsi.timedomain.grid import (
     tangential_derivatives,
     vertical_derivative,
 )
-from plate_fsi.timedomain.stepper import LinearStepper, staggered_divergence
+from plate_fsi.timedomain import grid as grid_module
+from plate_fsi.timedomain.stepper import LinearStepper, ModeStepper, staggered_divergence
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +36,40 @@ def mesh() -> VerticalMesh:
 @pytest.fixture(scope="module")
 def grid2() -> Grid:
     return Grid(n=2, N=16, M=32, T=0.5, dt=0.25)
+
+
+def _scalar_fornberg(x0: float, xs: np.ndarray, m: int) -> np.ndarray:
+    """The recursion at one point, scalar by scalar: the reference for the tables."""
+    npts = len(xs)
+    c = np.zeros((m + 1, npts))
+    c[0, 0] = 1.0
+    c1 = 1.0
+    c4 = xs[0] - x0
+    for i in range(1, npts):
+        mn = min(i, m)
+        c2 = 1.0
+        c5 = c4
+        c4 = xs[i] - x0
+        for j in range(i):
+            c3 = xs[i] - xs[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[k, i] = c1 * (k * c[k - 1, i - 1] - c5 * c[k, i - 1]) / c2
+                c[0, i] = -c1 * c5 * c[0, i - 1] / c2
+            for k in range(mn, 0, -1):
+                c[k, j] = (c4 * c[k, j] - k * c[k - 1, j]) / c3
+            c[0, j] = c4 * c[0, j] / c3
+        c1 = c2
+    return c
+
+
+def _per_point_fornberg(x0, xs, m: int) -> np.ndarray:
+    """:func:`fornberg_weights` as one scalar recursion per point."""
+    x0, xs = np.asarray(x0, dtype=float), np.asarray(xs, dtype=float)
+    if x0.ndim == 0:
+        return _scalar_fornberg(x0[()], xs, m)
+    return np.stack([_scalar_fornberg(a, b, m) for a, b in zip(x0, xs)], axis=-1)
 
 
 class TestFornbergWeights:
@@ -49,6 +84,47 @@ class TestFornbergWeights:
     def test_order_needs_enough_nodes(self) -> None:
         with pytest.raises(ValueError, match="nodes"):
             fornberg_weights(0.0, [0.0, 1.0], 2)
+
+    @pytest.mark.parametrize("grading", [0.0, 2.0, 3.0])
+    @pytest.mark.parametrize("M", [16, 32, 64, 256])
+    @pytest.mark.parametrize(("order", "accuracy"), [(1, 4), (2, 4), (2, 1), (1, 17)])
+    def test_tables_equal_the_scalar_recursion(
+        self, grading: float, M: int, order: int, accuracy: int
+    ) -> None:
+        mesh = VerticalMesh(X=4.0, M=M, grading=grading)
+        if order + accuracy > M + 1:
+            with pytest.raises(ValueError, match="stencil"):
+                mesh.stencil(order, accuracy)
+            return
+        stencil = mesh.stencil(order, accuracy)
+        want = _per_point_fornberg(mesh.nodes, mesh.nodes[stencil.columns], order)[order]
+        assert stencil.weights.flags.c_contiguous
+        assert stencil.weights.tobytes() == want.T.tobytes()
+
+    @pytest.mark.parametrize("grading", [0.0, 2.0, 3.0])
+    def test_single_points_equal_the_scalar_recursion(self, grading: float) -> None:
+        # the trace stencil and the end spans that Grid checks for finiteness
+        mesh = VerticalMesh(X=4.0, M=32, grading=grading)
+        want = _scalar_fornberg(0.0, mesh.nodes[:3], 1)[1]
+        assert mesh.trace_stencil().tobytes() == want.tobytes()
+        for end, span in ((0, slice(6)), (-1, slice(-6, None))):
+            got = fornberg_weights(mesh.nodes[end], mesh.nodes[span], 2)
+            want = _scalar_fornberg(mesh.nodes[end], mesh.nodes[span], 2)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_mode_matrix_equals_the_per_point_tables(
+        self, n: int, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        grid = Grid(n=n, N=8, M=16, L=7.3, X=40.0, T=0.09, dt=0.03)
+        params = PlateParams(alpha=1.0734, beta=0.31, gamma=0.917)
+        xi = np.stack([np.broadcast_to(x, grid.nyquist_mask().shape) for x in grid.wavenumbers()])
+        xi = xi.reshape(n - 1, -1)
+        got = ModeStepper(params, xi, VerticalMesh(grid.X, grid.M), grid.dt).matrix()
+        monkeypatch.setattr(grid_module, "fornberg_weights", _per_point_fornberg)
+        want = ModeStepper(params, xi, VerticalMesh(grid.X, grid.M), grid.dt).matrix()
+        for name in ("data", "indices", "indptr"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 class TestVerticalMesh:
@@ -444,6 +520,25 @@ class TestInPlaceTransforms:
             back = np.fft.irfftn(spec, s=grid.tan_shape, axes=axes)
             got = irfftn_inplace(spec, grid.tan_shape, axes)
             assert got.shape == back.shape and got.tobytes() == back.tobytes()
+
+    def test_one_axis_equals_numpy_byte_for_byte(self, rng: np.random.Generator) -> None:
+        # leading and trailing batch axes around the transform axis, signed
+        # zeros (a whole line of them among others), and strided views
+        field = rng.normal(size=(3, 2, 16, 9))
+        field[rng.random(field.shape) < 0.2] = -0.0
+        field[1, 0, :, 4] = -0.0
+        for view, axis in ((field, 2), (field[:, 1], 1), (field[..., ::2], 2), (field.T, 1)):
+            before = view.copy()
+            spec = rfftn_inplace(view, (axis,))
+            want = np.fft.rfftn(view, axes=(axis,))
+            assert spec.shape == want.shape and spec.tobytes() == want.tobytes()
+            assert view.tobytes() == before.tobytes()
+            spec[rng.random(spec.shape) < 0.2] = -0.0
+            kept = spec.copy()
+            got = irfftn_inplace(spec, (16,), (axis,))
+            back = np.fft.irfftn(spec, s=(16,), axes=(axis,))
+            assert got.shape == back.shape and got.tobytes() == back.tobytes()
+            assert spec.tobytes() == kept.tobytes()
 
     def test_inverse_allocates_only_its_result(self, rng: np.random.Generator) -> None:
         grid = Grid(n=3, N=32, M=64, T=0.5, dt=0.25)
